@@ -72,6 +72,9 @@ STP_JOBS=1 cargo test -q -p stp-serve --offline --test serve_smoke --test serve_
 echo "==> serve smoke + load baseline (STP_JOBS=$(nproc))"
 STP_JOBS="$(nproc)" cargo test -q -p stp-serve --offline --test serve_smoke --test serve_baseline
 
+echo "==> stpbench answer checks (every workload at tiny size, traced and untraced)"
+cargo test --release --offline --manifest-path stpbench/Cargo.toml
+
 echo "==> cargo test (STP_JOBS=1, sequential default)"
 STP_JOBS=1 cargo test -q --workspace --offline
 

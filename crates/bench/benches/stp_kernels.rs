@@ -1,12 +1,12 @@
 //! Micro-kernels of the STP machinery: the semi-tensor product itself,
 //! canonical-form construction, canonical-form AllSAT, and the circuit
-//! AllSAT solver.
+//! AllSAT solver, alone and as the candidate check `verify_chain`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use stp_chain::{Chain, OutputRef};
 use stp_matrix::{solve_all, stp, swap_matrix, Expr, LogicMatrix, Mat};
-use stp_synth::solve_circuit;
+use stp_synth::{solve_circuit, verify_chain};
 use stp_tt::TruthTable;
 
 fn liar_puzzle() -> Expr {
@@ -65,6 +65,22 @@ fn bench_circuit_solver(c: &mut Criterion) {
     parity.add_output(OutputRef::signal(prev));
     c.bench_function("circuit_allsat_parity8", |b| {
         b.iter(|| solve_circuit(black_box(&parity), &[true]).partial_solutions.len())
+    });
+    // Step iv on an FDSD8-style candidate: a 7-gate DSD tree over 8
+    // inputs, f = ((x0 ^ x1) & (x2 | x3)) | ((x4 & !x5) ^ (x6 | x7)).
+    let mut tree = Chain::new(8);
+    let g0 = tree.add_gate(0, 1, 0x6).unwrap();
+    let g1 = tree.add_gate(2, 3, 0xe).unwrap();
+    let g2 = tree.add_gate(4, 5, 0x2).unwrap();
+    let g3 = tree.add_gate(6, 7, 0xe).unwrap();
+    let g4 = tree.add_gate(g0, g1, 0x8).unwrap();
+    let g5 = tree.add_gate(g2, g3, 0x6).unwrap();
+    let top = tree.add_gate(g4, g5, 0xe).unwrap();
+    tree.add_output(OutputRef::signal(top));
+    let spec = tree.simulate_outputs().unwrap().remove(0);
+    assert!(verify_chain(&tree, &spec).unwrap(), "the bench times the accept path");
+    c.bench_function("circuit_verify_fdsd8", |b| {
+        b.iter(|| verify_chain(black_box(&tree), black_box(&spec)).unwrap())
     });
 }
 

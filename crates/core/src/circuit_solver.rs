@@ -12,10 +12,19 @@
 //! Exact synthesis uses this as its verification engine (step iv of
 //! §III): a candidate chain is accepted when the assignments that set
 //! its output true are exactly the ON-set of the specification.
+//!
+//! Internally a partial assignment is a packed [`Cube`] (two `u32`
+//! masks), so `MERGE` is one conflict test and two ORs; each query
+//! memoizes its `(signal, target)` subproblems, so every one is solved
+//! once however many structural-matrix columns ask for it; and the final
+//! simulation to `f_s` ORs each cube's literal mask straight into
+//! [`TruthTable`]-layout words.
 
 use std::collections::BTreeSet;
+use std::ops::Range;
 
 use stp_chain::{Chain, OutputRef};
+use stp_tt::kernel::{self, VAR_MASK};
 use stp_tt::TruthTable;
 
 use crate::error::SynthesisError;
@@ -23,6 +32,9 @@ use crate::error::SynthesisError;
 /// A partial primary-input assignment: `None` is the paper's `'-'`
 /// (unassigned).
 pub type PartialAssignment = Vec<Option<bool>>;
+
+/// Most primary inputs a query may have: one bit per input in a [`Cube`].
+const MAX_INPUTS: usize = 32;
 
 /// Result of a circuit AllSAT query.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,25 +55,16 @@ impl CircuitSolutions {
 
     /// Expands the partial solutions into the set of full assignments,
     /// each encoded as a minterm index (variable `i` = bit `i`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_inputs` exceeds 32.
     pub fn full_assignments(&self) -> BTreeSet<usize> {
+        assert!(self.num_inputs <= MAX_INPUTS, "at most {MAX_INPUTS} inputs");
+        let inputs = kernel::low_mask(self.num_inputs) as u32;
         let mut out = BTreeSet::new();
-        for partial in &self.partial_solutions {
-            let free: Vec<usize> =
-                partial.iter().enumerate().filter_map(|(i, v)| v.is_none().then_some(i)).collect();
-            let base: usize = partial
-                .iter()
-                .enumerate()
-                .filter_map(|(i, v)| matches!(v, Some(true)).then_some(1usize << i))
-                .sum();
-            for mask in 0..(1usize << free.len()) {
-                let mut m = base;
-                for (k, &bit) in free.iter().enumerate() {
-                    if (mask >> k) & 1 == 1 {
-                        m |= 1 << bit;
-                    }
-                }
-                out.insert(m);
-            }
+        for cube in self.partial_solutions.iter().map(|p| Cube::from_partial(p)) {
+            out.extend(subsets(inputs & !cube.care).map(|free| (cube.val | free) as usize));
         }
         out
     }
@@ -75,85 +78,210 @@ impl CircuitSolutions {
     /// Returns [`SynthesisError::TruthTable`] if the input count exceeds
     /// the substrate's limit.
     pub fn to_truth_table(&self) -> Result<TruthTable, SynthesisError> {
-        let assignments = self.full_assignments();
-        Ok(TruthTable::from_fn(self.num_inputs, |assign| {
-            let mut m = 0usize;
-            for (i, &v) in assign.iter().enumerate() {
-                if v {
-                    m |= 1 << i;
-                }
-            }
-            assignments.contains(&m)
-        })?)
+        let mut words = TruthTable::constant(self.num_inputs, false)?.words().to_vec();
+        let cubes: Vec<Cube> =
+            self.partial_solutions.iter().map(|p| Cube::from_partial(p)).collect();
+        cover_words(&cubes, self.num_inputs, &mut words);
+        Ok(TruthTable::from_words(self.num_inputs, words)?)
     }
 }
 
-/// Local tallies for one [`solve_circuit`] query, flushed to the global
-/// metrics in a single batch (the recursion is far too hot for per-node
-/// atomic updates).
-#[derive(Default)]
-struct SolveStats {
-    /// Signals visited by [`traverse`] (Algorithm 2 invocations).
+/// A packed partial assignment: input `i` is assigned iff bit `i` of
+/// `care` is set, and then takes bit `i` of `val` (`val ⊆ care`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Cube {
+    care: u32,
+    val: u32,
+}
+
+impl Cube {
+    /// The all-unassigned assignment.
+    const TOP: Cube = Cube { care: 0, val: 0 };
+
+    /// The single literal `x_var = value`.
+    fn literal(var: usize, value: bool) -> Cube {
+        Cube { care: 1 << var, val: u32::from(value) << var }
+    }
+
+    /// Algorithm 1's `MERGE`: the conjunction of two assignments, or
+    /// `None` when they give some input opposite values.
+    fn merge(self, other: Cube) -> Option<Cube> {
+        (self.care & other.care & (self.val ^ other.val) == 0)
+            .then_some(Cube { care: self.care | other.care, val: self.val | other.val })
+    }
+
+    fn from_partial(partial: &[Option<bool>]) -> Cube {
+        partial.iter().enumerate().fold(Cube::TOP, |c, (i, v)| match v {
+            Some(b) => Cube { care: c.care | 1 << i, val: c.val | u32::from(*b) << i },
+            None => c,
+        })
+    }
+
+    fn to_partial(self, num_inputs: usize) -> PartialAssignment {
+        (0..num_inputs)
+            .map(|i| (self.care >> i & 1 == 1).then_some(self.val >> i & 1 == 1))
+            .collect()
+    }
+}
+
+/// Every subset of `mask`, the empty one first.
+fn subsets(mask: u32) -> impl Iterator<Item = u32> {
+    let mut next = Some(0u32);
+    std::iter::from_fn(move || {
+        let s = next?;
+        let succ = s.wrapping_sub(mask) & mask;
+        next = (succ != 0).then_some(succ);
+        Some(s)
+    })
+}
+
+/// ORs the minterms each cube covers into `words`, a zeroed
+/// [`TruthTable`]-layout buffer of `num_vars` inputs: variables below 6
+/// select bits within a word through [`VAR_MASK`], higher ones select
+/// word indices.
+fn cover_words(cubes: &[Cube], num_vars: usize, words: &mut [u64]) {
+    let in_word = kernel::low_mask(1 << num_vars.min(6));
+    let word_vars = (words.len() - 1) as u32;
+    for cube in cubes {
+        let mut mask = in_word;
+        let mut low = cube.care & 0x3f;
+        while low != 0 {
+            let var = low.trailing_zeros() as usize;
+            mask &= if cube.val >> var & 1 == 1 { VAR_MASK[var] } else { !VAR_MASK[var] };
+            low &= low - 1;
+        }
+        let (care_hi, val_hi) = (cube.care >> 6, cube.val >> 6);
+        for free in subsets(word_vars & !care_hi) {
+            words[(val_hi | free) as usize] |= mask;
+        }
+    }
+}
+
+/// One query's Algorithm 2 state: every solved `(signal, target)`
+/// subproblem keeps its sorted, deduplicated cube list in one arena for
+/// the rest of the query.
+struct Propagator<'c> {
+    chain: &'c Chain,
+    /// `memo[2 * signal + target]`: where that subproblem's list sits in
+    /// `cubes`, once solved.
+    memo: Vec<Option<Range<usize>>>,
+    cubes: Vec<Cube>,
+    /// Distinct subproblems solved (`solver.propagation_steps`).
     propagation_steps: u64,
-    /// [`merge`] attempts, including conflicting ones.
+    /// Merge attempts over memoized lists, conflicting ones included
+    /// (`solver.merges`).
     merges: u64,
 }
 
-/// Merges two partial assignments; `None` when they conflict.
-fn merge(a: &PartialAssignment, b: &PartialAssignment) -> Option<PartialAssignment> {
-    let mut out = a.clone();
-    for (slot, bv) in out.iter_mut().zip(b) {
-        match (*slot, bv) {
-            (Some(x), Some(y)) if x != *y => return None,
-            (None, v) => *slot = *v,
-            _ => {}
+impl<'c> Propagator<'c> {
+    fn new(chain: &'c Chain) -> Self {
+        Propagator {
+            chain,
+            memo: vec![None; 2 * chain.num_signals()],
+            cubes: Vec::new(),
+            propagation_steps: 0,
+            merges: 0,
         }
     }
-    Some(out)
-}
 
-/// Enumerates the assignments under which `signal` takes `target`.
-fn traverse(
-    chain: &Chain,
-    signal: usize,
-    target: bool,
-    stats: &mut SolveStats,
-) -> Vec<PartialAssignment> {
-    stats.propagation_steps += 1;
-    let n = chain.num_inputs();
-    if signal < n {
-        // Algorithm 2, lines 2–4: a PI consumes the target directly.
-        let mut p = vec![None; n];
-        p[signal] = Some(target);
-        return vec![p];
-    }
-    let gate = chain.gates()[signal - n];
-    let mut out = Vec::new();
-    // Algorithm 2, lines 5–9: the gate's structural matrix names the
-    // fanin pairs mapping to the target; recurse on each.
-    for a in [false, true] {
-        for b in [false, true] {
-            if gate.apply(a, b) != target {
-                continue;
+    /// Enumerates the assignments under which `signal` takes `target`.
+    fn solve(&mut self, signal: usize, target: bool) -> Range<usize> {
+        let slot = 2 * signal + usize::from(target);
+        if let Some(span) = &self.memo[slot] {
+            return span.clone();
+        }
+        self.propagation_steps += 1;
+        let n = self.chain.num_inputs();
+        let start = if signal < n {
+            // Algorithm 2, lines 2–4: a PI consumes the target directly.
+            self.cubes.push(Cube::literal(signal, target));
+            self.cubes.len() - 1
+        } else {
+            // Algorithm 2, lines 5–9: the gate's structural matrix names
+            // the fanin pairs mapping to the target. Both fanins of every
+            // pair are solved first so this list lands after theirs.
+            let gate = self.chain.gates()[signal - n];
+            let mut columns: [(Range<usize>, Range<usize>); 4] = Default::default();
+            let mut used = 0;
+            for a in [false, true] {
+                for b in [false, true] {
+                    if gate.apply(a, b) != target {
+                        continue;
+                    }
+                    let left = self.solve(gate.fanin[0], a);
+                    if left.is_empty() {
+                        continue;
+                    }
+                    columns[used] = (left, self.solve(gate.fanin[1], b));
+                    used += 1;
+                }
             }
-            let left = traverse(chain, gate.fanin[0], a, stats);
-            if left.is_empty() {
-                continue;
-            }
-            let right = traverse(chain, gate.fanin[1], b, stats);
-            stats.merges += (left.len() * right.len()) as u64;
-            for l in &left {
-                for r in &right {
-                    if let Some(m) = merge(l, r) {
-                        out.push(m);
+            let start = self.cubes.len();
+            for (left, right) in &columns[..used] {
+                self.merges += (left.len() * right.len()) as u64;
+                for l in left.clone() {
+                    let l = self.cubes[l];
+                    for r in right.clone() {
+                        if let Some(m) = l.merge(self.cubes[r]) {
+                            self.cubes.push(m);
+                        }
                     }
                 }
             }
+            sort_dedup_tail(&mut self.cubes, start);
+            start
+        };
+        let span = start..self.cubes.len();
+        self.memo[slot] = Some(span.clone());
+        span
+    }
+}
+
+/// Sorts `cubes[start..]` and drops its duplicates, leaving the prefix
+/// alone.
+fn sort_dedup_tail(cubes: &mut Vec<Cube>, start: usize) {
+    cubes[start..].sort_unstable();
+    let mut kept = start;
+    for i in start..cubes.len() {
+        if kept == start || cubes[i] != cubes[kept - 1] {
+            cubes[kept] = cubes[i];
+            kept += 1;
         }
     }
-    out.sort();
-    out.dedup();
-    out
+    cubes.truncate(kept);
+}
+
+/// Algorithm 1 over cubes: `S` starts as the single all-unassigned
+/// solution and is merged with each output's solution set in turn.
+/// Flushes the query's tallies to the global counters in one batch (the
+/// recursion is far too hot for per-node atomic updates).
+fn solve_cubes(chain: &Chain, targets: &[bool]) -> Vec<Cube> {
+    assert!(chain.num_inputs() <= MAX_INPUTS, "at most {MAX_INPUTS} inputs");
+    let mut prop = Propagator::new(chain);
+    let mut solutions = vec![Cube::TOP];
+    for (out, &target) in chain.outputs().iter().zip(targets) {
+        let s_i = match *out {
+            OutputRef::Signal { index, negated } => {
+                let span = prop.solve(index, target ^ negated);
+                &prop.cubes[span]
+            }
+            OutputRef::Constant(v) if v == target => &[Cube::TOP][..],
+            OutputRef::Constant(_) => &[],
+        };
+        prop.merges += (solutions.len() * s_i.len()) as u64;
+        let mut merged: Vec<Cube> =
+            solutions.iter().flat_map(|s| s_i.iter().filter_map(|t| s.merge(*t))).collect();
+        merged.sort_unstable();
+        merged.dedup();
+        solutions = merged;
+        if solutions.is_empty() {
+            break;
+        }
+    }
+    stp_telemetry::counter!("solver.queries").inc();
+    stp_telemetry::counter!("solver.propagation_steps").add(prop.propagation_steps);
+    stp_telemetry::counter!("solver.merges").add(prop.merges);
+    solutions
 }
 
 /// Runs the STP circuit AllSAT solver (Algorithm 1): finds every primary
@@ -163,7 +291,9 @@ fn traverse(
 ///
 /// # Panics
 ///
-/// Panics if `targets.len()` differs from the chain's output count.
+/// Panics if `targets.len()` differs from the chain's output count, if
+/// the chain has more than 32 inputs, or if it is malformed (see
+/// [`Chain::validate`]).
 ///
 /// # Examples
 ///
@@ -186,61 +316,32 @@ fn traverse(
 pub fn solve_circuit(chain: &Chain, targets: &[bool]) -> CircuitSolutions {
     assert_eq!(targets.len(), chain.outputs().len(), "one target per primary output");
     let n = chain.num_inputs();
-    let mut stats = SolveStats::default();
-    // Algorithm 1: S starts as the single all-unassigned solution and is
-    // merged with each output's solution set in turn.
-    let mut solutions: Vec<PartialAssignment> = vec![vec![None; n]];
-    for (out, &target) in chain.outputs().iter().zip(targets) {
-        let s_i = match out {
-            OutputRef::Signal { index, negated } => {
-                traverse(chain, *index, target ^ *negated, &mut stats)
-            }
-            OutputRef::Constant(v) => {
-                if *v == target {
-                    vec![vec![None; n]]
-                } else {
-                    Vec::new()
-                }
-            }
-        };
-        let mut merged = Vec::new();
-        stats.merges += (solutions.len() * s_i.len()) as u64;
-        for s in &solutions {
-            for t in &s_i {
-                if let Some(m) = merge(s, t) {
-                    merged.push(m);
-                }
-            }
-        }
-        merged.sort();
-        merged.dedup();
-        solutions = merged;
-        if solutions.is_empty() {
-            break;
-        }
-    }
-    stp_telemetry::counter!("solver.queries").inc();
-    stp_telemetry::counter!("solver.propagation_steps").add(stats.propagation_steps);
-    stp_telemetry::counter!("solver.merges").add(stats.merges);
-    CircuitSolutions { num_inputs: n, partial_solutions: solutions }
+    let mut partial_solutions: Vec<PartialAssignment> =
+        solve_cubes(chain, targets).into_iter().map(|c| c.to_partial(n)).collect();
+    partial_solutions.sort();
+    CircuitSolutions { num_inputs: n, partial_solutions }
 }
 
 /// Verifies a candidate chain against a specification (step iv of
 /// §III): solves the circuit for output `true`, simulates the solution
-/// set to `f_s`, and accepts iff `f_s == f`.
+/// set to `f_s` word by word, and accepts iff `f_s == f`.
+///
+/// A malformed candidate — wrong input count, not exactly one output,
+/// or failing [`Chain::validate`] — is rejected, not a panic.
 ///
 /// # Errors
 ///
-/// Returns [`SynthesisError::TruthTable`] if simulation fails (input
-/// count out of range).
+/// Never fails today: malformed candidates are `Ok(false)`. The `Result`
+/// is kept so existing callers stay unchanged.
 pub fn verify_chain(chain: &Chain, spec: &TruthTable) -> Result<bool, SynthesisError> {
-    if chain.num_inputs() != spec.num_vars() {
-        stp_telemetry::counter!("solver.candidates_rejected").inc();
-        return Ok(false);
-    }
-    let solutions = solve_circuit(chain, &[true]);
-    let f_s = solutions.to_truth_table()?;
-    let accepted = f_s == *spec;
+    let well_formed = chain.num_inputs() == spec.num_vars()
+        && chain.outputs().len() == 1
+        && chain.validate().is_ok();
+    let accepted = well_formed && {
+        let mut f_s = vec![0u64; spec.words().len()];
+        cover_words(&solve_cubes(chain, &[true]), spec.num_vars(), &mut f_s);
+        f_s == spec.words()
+    };
     if accepted {
         stp_telemetry::counter!("solver.candidates_verified").inc();
     } else {
@@ -252,6 +353,200 @@ pub fn verify_chain(chain: &Chain, spec: &TruthTable) -> Result<bool, SynthesisE
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The solver as first written, over `Vec<Option<bool>>` assignments
+    /// with no memo: the oracle the packed solver must match byte for
+    /// byte.
+    mod reference {
+        use super::*;
+
+        fn merge(a: &PartialAssignment, b: &PartialAssignment) -> Option<PartialAssignment> {
+            let mut out = a.clone();
+            for (slot, bv) in out.iter_mut().zip(b) {
+                match (*slot, bv) {
+                    (Some(x), Some(y)) if x != *y => return None,
+                    (None, v) => *slot = *v,
+                    _ => {}
+                }
+            }
+            Some(out)
+        }
+
+        fn traverse(chain: &Chain, signal: usize, target: bool) -> Vec<PartialAssignment> {
+            let n = chain.num_inputs();
+            if signal < n {
+                let mut p = vec![None; n];
+                p[signal] = Some(target);
+                return vec![p];
+            }
+            let gate = chain.gates()[signal - n];
+            let mut out = Vec::new();
+            for a in [false, true] {
+                for b in [false, true] {
+                    if gate.apply(a, b) != target {
+                        continue;
+                    }
+                    let left = traverse(chain, gate.fanin[0], a);
+                    if left.is_empty() {
+                        continue;
+                    }
+                    let right = traverse(chain, gate.fanin[1], b);
+                    for l in &left {
+                        for r in &right {
+                            out.extend(merge(l, r));
+                        }
+                    }
+                }
+            }
+            out.sort();
+            out.dedup();
+            out
+        }
+
+        pub fn solve(chain: &Chain, targets: &[bool]) -> Vec<PartialAssignment> {
+            let n = chain.num_inputs();
+            let mut solutions: Vec<PartialAssignment> = vec![vec![None; n]];
+            for (out, &target) in chain.outputs().iter().zip(targets) {
+                let s_i = match out {
+                    OutputRef::Signal { index, negated } => {
+                        traverse(chain, *index, target ^ negated)
+                    }
+                    OutputRef::Constant(v) if *v == target => vec![vec![None; n]],
+                    OutputRef::Constant(_) => Vec::new(),
+                };
+                let mut merged = Vec::new();
+                for s in &solutions {
+                    for t in &s_i {
+                        merged.extend(merge(s, t));
+                    }
+                }
+                merged.sort();
+                merged.dedup();
+                solutions = merged;
+                if solutions.is_empty() {
+                    break;
+                }
+            }
+            solutions
+        }
+    }
+
+    /// A 64-bit LCG (Knuth's MMIX constants); the high half is returned.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn below(&mut self, bound: usize) -> usize {
+            self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((self.0 >> 32) % bound as u64) as usize
+        }
+    }
+
+    /// A random chain over `n` inputs with up to seven gates of any of
+    /// the 16 operators (constants and projections included) and
+    /// `outputs` taps, some negated or constant. The first gate reads
+    /// the top input, so every width exercises its highest mask bit;
+    /// later gates pick fanins among all earlier signals, so fanins are
+    /// shared and paths reconverge.
+    fn random_chain(rng: &mut Lcg, n: usize, outputs: usize) -> Chain {
+        let mut chain = Chain::new(n);
+        let gates = if n == 1 { 0 } else { 1 + rng.below(7) };
+        for g in 0..gates {
+            let avail = chain.num_signals();
+            let a = if g == 0 { n - 1 } else { rng.below(avail) };
+            let b = (a + 1 + rng.below(avail - 1)) % avail;
+            chain.add_gate(a, b, rng.below(16) as u8).unwrap();
+        }
+        for _ in 0..outputs {
+            let last = chain.num_signals() - 1;
+            let tap = match rng.below(8) {
+                0 => OutputRef::Constant(rng.below(2) == 1),
+                1..=4 => OutputRef::Signal { index: last, negated: rng.below(2) == 1 },
+                _ => OutputRef::Signal { index: rng.below(last + 1), negated: rng.below(2) == 1 },
+            };
+            chain.add_output(tap);
+        }
+        chain
+    }
+
+    #[test]
+    fn packed_solver_matches_reference_solver() {
+        let mut rng = Lcg(0x5eed_c0de);
+        for n in 1..=16 {
+            for _ in 0..60 {
+                let outputs = 1 + rng.below(3);
+                let chain = random_chain(&mut rng, n, outputs);
+                let targets: Vec<bool> = (0..outputs).map(|_| rng.below(2) == 1).collect();
+                assert_eq!(
+                    solve_circuit(&chain, &targets).partial_solutions,
+                    reference::solve(&chain, &targets),
+                    "n = {n}, targets {targets:?}, chain:\n{chain}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn verify_matches_simulation_for_true_and_flipped_specs() {
+        let mut rng = Lcg(0xf11b_5eed);
+        for n in 1..=16 {
+            for _ in 0..40 {
+                let chain = random_chain(&mut rng, n, 1);
+                let spec = chain.simulate_outputs().unwrap().remove(0);
+                let mut words = spec.words().to_vec();
+                let m = rng.below(1 << n);
+                words[m / 64] ^= 1 << (m % 64);
+                let flipped = TruthTable::from_words(n, words).unwrap();
+                for f in [&spec, &flipped] {
+                    let simulated = chain.simulate_outputs().unwrap()[0] == *f;
+                    assert_eq!(verify_chain(&chain, f).unwrap(), simulated, "n = {n}:\n{chain}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn to_truth_table_and_full_assignments_agree_across_words() {
+        // Three inputs at or above 6, so cubes span several words.
+        let mut chain = Chain::new(9);
+        let x = chain.add_gate(8, 2, 0x6).unwrap();
+        let y = chain.add_gate(6, x, 0xe).unwrap();
+        chain.add_output(OutputRef::negated_signal(y));
+        let spec = chain.simulate_outputs().unwrap().remove(0);
+        let solutions = solve_circuit(&chain, &[true]);
+        assert_eq!(solutions.to_truth_table().unwrap(), spec);
+        let ones: BTreeSet<usize> = (0..1 << 9).filter(|&m| spec.bit(m)).collect();
+        assert_eq!(solutions.full_assignments(), ones);
+    }
+
+    fn rejected_without_panic(chain: &Chain, spec: &TruthTable) {
+        let scope = stp_telemetry::CounterScope::enter();
+        assert!(!verify_chain(chain, spec).unwrap());
+        let counters = scope.finish();
+        assert_eq!(counters.get("solver.candidates_rejected"), Some(&1));
+        assert_eq!(counters.get("solver.queries"), None, "no solver run on a malformed chain");
+    }
+
+    #[test]
+    fn verify_rejects_chain_without_outputs() {
+        let mut chain = Chain::new(4);
+        chain.add_gate(0, 1, 0x8).unwrap();
+        rejected_without_panic(&chain, &TruthTable::from_hex(4, "8888").unwrap());
+    }
+
+    #[test]
+    fn verify_rejects_chain_with_two_outputs() {
+        let mut chain = example7_chain();
+        chain.add_output(OutputRef::signal(4));
+        rejected_without_panic(&chain, &TruthTable::from_hex(4, "8ff8").unwrap());
+    }
+
+    #[test]
+    fn verify_rejects_out_of_range_output_tap() {
+        let mut chain = Chain::new(4);
+        chain.add_gate(0, 1, 0x8).unwrap();
+        chain.add_output(OutputRef::signal(9));
+        rejected_without_panic(&chain, &TruthTable::from_hex(4, "8888").unwrap());
+    }
 
     fn example7_chain() -> Chain {
         let mut chain = Chain::new(4);
@@ -274,6 +569,20 @@ mod tests {
         let solutions = solve_circuit(&example7_chain(), &[true]);
         let f_s = solutions.to_truth_table().unwrap();
         assert_eq!(f_s, TruthTable::from_hex(4, "8ff8").unwrap());
+    }
+
+    #[test]
+    fn example8_counts_each_subproblem_once() {
+        // x7 = OR(x5, x6) asks for x5 and x6 under both targets; with
+        // the memo that is 5 gate subproblems plus the 8 PI literals.
+        // Merges: 18 inside the gates (x7 alone: 2·3 + 2·1 + 2·1) and
+        // 10 for Algorithm 1's merge of x7's list into `S`.
+        let scope = stp_telemetry::CounterScope::enter();
+        solve_circuit(&example7_chain(), &[true]);
+        let counters = scope.finish();
+        assert_eq!(counters.get("solver.propagation_steps"), Some(&13));
+        assert_eq!(counters.get("solver.merges"), Some(&28));
+        assert_eq!(counters.get("solver.queries"), Some(&1));
     }
 
     #[test]
@@ -341,39 +650,6 @@ mod tests {
         // !(a & b) == true fails only at a=b=1.
         let s = solve_circuit(&chain, &[true]);
         assert_eq!(s.full_assignments().len(), 3);
-    }
-
-    #[test]
-    fn verify_agrees_with_simulation_on_random_chains() {
-        // Cross-check the circuit solver against bit-parallel simulation.
-        let mut seed = 0xdeadbeefu64;
-        let mut next = move || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            seed
-        };
-        for _ in 0..40 {
-            let n = 3 + (next() as usize) % 2;
-            let mut chain = Chain::new(n);
-            let gates = 2 + (next() as usize) % 4;
-            for _ in 0..gates {
-                let avail = chain.num_signals();
-                let a = (next() as usize) % avail;
-                let mut b = (next() as usize) % avail;
-                if b == a {
-                    b = (b + 1) % avail;
-                }
-                let op = stp_tt::NONTRIVIAL_OPS[(next() as usize) % 10];
-                chain.add_gate(a.min(b), a.max(b), op).unwrap();
-            }
-            chain.add_output(OutputRef::signal(chain.num_signals() - 1));
-            let spec = chain.simulate_outputs().unwrap()[0].clone();
-            assert!(
-                verify_chain(&chain, &spec).unwrap(),
-                "circuit solver must agree with simulation"
-            );
-        }
     }
 
     #[test]
