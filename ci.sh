@@ -1,5 +1,10 @@
 #!/usr/bin/env bash
-# Local CI gate — the same three checks .github/workflows/ci.yml runs.
+# The CI gate: the one step list both a local run and
+# .github/workflows/ci.yml execute (the workflow only installs the
+# toolchain components, then runs this script). It checks formatting,
+# clippy on the default and feature builds, every pinned baseline, the
+# stpbench answer checks, and the full test suite, each at STP_JOBS=1
+# and STP_JOBS=$(nproc) where scheduling can matter.
 # Everything is --offline: the workspace has no registry dependencies
 # (rand/proptest/criterion are vendored in vendor/), so a network-less
 # container must build and test cleanly.

@@ -30,20 +30,29 @@
 //!
 //! # Word-level kernels
 //!
-//! The inner loops run on two representations (see `DESIGN.md`,
-//! *Word-level factorization kernels*). On the **fast path** — spec of
-//! at most [`FAST_MAX_VARS`] inputs, `|A| + |B| ≤ 6` and `|S| ≤ 6` —
-//! the spec is compacted onto the split's variable order with the
-//! `stp-tt` kernel primitives, so every decomposition chart is a
-//! contiguous power-of-two-aligned bit slice, patterns and labellings
-//! are `u64` masks, the two-pattern test and the consistency check are
-//! mask algebra, and candidate operands are scattered word-level into
-//! stack buffers: the split/combination loops never allocate. Larger
-//! splits fall back to the original scalar implementation
-//! ([`Factorizer::factor_split_naive`], also the reference the fuzz
-//! tests pin the kernels against). Both paths enumerate candidates in
-//! the same order and share the same dedup keys, so the produced
-//! chains, their order, and the counters are identical.
+//! The inner loops run on three paths (see `DESIGN.md`, *Word-level
+//! factorization kernels*), chosen per split:
+//!
+//! * the **fast path** — spec of at most [`FAST_MAX_VARS`] inputs,
+//!   `|A| + |B| ≤ 6` and `|S| ≤ 6` — compacts the spec onto the split's
+//!   variable order with the `stp-tt` kernel primitives, so every
+//!   decomposition chart is a contiguous power-of-two-aligned bit slice,
+//!   patterns and labellings are `u64` masks, the two-pattern test and
+//!   the consistency check are mask algebra, and candidate operands are
+//!   scattered word-level into stack buffers: the split/combination
+//!   loops never allocate;
+//! * the **wide path** — spec of at most [`WIDE_MAX_VARS`] inputs,
+//!   `|A| + |B| ≤ 8` and `|S| ≤ 8` — runs the same algorithm one [`W4`]
+//!   lane wider: the compact spec spans up to [`WIDE_WORDS`] words, a
+//!   chart cell block is one `[u64; 4]`, and at most [`WIDE_SHARED`]
+//!   shared assignments are enumerated;
+//! * any larger split falls back to the original scalar implementation
+//!   ([`Factorizer::factor_split_naive`], also the reference the fuzz
+//!   tests pin both kernels against).
+//!
+//! All three paths enumerate candidates in the same order and build
+//! their dedup keys with one function, so the produced chains, their
+//! order, and the counters are identical.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -152,15 +161,7 @@ enum SeenKey {
 }
 
 fn seen_key(g: u8, h1: &TruthTable, h2: &TruthTable) -> SeenKey {
-    if h1.num_vars() <= FAST_MAX_VARS {
-        let mut w1 = [0u64; 4];
-        w1[..h1.words().len()].copy_from_slice(h1.words());
-        let mut w2 = [0u64; 4];
-        w2[..h2.words().len()].copy_from_slice(h2.words());
-        SeenKey::Small(g, w1, w2)
-    } else {
-        SeenKey::Big(g, h1.words().to_vec(), h2.words().to_vec())
-    }
+    wide_seen_key(g, h1.words(), h2.words(), h1.num_vars(), h1.words().len())
 }
 
 /// Initial slot-array capacity of a [`MemoTable`] (a power of two).
@@ -671,11 +672,11 @@ impl Factorizer {
         order[rb..rb + ra].copy_from_slice(a_vars);
         order[rb + ra..d].copy_from_slice(s_vars);
         let mut compact_rc = [0u64; 4];
-        compact_into(h, &order[..d], &mut compact_rc);
+        compact_into_words(h, &order[..d], &mut compact_rc);
         order[..ra].copy_from_slice(a_vars);
         order[ra..ra + rb].copy_from_slice(b_vars);
         let mut compact_cr = [0u64; 4];
-        compact_into(h, &order[..d], &mut compact_cr);
+        compact_into_words(h, &order[..d], &mut compact_cr);
 
         // Per shared assignment: the chart, the first row/column
         // labelling option (bit i ⇔ axis element i carries the second
@@ -809,12 +810,12 @@ impl Factorizer {
                     && kernel::support_mask(&cbuf2[..kernel::words_len(k2)], k2) == full2;
                 if canonical {
                     let mut f1 = [0u64; 4];
-                    expand_with_plan(&cbuf1, k1, n, &plan1[..plan1_len], &mut f1);
+                    expand_with_plan_words(&cbuf1, k1, n, &plan1[..plan1_len], &mut f1);
                     let mut f2 = [0u64; 4];
-                    expand_with_plan(&cbuf2, k2, n, &plan2[..plan2_len], &mut f2);
+                    expand_with_plan_words(&cbuf2, k2, n, &plan2[..plan2_len], &mut f2);
                     // Mirror dedup for symmetric shapes.
                     let ordered = !symmetric || f1 <= f2;
-                    if ordered && seen_triples.insert(SeenKey::Small(g, f1, f2)) {
+                    if ordered && seen_triples.insert(wide_seen_key(g, &f1, &f2, n, nw)) {
                         let h1 = TruthTable::from_words(n, f1[..nw].to_vec())
                             .expect("operand arity equals the spec arity");
                         let h2 = TruthTable::from_words(n, f2[..nw].to_vec())
@@ -1210,14 +1211,8 @@ impl Factorizer {
 /// Compacts `h` onto `vars` into a caller-owned stack buffer: bit `m`
 /// of the result is `h` at the assignment where input `vars[k]` takes
 /// bit `k` of `m` and every other input is 0. Word-level (cofactor
-/// masks + a front-swap plan), no allocation; requires
-/// `h.num_vars() ≤ 8` so the table fits the buffer.
-fn compact_into(h: &TruthTable, vars: &[usize], buf: &mut [u64; 4]) {
-    compact_into_words(h, vars, buf);
-}
-
-/// Buffer-size-generic twin of [`compact_into`]: `buf` must hold at
-/// least `h`'s words (the wide path hands it a 64-word buffer).
+/// masks + a front-swap plan), no allocation; `buf` must hold at least
+/// `h`'s words (4 on the fast path, 64 on the wide path).
 fn compact_into_words(h: &TruthTable, vars: &[usize], buf: &mut [u64]) {
     let n = h.num_vars();
     let nw = h.words().len();
@@ -1257,12 +1252,7 @@ fn compact_into_words(h: &TruthTable, vars: &[usize], buf: &mut [u64]) {
 
 /// Expands a `k`-input compact table to `n` inputs by tiling and then
 /// undoing the front-swap `plan` (computed for the same variable list).
-/// The inverse of [`compact_into`] up to don't-cares.
-fn expand_with_plan(compact: &[u64; 4], k: usize, n: usize, plan: &[(u8, u8)], out: &mut [u64; 4]) {
-    expand_with_plan_words(compact, k, n, plan, out);
-}
-
-/// Buffer-size-generic twin of [`expand_with_plan`].
+/// The inverse of [`compact_into_words`] up to don't-cares.
 fn expand_with_plan_words(compact: &[u64], k: usize, n: usize, plan: &[(u8, u8)], out: &mut [u64]) {
     let nw = kernel::words_len(n);
     kernel::tile_words(&compact[..kernel::words_len(k)], k, n, &mut out[..nw]);
@@ -1271,8 +1261,8 @@ fn expand_with_plan_words(compact: &[u64], k: usize, n: usize, plan: &[(u8, u8)]
     }
 }
 
-/// Dedup key for a wide-path candidate: identical to [`seen_key`] on
-/// the same operand tables (`f1`/`f2` hold `nw` meaningful words).
+/// Dedup key for the operand tables `f1`/`f2` of an `n`-input candidate
+/// (each holds `nw` meaningful words); every path builds its keys here.
 fn wide_seen_key(g: u8, f1: &[u64], f2: &[u64], n: usize, nw: usize) -> SeenKey {
     if n <= FAST_MAX_VARS {
         let mut w1 = [0u64; 4];

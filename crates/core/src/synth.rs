@@ -27,7 +27,7 @@ use stp_tt::TruthTable;
 
 use crate::error::SynthesisError;
 use crate::factor::{FactorConfig, Factorizer};
-use crate::parallel::{self, RoundOutcome};
+use crate::parallel;
 
 /// Configuration for [`synthesize`].
 #[derive(Debug, Clone)]
@@ -59,7 +59,7 @@ pub struct SynthesisConfig {
     pub jobs: usize,
     /// Optional external kill switch: once a host sets this flag the
     /// run aborts with [`SynthesisError::Timeout`] at its next
-    /// cancellation checkpoint — between gate-count rounds and inside
+    /// cancellation checkpoint — between sweep rounds and inside
     /// [`crate::FactorConfig::check_deadline`]. Unlike the internal
     /// per-round cancel flag this is never re-armed by the engine, so a
     /// server can revoke many in-flight runs with one store (`stpd`
@@ -157,6 +157,25 @@ pub fn synthesize(
     spec: &TruthTable,
     config: &SynthesisConfig,
 ) -> Result<SynthesisResult, SynthesisError> {
+    sweep(spec, &GateCountObjective, config)
+}
+
+/// The one synthesis sweep behind every objective (paper steps i–iv).
+///
+/// The round plan is a sequence of `(gates r, depth cap)` rounds. By
+/// default it is ascending `r` from the support bound under
+/// [`SynthesisConfig::max_depth`]. A [`CostObjective::depth_major`]
+/// objective instead walks depth `d` upward from `⌈log₂(support)⌉` and,
+/// within each depth, `r ≤ 2^d − 1` with the cap `Some(d)`. Each round
+/// enumerates its tree shapes, factorizes and verifies them, and folds
+/// the chains into the set at the best objective cost. The sweep stops
+/// once a round's [`CostObjective::gate_count_lower_bound`] exceeds that
+/// best cost; a depth-major sweep stops at its first non-empty round.
+fn sweep(
+    spec: &TruthTable,
+    objective: &dyn CostObjective,
+    config: &SynthesisConfig,
+) -> Result<SynthesisResult, SynthesisError> {
     // Trivial specifications need no gates.
     if let Some(chain) = trivial_chain(spec) {
         stp_telemetry::counter!("synth.trivial_hits").inc();
@@ -168,22 +187,53 @@ pub fn synthesize(
             factor_nodes: 0,
         });
     }
-    let support = spec.support();
+    let support = spec.support().len();
     // Paper step (i): a function of k support variables needs at least
     // k − 1 binary gates.
-    let start = support.len().saturating_sub(1).max(1);
+    let min_gates = support.saturating_sub(1).max(1);
+    // Depth lower bound: a binary tree of depth d covers ≤ 2^d leaves.
+    let min_depth = support.next_power_of_two().trailing_zeros() as usize;
+    // The depth budget is its own bound, not the gate budget. The
+    // derived ceiling stays sound in both directions: a chain's depth
+    // never exceeds its gate count, so sweeping past it can only
+    // re-explore rounds the gate budget already exhausted. An explicit
+    // `max_depth` below the ceiling truncates the depth-major plan (and
+    // names itself in the error); one above it is vacuous.
+    let depth_ceiling = config.max_gates.max(min_depth);
+    let depth_major = objective.depth_major();
+    let plan: Box<dyn Iterator<Item = (usize, Option<usize>)>> = if depth_major {
+        let last_depth = config.max_depth.map_or(depth_ceiling, |d| d.min(depth_ceiling));
+        let max_gates = config.max_gates;
+        Box::new((min_depth.max(1)..=last_depth).flat_map(move |depth| {
+            // A depth-d binary tree has at most 2^d − 1 gates.
+            let r_cap = ((1usize << depth.min(24)) - 1).min(max_gates);
+            (min_gates..=r_cap).map(move |r| (r, Some(depth)))
+        }))
+    } else {
+        Box::new((min_gates..=config.max_gates).map(|r| (r, config.max_depth)))
+    };
+    // Fence pruning preserves gate-count optima, not depth optima, so
+    // the depth-major plan walks every tree shape.
+    let pruned = config.fence_pruning && !depth_major;
     let jobs = parallel::resolve_jobs(config.jobs);
     let cancel = Arc::new(AtomicBool::new(false));
     let mut engines = build_engines(config, jobs, &cancel);
     let mut shapes_explored = 0usize;
     let mut fences_explored = 0usize;
-    for r in start..=config.max_gates {
+    let mut best: Vec<Chain> = Vec::new();
+    let mut best_cost = u64::MAX;
+    for (r, depth_cap) in plan {
+        // Sound termination: every chain with r gates costs at least
+        // the bound; equality could still tie, so only a strictly larger
+        // bound ends the sweep. The depth-major plan's first non-empty
+        // round is already depth-optimal with minimum gates.
+        if (depth_major && !best.is_empty()) || objective.gate_count_lower_bound(r) > best_cost {
+            break;
+        }
         // The external kill switch is honored between rounds as well as
         // at the factorization checkpoints inside one.
-        if let Some(abort) = &config.abort {
-            if abort.load(Ordering::Acquire) {
-                return Err(SynthesisError::Timeout);
-            }
+        if config.abort.as_ref().is_some_and(|abort| abort.load(Ordering::Acquire)) {
+            return Err(SynthesisError::Timeout);
         }
         let _round = stp_telemetry::span!("synth.round.r{}", r);
         stp_telemetry::counter!("synth.rounds").inc();
@@ -192,7 +242,7 @@ pub fn synthesize(
         // tally.
         let shapes: Vec<TreeShape> = {
             let _enum = stp_telemetry::span!("phase.fence_enum");
-            let mut flat = if config.fence_pruning {
+            let mut flat = if pruned {
                 let mut flat = Vec::new();
                 for fence in &pruned_fences(r) {
                     fences_explored += 1;
@@ -200,44 +250,66 @@ pub fn synthesize(
                 }
                 flat
             } else {
-                let flat = shapes_with_gates(r);
-                fences_explored += distinct_fence_count(&flat);
-                flat
+                shapes_with_gates(r)
             };
-            // An explicit depth budget restricts the topology family;
-            // the default (`None`) leaves the classic sweep untouched.
-            if let Some(d) = config.max_depth {
+            if let Some(d) = depth_cap {
                 flat.retain(|shape| shape.height() <= d);
+            }
+            if !pruned {
+                fences_explored += distinct_fence_count(&flat);
             }
             flat
         };
         stp_telemetry::debug!("synth: r={r}, {} shapes, {jobs} worker(s)", shapes.len());
-        let outcome = run_round(
+        // Re-arm the per-round cancel flag: a previous round may have
+        // tripped it when its solution cap was reached.
+        cancel.store(false, Ordering::SeqCst);
+        let outcome = parallel::run_round_parallel(
             spec,
             &shapes,
             &mut engines,
             config.max_solutions,
-            config.max_depth,
+            depth_cap,
             &cancel,
         )?;
         shapes_explored += outcome.shapes_explored;
-        if !outcome.solutions.is_empty() {
-            stp_telemetry::counter!("synth.solutions").add(outcome.solutions.len() as u64);
-            return Ok(SynthesisResult {
-                chains: outcome.solutions,
-                gate_count: r,
-                shapes_explored,
-                fences_explored,
-                factor_nodes: engines.iter().map(Factorizer::nodes_explored).sum(),
-            });
+        for chain in outcome.solutions {
+            let cost = objective.chain_cost(&chain);
+            match cost.cmp(&best_cost) {
+                std::cmp::Ordering::Less => {
+                    best = vec![chain];
+                    best_cost = cost;
+                }
+                std::cmp::Ordering::Equal => best.push(chain),
+                std::cmp::Ordering::Greater => {}
+            }
         }
     }
-    Err(SynthesisError::GateLimitExceeded { max_gates: config.max_gates })
+    if best.is_empty() {
+        // An explicit depth budget that truncated the depth-major plan
+        // is its own failure mode; otherwise the gate budget was the
+        // binding limit.
+        return Err(match config.max_depth {
+            Some(max_depth) if depth_major && max_depth < depth_ceiling => {
+                SynthesisError::DepthLimitExceeded { max_depth }
+            }
+            _ => SynthesisError::GateLimitExceeded { max_gates: config.max_gates },
+        });
+    }
+    best.truncate(config.max_solutions);
+    stp_telemetry::counter!("synth.solutions").add(best.len() as u64);
+    Ok(SynthesisResult {
+        gate_count: best.iter().map(Chain::num_gates).min().expect("best is non-empty"),
+        chains: best,
+        shapes_explored,
+        fences_explored,
+        factor_nodes: engines.iter().map(Factorizer::nodes_explored).sum(),
+    })
 }
 
 /// Builds the per-worker factorization engines for one synthesis run.
-/// The engines persist across gate-count rounds so each worker keeps its
-/// memo table for the whole search.
+/// The engines persist across rounds so each worker keeps its memo
+/// table for the whole search.
 fn build_engines(
     config: &SynthesisConfig,
     jobs: usize,
@@ -253,29 +325,9 @@ fn build_engines(
     (0..jobs.max(1)).map(|_| Factorizer::new(factor_config.clone())).collect()
 }
 
-/// Dispatches one round to the sequential or work-stealing path; the
-/// cancellation flag is re-armed per round (a previous round may have
-/// tripped it when its solution cap was reached).
-fn run_round(
-    spec: &TruthTable,
-    shapes: &[TreeShape],
-    engines: &mut [Factorizer],
-    max_solutions: usize,
-    max_depth: Option<usize>,
-    cancel: &AtomicBool,
-) -> Result<RoundOutcome, SynthesisError> {
-    cancel.store(false, Ordering::SeqCst);
-    if engines.len() <= 1 {
-        let engine = engines.first_mut().expect("at least one engine");
-        parallel::run_round_sequential(spec, shapes, engine, max_solutions, max_depth, cancel)
-    } else {
-        parallel::run_round_parallel(spec, shapes, engines, max_solutions, max_depth, cancel)
-    }
-}
-
 /// Number of distinct fences among `shapes`: the honest `fences_explored`
-/// tally for search paths that enumerate shapes directly instead of
-/// walking the fence family.
+/// tally for rounds that enumerate shapes directly instead of walking
+/// the pruned fence family.
 fn distinct_fence_count(shapes: &[TreeShape]) -> usize {
     shapes.iter().filter_map(TreeShape::fence).collect::<HashSet<_>>().len()
 }
@@ -307,17 +359,10 @@ pub trait CostObjective: Send + Sync + std::fmt::Debug {
     /// minimum) or solutions would be lost.
     fn gate_count_lower_bound(&self, gates: usize) -> u64;
 
-    /// `true` when the search should be organized depth-major (minimum
-    /// depth first, then minimum gates at that depth) instead of by
-    /// ascending gate count.
+    /// `true` when the sweep's round plan is depth-major (minimum depth
+    /// first, then minimum gates at that depth) instead of ascending
+    /// gate count; the first non-empty round then ends the sweep.
     fn depth_major(&self) -> bool {
-        false
-    }
-
-    /// `true` when the objective is exactly "minimize gate count": the
-    /// sweep then terminates at the first non-empty round and takes the
-    /// classic [`synthesize`] fast path unchanged.
-    fn is_gate_count(&self) -> bool {
         false
     }
 }
@@ -338,10 +383,6 @@ impl CostObjective for GateCountObjective {
 
     fn gate_count_lower_bound(&self, gates: usize) -> u64 {
         gates as u64
-    }
-
-    fn is_gate_count(&self) -> bool {
-        true
     }
 }
 
@@ -476,16 +517,17 @@ pub fn objective_from_spec(spec: &str) -> Result<Box<dyn CostObjective>, String>
 
 /// Runs STP exact synthesis under an explicit [`CostObjective`].
 ///
-/// [`GateCountObjective`] takes the classic [`synthesize`] path.
-/// [`DepthThenGatesObjective`] organizes the topology search by tree
-/// height: for each depth `d` (from `⌈log₂(support)⌉` up) it explores
-/// the shapes of height `≤ d` in increasing gate count, so the first
-/// hit is depth-optimal with minimum gates among depth-optimal chains.
-/// Any other objective runs the cost sweep: ascending gate-count rounds
-/// that continue past the first solutions until
-/// [`CostObjective::gate_count_lower_bound`] proves no cheaper chain
-/// can exist, returning every chain at the optimum cost (trimmed to
-/// [`SynthesisConfig::max_solutions`]).
+/// Every objective runs the same sweep as [`synthesize`]; the objective
+/// only picks the round plan and the stopping rule.
+/// [`GateCountObjective`] stops at the first non-empty round.
+/// [`DepthThenGatesObjective`] organizes the rounds by tree height: for
+/// each depth `d` (from `⌈log₂(support)⌉` up) it explores the shapes of
+/// height `≤ d` in increasing gate count, so the first hit is
+/// depth-optimal with minimum gates among depth-optimal chains. Any
+/// other objective keeps running ascending gate-count rounds past the
+/// first solutions until [`CostObjective::gate_count_lower_bound`]
+/// proves no cheaper chain can exist, returning every chain at the
+/// optimum cost (trimmed to [`SynthesisConfig::max_solutions`]).
 ///
 /// Exactness caveat: within one round the solution cap applies to the
 /// raw solution stream, so a binding `max_solutions` can hide ties (or,
@@ -495,7 +537,9 @@ pub fn objective_from_spec(spec: &str) -> Result<Box<dyn CostObjective>, String>
 ///
 /// # Errors
 ///
-/// Same conditions as [`synthesize`].
+/// Same conditions as [`synthesize`], plus
+/// [`SynthesisError::DepthLimitExceeded`] when an explicit
+/// [`SynthesisConfig::max_depth`] truncated a depth-major sweep.
 ///
 /// # Examples
 ///
@@ -518,173 +562,7 @@ pub fn synthesize_with_objective(
     objective: &dyn CostObjective,
     config: &SynthesisConfig,
 ) -> Result<SynthesisResult, SynthesisError> {
-    if objective.is_gate_count() {
-        synthesize(spec, config)
-    } else if objective.depth_major() {
-        synthesize_min_depth(spec, config)
-    } else {
-        synthesize_cost_sweep(spec, objective, config)
-    }
-}
-
-/// The generalized gate-count sweep for weighted objectives: rounds
-/// keep running after the first solutions until the objective's lower
-/// bound proves the best cost cannot improve, collecting every chain at
-/// the optimum cost across rounds.
-fn synthesize_cost_sweep(
-    spec: &TruthTable,
-    objective: &dyn CostObjective,
-    config: &SynthesisConfig,
-) -> Result<SynthesisResult, SynthesisError> {
-    if let Some(chain) = trivial_chain(spec) {
-        stp_telemetry::counter!("synth.trivial_hits").inc();
-        return Ok(SynthesisResult {
-            chains: vec![chain],
-            gate_count: 0,
-            shapes_explored: 0,
-            fences_explored: 0,
-            factor_nodes: 0,
-        });
-    }
-    let support = spec.support();
-    let start = support.len().saturating_sub(1).max(1);
-    let jobs = parallel::resolve_jobs(config.jobs);
-    let cancel = Arc::new(AtomicBool::new(false));
-    let mut engines = build_engines(config, jobs, &cancel);
-    let mut shapes_explored = 0usize;
-    let mut fences_explored = 0usize;
-    let mut best: Vec<Chain> = Vec::new();
-    let mut best_cost: Option<u64> = None;
-    for r in start..=config.max_gates {
-        if let Some(cost) = best_cost {
-            // Sound termination: every chain with r gates costs at
-            // least the bound; equality could still tie, so only a
-            // strictly larger bound ends the sweep.
-            if objective.gate_count_lower_bound(r) > cost {
-                break;
-            }
-        }
-        let _round = stp_telemetry::span!("synth.round.r{}", r);
-        stp_telemetry::counter!("synth.rounds").inc();
-        let shapes: Vec<TreeShape> = {
-            let _enum = stp_telemetry::span!("phase.fence_enum");
-            let mut flat = if config.fence_pruning {
-                let mut flat = Vec::new();
-                for fence in &pruned_fences(r) {
-                    fences_explored += 1;
-                    flat.extend(shapes_for_fence(fence));
-                }
-                flat
-            } else {
-                let flat = shapes_with_gates(r);
-                fences_explored += distinct_fence_count(&flat);
-                flat
-            };
-            if let Some(d) = config.max_depth {
-                flat.retain(|shape| shape.height() <= d);
-            }
-            flat
-        };
-        let outcome = run_round(
-            spec,
-            &shapes,
-            &mut engines,
-            config.max_solutions,
-            config.max_depth,
-            &cancel,
-        )?;
-        shapes_explored += outcome.shapes_explored;
-        for chain in outcome.solutions {
-            let cost = objective.chain_cost(&chain);
-            match best_cost {
-                Some(bc) if cost > bc => {}
-                Some(bc) if cost == bc => best.push(chain),
-                _ => {
-                    best = vec![chain];
-                    best_cost = Some(cost);
-                }
-            }
-        }
-    }
-    if best.is_empty() {
-        return Err(SynthesisError::GateLimitExceeded { max_gates: config.max_gates });
-    }
-    best.truncate(config.max_solutions);
-    stp_telemetry::counter!("synth.solutions").add(best.len() as u64);
-    let gate_count = best.iter().map(Chain::num_gates).min().expect("best is non-empty");
-    Ok(SynthesisResult {
-        chains: best,
-        gate_count,
-        shapes_explored,
-        fences_explored,
-        factor_nodes: engines.iter().map(Factorizer::nodes_explored).sum(),
-    })
-}
-
-fn synthesize_min_depth(
-    spec: &TruthTable,
-    config: &SynthesisConfig,
-) -> Result<SynthesisResult, SynthesisError> {
-    if let Some(chain) = trivial_chain(spec) {
-        stp_telemetry::counter!("synth.trivial_hits").inc();
-        return Ok(SynthesisResult {
-            chains: vec![chain],
-            gate_count: 0,
-            shapes_explored: 0,
-            fences_explored: 0,
-            factor_nodes: 0,
-        });
-    }
-    let support = spec.support();
-    let min_gates = support.len().saturating_sub(1).max(1);
-    // Depth lower bound: a binary tree of depth d covers ≤ 2^d leaves.
-    let min_depth = support.len().next_power_of_two().trailing_zeros() as usize;
-    let jobs = parallel::resolve_jobs(config.jobs);
-    let cancel = Arc::new(AtomicBool::new(false));
-    let mut engines = build_engines(config, jobs, &cancel);
-    let mut shapes_explored = 0usize;
-    let mut fences_explored = 0usize;
-    // The depth budget is its own bound, no longer conflated with the
-    // gate budget. The derived ceiling `max_gates.max(min_depth)` stays
-    // sound in both directions: a chain's depth never exceeds its gate
-    // count, so sweeping past it can only re-explore rounds the gate
-    // budget already exhausted. An explicit `max_depth` below the
-    // ceiling truncates the sweep (and names itself in the error); one
-    // above it is vacuous and clamps down.
-    let derived = config.max_gates.max(min_depth);
-    let sweep_cap = config.max_depth.map_or(derived, |d| d.min(derived));
-    for depth in min_depth.max(1)..=sweep_cap {
-        // A depth-d binary tree has at most 2^d − 1 gates; larger gate
-        // counts cannot appear at this depth.
-        let r_cap = ((1usize << depth.min(24)) - 1).min(config.max_gates);
-        for r in min_gates..=r_cap {
-            let _round = stp_telemetry::span!("synth.round.r{}", r);
-            stp_telemetry::counter!("synth.rounds").inc();
-            let shapes: Vec<TreeShape> =
-                shapes_with_gates(r).into_iter().filter(|shape| shape.height() <= depth).collect();
-            fences_explored += distinct_fence_count(&shapes);
-            let outcome =
-                run_round(spec, &shapes, &mut engines, config.max_solutions, Some(depth), &cancel)?;
-            shapes_explored += outcome.shapes_explored;
-            if !outcome.solutions.is_empty() {
-                return Ok(SynthesisResult {
-                    chains: outcome.solutions,
-                    gate_count: r,
-                    shapes_explored,
-                    fences_explored,
-                    factor_nodes: engines.iter().map(Factorizer::nodes_explored).sum(),
-                });
-            }
-        }
-    }
-    // An explicit depth budget that truncated the sweep is its own
-    // failure mode; otherwise the gate budget was the binding limit.
-    match config.max_depth {
-        Some(max_depth) if max_depth < derived => {
-            Err(SynthesisError::DepthLimitExceeded { max_depth })
-        }
-        _ => Err(SynthesisError::GateLimitExceeded { max_gates: config.max_gates }),
-    }
+    sweep(spec, objective, config)
 }
 
 /// A multi-output specification: `k` output truth tables over one
@@ -874,25 +752,43 @@ pub fn synthesize_multi_npn_with_store(
     config: &SynthesisConfig,
     store: &Store,
 ) -> Result<Chain, SynthesisError> {
-    let budget = match config.deadline {
-        Some(deadline) => deadline.saturating_duration_since(Instant::now()),
-        None => Duration::MAX,
-    };
-    let outcome = store.solve_npn_multi(multi.specs(), budget, |reps| {
-        let rep_multi = MultiSpec::new(reps.to_vec())?;
-        match synthesize_multi(&rep_multi, &GateCountObjective, config) {
-            Ok(result) => Ok(RepOutcome::Solved(vec![result.chain])),
-            Err(SynthesisError::Timeout) => Ok(RepOutcome::Exhausted),
-            Err(other) => Err(other),
-        }
+    let chains = solve_through_store(config, |budget| {
+        store.solve_npn_multi(multi.specs(), budget, |reps| {
+            let rep_multi = MultiSpec::new(reps.to_vec())?;
+            rep_outcome(
+                synthesize_multi(&rep_multi, &GateCountObjective, config).map(|r| vec![r.chain]),
+            )
+        })
     })?;
-    match outcome {
-        NpnOutcome::Trivial(chain) => Ok(chain),
-        NpnOutcome::Solved(chains) => {
-            Ok(chains.into_iter().next().expect("solved entries are non-empty"))
-        }
+    Ok(chains.into_iter().next().expect("store answers are non-empty"))
+}
+
+/// Runs one store-backed NPN solve, offering the time left before
+/// [`SynthesisConfig::deadline`] as its budget, and maps the outcome to
+/// the chains it answers with (a trivial spec answers with its
+/// zero-gate chain).
+fn solve_through_store(
+    config: &SynthesisConfig,
+    solve: impl FnOnce(Duration) -> Result<NpnOutcome, SynthesisError>,
+) -> Result<Vec<Chain>, SynthesisError> {
+    let budget = config
+        .deadline
+        .map_or(Duration::MAX, |deadline| deadline.saturating_duration_since(Instant::now()));
+    match solve(budget)? {
+        NpnOutcome::Trivial(chain) => Ok(vec![chain]),
+        NpnOutcome::Solved(chains) => Ok(chains),
         NpnOutcome::Exhausted { .. } | NpnOutcome::WaitTimeout => Err(SynthesisError::Timeout),
         NpnOutcome::Poisoned { message } => Err(SynthesisError::JobPanicked { message }),
+    }
+}
+
+/// Adapts an engine run on a class representative to the store's
+/// solver interface: a timeout is recorded as an exhausted class.
+fn rep_outcome(result: Result<Vec<Chain>, SynthesisError>) -> Result<RepOutcome, SynthesisError> {
+    match result {
+        Ok(chains) => Ok(RepOutcome::Solved(chains)),
+        Err(SynthesisError::Timeout) => Ok(RepOutcome::Exhausted),
+        Err(other) => Err(other),
     }
 }
 
@@ -943,43 +839,25 @@ pub fn synthesize_npn_with_store(
     config: &SynthesisConfig,
     store: &Store,
 ) -> Result<SynthesisResult, SynthesisError> {
-    let budget = match config.deadline {
-        Some(deadline) => deadline.saturating_duration_since(Instant::now()),
-        None => Duration::MAX,
-    };
     // Search statistics only exist when the engine actually ran; a
     // store hit (or another thread's in-flight solve) reports zeros.
     let mut stats: Option<(usize, usize, u64)> = None;
-    let outcome = store.solve_npn(spec, budget, |rep| match synthesize(rep, config) {
-        Ok(result) => {
-            stats = Some((result.shapes_explored, result.fences_explored, result.factor_nodes));
-            Ok(RepOutcome::Solved(result.chains))
-        }
-        Err(SynthesisError::Timeout) => Ok(RepOutcome::Exhausted),
-        Err(other) => Err(other),
+    let chains = solve_through_store(config, |budget| {
+        store.solve_npn(spec, budget, |rep| {
+            rep_outcome(synthesize(rep, config).map(|result| {
+                stats = Some((result.shapes_explored, result.fences_explored, result.factor_nodes));
+                result.chains
+            }))
+        })
     })?;
-    match outcome {
-        NpnOutcome::Trivial(chain) => Ok(SynthesisResult {
-            chains: vec![chain],
-            gate_count: 0,
-            shapes_explored: 0,
-            fences_explored: 0,
-            factor_nodes: 0,
-        }),
-        NpnOutcome::Solved(chains) => {
-            let gate_count = chains[0].num_gates();
-            let (shapes_explored, fences_explored, factor_nodes) = stats.unwrap_or((0, 0, 0));
-            Ok(SynthesisResult {
-                chains,
-                gate_count,
-                shapes_explored,
-                fences_explored,
-                factor_nodes,
-            })
-        }
-        NpnOutcome::Exhausted { .. } | NpnOutcome::WaitTimeout => Err(SynthesisError::Timeout),
-        NpnOutcome::Poisoned { message } => Err(SynthesisError::JobPanicked { message }),
-    }
+    let (shapes_explored, fences_explored, factor_nodes) = stats.unwrap_or_default();
+    Ok(SynthesisResult {
+        gate_count: chains[0].num_gates(),
+        chains,
+        shapes_explored,
+        fences_explored,
+        factor_nodes,
+    })
 }
 
 /// Outcome tally of [`warm_classes`] / [`warm_npn4`].
@@ -1196,20 +1074,53 @@ mod tests {
     #[test]
     fn external_abort_flag_revokes_the_run_and_is_never_rearmed() {
         let spec = TruthTable::from_hex(4, "8ff8").unwrap();
-        let flag = Arc::new(AtomicBool::new(true));
-        let config = SynthesisConfig {
-            abort: Some(Arc::clone(&flag)),
-            jobs: 1,
-            ..SynthesisConfig::default()
-        };
-        let err = synthesize(&spec, &config).unwrap_err();
-        assert!(matches!(err, SynthesisError::Timeout), "a pre-set abort flag revokes the run");
-        // The engine must not clear the host's flag (the per-round
-        // cancel re-arm does not apply to it).
-        assert!(flag.load(Ordering::SeqCst), "the engine never touches the host's abort flag");
-        flag.store(false, Ordering::SeqCst);
-        let result = synthesize(&spec, &config).unwrap();
-        assert_eq!(result.gate_count, 3, "a cleared abort flag restores normal operation");
+        for (objective_spec, optimum) in
+            [("gates", 3), ("depth", 3), ("profile:6=5,9=5,default=1", 6)]
+        {
+            let objective = objective_from_spec(objective_spec).unwrap();
+            let flag = Arc::new(AtomicBool::new(true));
+            let config = SynthesisConfig {
+                abort: Some(Arc::clone(&flag)),
+                jobs: 1,
+                ..SynthesisConfig::default()
+            };
+            let err = synthesize_with_objective(&spec, objective.as_ref(), &config).unwrap_err();
+            assert!(
+                matches!(err, SynthesisError::Timeout),
+                "{objective_spec}: a pre-set abort flag revokes the run"
+            );
+            // The engine must not clear the host's flag (the per-round
+            // cancel re-arm does not apply to it).
+            assert!(
+                flag.load(Ordering::SeqCst),
+                "{objective_spec}: the engine never touches the host's abort flag"
+            );
+            flag.store(false, Ordering::SeqCst);
+            let result = synthesize_with_objective(&spec, objective.as_ref(), &config).unwrap();
+            assert_eq!(
+                result.gate_count, optimum,
+                "{objective_spec}: a cleared abort flag restores normal operation"
+            );
+        }
+    }
+
+    #[test]
+    fn every_objective_counts_its_returned_solutions() {
+        let spec = TruthTable::from_hex(4, "8ff8").unwrap();
+        let config = SynthesisConfig { jobs: 1, ..SynthesisConfig::default() };
+        let profile = objective_from_spec("profile:6=5,9=5,default=1").unwrap();
+        for objective in [&DepthThenGatesObjective as &dyn CostObjective, profile.as_ref()] {
+            let scope = stp_telemetry::CounterScope::enter();
+            let result = synthesize_with_objective(&spec, objective, &config).unwrap();
+            let counters = scope.finish();
+            assert!(!result.chains.is_empty());
+            assert_eq!(
+                counters.get("synth.solutions").copied().unwrap_or(0),
+                result.chains.len() as u64,
+                "{}: synth.solutions must count the returned chains once",
+                objective.name()
+            );
+        }
     }
 
     #[test]
@@ -1367,7 +1278,7 @@ mod tests {
 
     #[test]
     fn min_depth_reports_real_fence_count() {
-        // Regression: `synthesize_min_depth` used to hard-code
+        // Regression: the depth-major sweep used to hard-code
         // `fences_explored: 0` even though it examines whole shape
         // families.
         let spec = TruthTable::from_hex(4, "8ff8").unwrap();
@@ -1498,7 +1409,7 @@ mod tests {
 
     #[test]
     fn objective_specs_parse_and_reject() {
-        assert!(objective_from_spec("gates").unwrap().is_gate_count());
+        assert_eq!(objective_from_spec("gates").unwrap().name(), "gates");
         assert!(objective_from_spec("depth").unwrap().depth_major());
         let profile = objective_from_spec("profile:6=3,9=3,default=2").unwrap();
         assert_eq!(profile.name(), "profile:6=3,9=3,default=2");

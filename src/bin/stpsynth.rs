@@ -321,7 +321,7 @@ fn main() -> ExitCode {
         Ok(objective) => objective,
         Err(message) => return flag_error(format!("--objective: {message}")),
     };
-    if !objective.is_gate_count() {
+    if objective_spec != "gates" {
         // The store and the baselines cache/report gate-count optima
         // only; other objectives run the direct STP engine.
         if engine != "stp" {
