@@ -80,6 +80,9 @@ STP_JOBS="$(nproc)" cargo test -q -p stp-serve --offline --test serve_smoke --te
 echo "==> stpbench answer checks (every workload at tiny size, traced and untraced)"
 cargo test --release --offline --manifest-path stpbench/Cargo.toml
 
+echo "==> NPN canonicalization oracle (release: all 65 536 4-input functions vs the reference loops)"
+cargo test --release -q -p stp-tt --offline
+
 echo "==> cargo test (STP_JOBS=1, sequential default)"
 STP_JOBS=1 cargo test -q --workspace --offline
 

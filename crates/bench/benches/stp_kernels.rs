@@ -1,13 +1,17 @@
 //! Micro-kernels of the STP machinery: the semi-tensor product itself,
 //! canonical-form construction, canonical-form AllSAT, and the circuit
-//! AllSAT solver, alone and as the candidate check `verify_chain`.
+//! AllSAT solver, alone and as the candidate check `verify_chain` — plus
+//! the three parts of an NPN store hit (`npn_kernels`): canonicalize,
+//! the store lookup, and the map-back of a warmed class's chains.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use stp_chain::{Chain, OutputRef};
+use std::time::Duration;
+use stp_chain::{Chain, ChainError, OutputRef};
 use stp_matrix::{solve_all, stp, swap_matrix, Expr, LogicMatrix, Mat};
-use stp_synth::{solve_circuit, verify_chain};
-use stp_tt::TruthTable;
+use stp_store::{Entry, RepOutcome, Resolution, Store};
+use stp_synth::{solve_circuit, synthesize, verify_chain, SynthesisConfig};
+use stp_tt::{canonicalize, TruthTable};
 
 fn liar_puzzle() -> Expr {
     let (a, b, c) = (Expr::var(0), Expr::var(1), Expr::var(2));
@@ -84,11 +88,57 @@ fn bench_circuit_solver(c: &mut Criterion) {
     });
 }
 
+fn bench_npn_kernels(c: &mut Criterion) {
+    let mut group = c.benchmark_group("npn_kernels");
+    group.sample_size(200);
+    // The three parts of a hit on a warmed class with hundreds of
+    // optimum chains: 0x17e8 (672 chains of 5 gates) and
+    // MAJ(x0, x1, x2) ^ x3·x4 = 0x17e8e8e8 (480 chains of 6 gates).
+    for (n, hex) in [(4, "17e8"), (5, "17e8e8e8")] {
+        let spec = TruthTable::from_hex(n, hex).unwrap();
+        group.bench_function(BenchmarkId::new("canonicalize", n), |b| {
+            b.iter(|| canonicalize(black_box(&spec)))
+        });
+        let canon = canonicalize(&spec);
+        let rep = canon.representative;
+        let store = Store::new();
+        let chains = synthesize(&rep, &SynthesisConfig::default()).unwrap().chains;
+        store.insert(rep.clone(), Entry::Solved(chains));
+        let never = |_: &TruthTable| -> Result<RepOutcome, ChainError> { unreachable!("warmed") };
+        group.bench_function(BenchmarkId::new("store_hit", n), |b| {
+            b.iter(|| store.lookup_or_solve(black_box(&rep), Duration::MAX, never).unwrap())
+        });
+        let Resolution::Solved(warm) = store.lookup_or_solve(&rep, Duration::MAX, never).unwrap()
+        else {
+            unreachable!("warmed")
+        };
+        let t = &canon.transform;
+        group.bench_function(BenchmarkId::new("map_back", n), |b| {
+            b.iter(|| {
+                warm.iter()
+                    .map(|chain| {
+                        chain.permute_negate(&t.perm, t.input_negations, t.output_negated).unwrap()
+                    })
+                    .collect::<Vec<_>>()
+            })
+        });
+    }
+    group.sample_size(10);
+    let f8 =
+        TruthTable::from_hex(8, "9ae7c3f1085b264d6c1e0f39a4b7d2e85f0c3a91e7b4d268a1c9e3f70b5d2486")
+            .unwrap();
+    group.bench_function(BenchmarkId::new("canonicalize", 8), |b| {
+        b.iter(|| canonicalize(black_box(&f8)))
+    });
+    group.finish();
+}
+
 criterion_group!(
     kernels,
     bench_stp_product,
     bench_canonical_form,
     bench_canonical_allsat,
-    bench_circuit_solver
+    bench_circuit_solver,
+    bench_npn_kernels
 );
 criterion_main!(kernels);

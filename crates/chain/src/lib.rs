@@ -380,54 +380,7 @@ impl Chain {
         input_negations: u32,
         output_negated: bool,
     ) -> Result<Chain, ChainError> {
-        let n = self.num_inputs;
-        if perm.len() != n {
-            return Err(ChainError::FaninOutOfRange { fanin: perm.len(), available: n });
-        }
-        let mut seen = vec![false; n];
-        for &p in perm {
-            if p >= n || seen[p] {
-                return Err(ChainError::FaninOutOfRange { fanin: p, available: n });
-            }
-            seen[p] = true;
-        }
-        let mut out = Chain::new(n);
-        for gate in &self.gates {
-            let mut tt2 = gate.tt2;
-            let mut fanin = gate.fanin;
-            for (slot, f) in fanin.iter_mut().enumerate() {
-                if *f < n {
-                    // Old input i reads z_{perm[i]}, complemented per the
-                    // negation mask on the *new* index.
-                    let old = *f;
-                    if (input_negations >> perm[old]) & 1 == 1 {
-                        tt2 = flip_operand(tt2, slot);
-                    }
-                    *f = perm[old];
-                }
-            }
-            out.add_gate(fanin[0], fanin[1], tt2)?;
-        }
-        for tap in &self.outputs {
-            out.add_output(match tap {
-                OutputRef::Signal { index: old, negated } => {
-                    let mut negated = *negated ^ output_negated;
-                    let index = if *old < n {
-                        // Direct input taps absorb the negation of the
-                        // input they now read.
-                        if (input_negations >> perm[*old]) & 1 == 1 {
-                            negated = !negated;
-                        }
-                        perm[*old]
-                    } else {
-                        *old
-                    };
-                    OutputRef::Signal { index, negated }
-                }
-                OutputRef::Constant(v) => OutputRef::Constant(*v ^ output_negated),
-            });
-        }
-        Ok(out)
+        self.rewire(perm, input_negations, self.outputs.iter().map(|tap| (*tap, output_negated)))
     }
 
     /// Multi-output generalization of [`Chain::permute_negate`]: rewires
@@ -464,26 +417,87 @@ impl Chain {
                 available: k,
             });
         }
-        let mut seen = vec![false; k];
-        for &o in output_perm {
-            if o >= k || seen[o] {
-                return Err(ChainError::OutputOutOfRange { index: o, available: k });
-            }
-            seen[o] = true;
+        if let Some(index) = first_non_permutation(output_perm) {
+            return Err(ChainError::OutputOutOfRange { index, available: k });
         }
-        let base = self.permute_negate(perm, input_negations, false)?;
-        let mut out = Chain { num_inputs: base.num_inputs, gates: base.gates, outputs: Vec::new() };
-        for o in 0..k {
+        let taps = (0..k).map(|o| {
             let j = output_perm.iter().position(|&x| x == o).expect("validated permutation");
-            out.outputs.push(match base.outputs[j] {
-                OutputRef::Signal { index, negated } => {
-                    OutputRef::Signal { index, negated: negated ^ output_negations[j] }
+            (self.outputs[j], output_negations[j])
+        });
+        self.rewire(perm, input_negations, taps)
+    }
+
+    /// The one pass behind [`Chain::permute_negate`] and
+    /// [`Chain::permute_negate_outputs`]: maps every gate through
+    /// `perm`/`input_negations`, then emits `taps` — each a source
+    /// output tap and an extra complementation — in order.
+    fn rewire(
+        &self,
+        perm: &[usize],
+        input_negations: u32,
+        taps: impl ExactSizeIterator<Item = (OutputRef, bool)>,
+    ) -> Result<Chain, ChainError> {
+        let n = self.num_inputs;
+        if perm.len() != n {
+            return Err(ChainError::FaninOutOfRange { fanin: perm.len(), available: n });
+        }
+        if let Some(fanin) = first_non_permutation(perm) {
+            return Err(ChainError::FaninOutOfRange { fanin, available: n });
+        }
+        // Old input i reads z_{perm[i]}, complemented per the negation
+        // mask on the *new* index.
+        let negated = |old: usize| (input_negations >> perm[old]) & 1 == 1;
+        let mut out = Chain {
+            num_inputs: n,
+            gates: Vec::with_capacity(self.gates.len()),
+            outputs: Vec::with_capacity(taps.len()),
+        };
+        for gate in &self.gates {
+            let mut tt2 = gate.tt2;
+            let mut fanin = gate.fanin;
+            for (slot, f) in fanin.iter_mut().enumerate() {
+                if *f < n {
+                    if negated(*f) {
+                        tt2 = flip_operand(tt2, slot);
+                    }
+                    *f = perm[*f];
                 }
-                OutputRef::Constant(v) => OutputRef::Constant(v ^ output_negations[j]),
+            }
+            out.add_gate(fanin[0], fanin[1], tt2)?;
+        }
+        for (tap, flip) in taps {
+            out.outputs.push(match tap {
+                OutputRef::Signal { index, negated: neg } if index < n => {
+                    // Direct input taps absorb the negation of the input
+                    // they now read.
+                    OutputRef::Signal { index: perm[index], negated: neg ^ flip ^ negated(index) }
+                }
+                OutputRef::Signal { index, negated: neg } => {
+                    OutputRef::Signal { index, negated: neg ^ flip }
+                }
+                OutputRef::Constant(v) => OutputRef::Constant(v ^ flip),
             });
         }
         Ok(out)
     }
+}
+
+/// The first entry of `perm` that keeps it from being a permutation of
+/// `0..perm.len()` (out of range or repeated), or `None` when it is one.
+/// Entries below 64 are checked against a bitmask, larger ones (only in
+/// permutations longer than 64) by a scan, so it never allocates.
+fn first_non_permutation(perm: &[usize]) -> Option<usize> {
+    let mut seen = 0u64;
+    for (i, &p) in perm.iter().enumerate() {
+        let repeated = if p < 64 { seen >> p & 1 == 1 } else { perm[..i].contains(&p) };
+        if p >= perm.len() || repeated {
+            return Some(p);
+        }
+        if p < 64 {
+            seen |= 1 << p;
+        }
+    }
+    None
 }
 
 /// Swaps the operands of a 2-input truth table: `σ'(a, b) = σ(b, a)`.
@@ -900,6 +914,17 @@ mod tests {
         assert!(chain.permute_negate(&[0, 1, 2], 0, false).is_err());
         assert!(chain.permute_negate(&[0, 1, 2, 2], 0, false).is_err());
         assert!(chain.permute_negate(&[0, 1, 2, 9], 0, false).is_err());
+    }
+
+    #[test]
+    fn permutation_check_covers_entries_past_the_bitmask() {
+        let mut perm: Vec<usize> = (0..70).rev().collect();
+        assert_eq!(first_non_permutation(&perm), None);
+        perm[69] = 65; // repeats the entry at index 4
+        assert_eq!(first_non_permutation(&perm), Some(65));
+        perm[69] = 70;
+        assert_eq!(first_non_permutation(&perm), Some(70));
+        assert_eq!(first_non_permutation(&[1, 1]), Some(1));
     }
 
     #[test]

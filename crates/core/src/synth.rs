@@ -800,8 +800,9 @@ fn rep_outcome(result: Result<Vec<Chain>, SynthesisError>) -> Result<RepOutcome,
 /// every solution chain is mapped back through the NPN transform
 /// (inputs rewired and complemented inside gate LUTs, output phase
 /// fixed) — so repeated members of one class share all the synthesis
-/// work. Canonicalization is exhaustive (`n! · 2^{n+1}` transforms) and
-/// intended for `n ≤ 5`.
+/// work. Canonicalization is exhaustive (`n! · 2^{n+1}` transforms, see
+/// [`stp_tt::canonicalize`]): microseconds up to 5 inputs, a few hundred
+/// milliseconds at 8, impractical beyond.
 ///
 /// # Errors
 ///

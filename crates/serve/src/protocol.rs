@@ -43,8 +43,9 @@ use stp_telemetry::Json;
 use stp_tt::TruthTable;
 
 /// Protocol cap on request arity: exhaustive NPN canonicalization is
-/// `n! · 2^{n+1}` and intended for small `n`; a daemon must bound what
-/// a client can make it chew on.
+/// `n! · 2^{n+1}` transforms — a few hundred milliseconds at 8 inputs and
+/// 18× that at 9 — and runs before a request's deadline is
+/// first polled, so a daemon must bound what a client can make it chew on.
 pub const MAX_REQUEST_VARS: usize = 8;
 
 /// A parsed request frame.

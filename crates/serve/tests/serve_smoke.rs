@@ -5,7 +5,7 @@
 
 mod common;
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use common::{counter, shutdown_and_wait, spawn_stpd, status, Conn, Scratch};
 use stp_telemetry::Json;
@@ -141,6 +141,26 @@ fn tight_deadline_yields_structured_timeout_not_a_dropped_connection() {
     // Connection survives; the daemon counted the timeout.
     let stats = conn.roundtrip("{\"op\":\"stats\"}", WINDOW);
     assert_eq!(counter(&stats, "serve.timeouts"), 1);
+}
+
+#[test]
+fn eight_input_synth_answers_within_its_deadline() {
+    // The widest table a request may carry. NPN canonicalization runs
+    // before the engine first polls the deadline, so it must stay well
+    // inside a 1 s budget for the response to arrive on time.
+    let daemon = spawn_stpd(&[], None);
+    let mut conn = Conn::open(&daemon.addr);
+    let table = "9ae7c3f1085b264d6c1e0f39a4b7d2e85f0c3a91e7b4d268a1c9e3f70b5d2486";
+    let start = Instant::now();
+    conn.send(&format!(
+        "{{\"op\":\"synth\",\"id\":\"w\",\"tables\":[\"{table}\"],\"timeout_ms\":1000}}"
+    ));
+    let resp = conn.recv(Duration::from_secs(3));
+    let elapsed = start.elapsed();
+    let resp = resp.unwrap_or_else(|| panic!("no response within 3 s of a 1 s deadline"));
+    let resp = Json::parse(&resp).unwrap_or_else(|e| panic!("unparsable response {resp:?}: {e}"));
+    assert!(matches!(status(&resp), "ok" | "timeout"), "{resp}");
+    assert!(elapsed < Duration::from_secs(3), "answered after {elapsed:?}");
 }
 
 #[test]

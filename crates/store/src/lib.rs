@@ -186,8 +186,9 @@ pub enum RepOutcome {
 #[derive(Debug, Clone)]
 pub enum Resolution {
     /// The representative's chains (unmapped — still in representative
-    /// input order and phase).
-    Solved(Vec<Chain>),
+    /// input order and phase), shared with the store's slot: a hit
+    /// clones a reference count, not the chains.
+    Solved(Arc<[Chain]>),
     /// No chains within `budget`; callers treat this as a timeout.
     Exhausted {
         /// The largest budget known to be insufficient.
@@ -242,11 +243,34 @@ pub enum NpnOutcome {
 
 /// A slot is being solved by exactly one thread, holds a ready entry,
 /// or was poisoned by a panicking solver. Waiters block on the condvar.
+/// Solved chains are held behind an `Arc` so every hit shares them.
 #[derive(Debug)]
 enum SlotState {
     Pending,
-    Ready(Entry),
+    Solved(Arc<[Chain]>),
+    Exhausted(Duration),
     Poisoned(String),
+}
+
+impl SlotState {
+    /// The ready entry this state holds, if any (a deep copy of the
+    /// chains, for persistence and merging).
+    fn entry(&self) -> Option<Entry> {
+        match self {
+            SlotState::Solved(chains) => Some(Entry::Solved(chains.to_vec())),
+            SlotState::Exhausted(budget) => Some(Entry::Exhausted { budget: *budget }),
+            SlotState::Pending | SlotState::Poisoned(_) => None,
+        }
+    }
+}
+
+impl From<Entry> for SlotState {
+    fn from(entry: Entry) -> Self {
+        match entry {
+            Entry::Solved(chains) => SlotState::Solved(chains.into()),
+            Entry::Exhausted { budget } => SlotState::Exhausted(budget),
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -260,8 +284,8 @@ impl Slot {
         Slot { state: Mutex::new(SlotState::Pending), cv: Condvar::new() }
     }
 
-    fn publish(&self, entry: Entry) {
-        *self.state.lock().expect("slot lock poisoned") = SlotState::Ready(entry);
+    fn publish(&self, state: SlotState) {
+        *self.state.lock().expect("slot lock poisoned") = state;
         self.cv.notify_all();
     }
 
@@ -459,9 +483,8 @@ impl Store {
         for shard in self.shards.iter() {
             let map = shard.map.lock().expect("shard lock poisoned");
             for (key, slot) in map.iter() {
-                let state = slot.state.lock().expect("slot lock poisoned");
-                if let SlotState::Ready(entry) = &*state {
-                    out.push((key.clone(), entry.clone()));
+                if let Some(entry) = slot.state.lock().expect("slot lock poisoned").entry() {
+                    out.push((key.clone(), entry));
                 }
             }
         }
@@ -497,7 +520,7 @@ impl Store {
         let shard = self.shard(&key);
         let mut map = shard.map.lock().expect("shard lock poisoned");
         let slot = Arc::new(Slot::pending());
-        slot.publish(entry);
+        slot.publish(entry.into());
         map.insert(key, slot);
         self.inserts.fetch_add(1, Ordering::Relaxed);
         stp_telemetry::counter!("store.inserts").inc();
@@ -583,12 +606,8 @@ impl Store {
     /// Reads the current entry for `key`, if any is ready.
     pub fn get_class(&self, key: &ClassKey) -> Option<Entry> {
         let map = self.shard(key).map.lock().expect("shard lock poisoned");
-        let slot = map.get(key)?;
-        let state = slot.state.lock().expect("slot lock poisoned");
-        match &*state {
-            SlotState::Ready(entry) => Some(entry.clone()),
-            SlotState::Pending | SlotState::Poisoned(_) => None,
-        }
+        let entry = map.get(key)?.state.lock().expect("slot lock poisoned").entry();
+        entry
     }
 
     /// Returns the chains for `rep`, running `solve` if — and only if —
@@ -679,8 +698,8 @@ impl Store {
                         }
                     }
                 }
-                SlotState::Ready(Entry::Solved(chains)) => {
-                    let chains = chains.clone();
+                SlotState::Solved(chains) => {
+                    let chains = Arc::clone(chains);
                     drop(state);
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     stp_telemetry::counter!("store.hits").inc();
@@ -696,7 +715,7 @@ impl Store {
                     stp_telemetry::counter!("store.poisoned_waits").inc();
                     return Ok(Resolution::Poisoned { message });
                 }
-                SlotState::Ready(Entry::Exhausted { budget: failed }) => {
+                SlotState::Exhausted(failed) => {
                     let failed = *failed;
                     if budget > failed {
                         // This caller is richer than every failed
@@ -749,23 +768,24 @@ impl Store {
         match outcome {
             Ok(RepOutcome::Solved(chains)) => {
                 debug_assert!(!chains.is_empty(), "solver must return at least one chain");
-                let entry = Entry::Solved(chains.clone());
+                let entry = Entry::Solved(chains);
                 self.journal_append(key, &entry);
-                slot.publish(entry);
+                let Entry::Solved(chains) = entry else { unreachable!("built as solved above") };
+                let chains: Arc<[Chain]> = chains.into();
+                slot.publish(SlotState::Solved(Arc::clone(&chains)));
                 self.inserts.fetch_add(1, Ordering::Relaxed);
                 stp_telemetry::counter!("store.inserts").inc();
                 Ok(Resolution::Solved(chains))
             }
             Ok(RepOutcome::Exhausted) => {
-                let entry = Entry::Exhausted { budget };
-                self.journal_append(key, &entry);
-                slot.publish(entry);
+                self.journal_append(key, &Entry::Exhausted { budget });
+                slot.publish(SlotState::Exhausted(budget));
                 self.inserts.fetch_add(1, Ordering::Relaxed);
                 stp_telemetry::counter!("store.inserts").inc();
                 Ok(Resolution::Exhausted { budget })
             }
             Err(e) => {
-                slot.publish(Entry::Exhausted { budget: prior_budget.unwrap_or(Duration::ZERO) });
+                slot.publish(SlotState::Exhausted(prior_budget.unwrap_or(Duration::ZERO)));
                 if prior_budget.is_none() {
                     // First sight of the class failed outright: forget
                     // it entirely so the next caller starts fresh.
@@ -823,7 +843,7 @@ impl Store {
                 let _map = stp_telemetry::span!("phase.map_back");
                 let t = &canon.transform;
                 let mut chains = Vec::with_capacity(rep_chains.len());
-                for chain in &rep_chains {
+                for chain in rep_chains.iter() {
                     chains.push(
                         chain
                             .permute_negate(&t.perm, t.input_negations, t.output_negated)
@@ -896,7 +916,7 @@ impl Store {
                 let _map = stp_telemetry::span!("phase.map_back");
                 let t = &canon.transform;
                 let mut chains = Vec::with_capacity(rep_chains.len());
-                for chain in &rep_chains {
+                for chain in rep_chains.iter() {
                     chains.push(
                         chain
                             .permute_negate_outputs(

@@ -13,9 +13,9 @@
 //! bit `m` of the buffer is the function value at minterm `m`, buffers
 //! hold `words_len(num_vars)` words, and for fewer than 6 variables the
 //! unused tail bits of word 0 must be zero (every kernel preserves that
-//! invariant). The [`TruthTable`] methods `swap_inputs`, `compact_on`,
-//! `expand_onto` and `support_mask` wrap these kernels for callers that
-//! prefer the owned API.
+//! invariant). The [`TruthTable`] methods `swap_inputs`, `flip_input`,
+//! `compact_on`, `expand_onto` and `support_mask` wrap these kernels for
+//! callers that prefer the owned API.
 
 /// Masks extracting the positive cofactor of variables 0–5 within one
 /// word (the standard "magic numbers" of truth-table manipulation).
@@ -219,6 +219,32 @@ pub fn cofactor0_in_place(words: &mut [u64], num_vars: usize, var: usize) {
                     }
                 }
             }
+        }
+    }
+}
+
+/// Negates input `var` in place (swaps its two cofactors): one masked
+/// shift pair per word for `var < 6`, one block swap per word pair
+/// above. `words` may hold several tables back to back; each is
+/// negated.
+///
+/// # Panics
+///
+/// Panics if `var >= num_vars`.
+pub fn flip_in_place(words: &mut [u64], num_vars: usize, var: usize) {
+    assert!(var < num_vars, "variable {var} out of range");
+    debug_assert!(words.len().is_multiple_of(words_len(num_vars)));
+    if var < 6 {
+        let shift = 1u32 << var;
+        let mask = VAR_MASK[var];
+        for w in words.iter_mut() {
+            *w = ((*w & mask) >> shift) | ((*w & !mask) << shift);
+        }
+    } else {
+        let stride = 1usize << (var - 6);
+        for blocks in words.chunks_exact_mut(2 * stride) {
+            let (lo, hi) = blocks.split_at_mut(stride);
+            lo.swap_with_slice(hi);
         }
     }
 }
@@ -491,6 +517,27 @@ mod tests {
                 perm.swap(a, b);
                 let expected = tt.permute(&perm).unwrap();
                 assert_eq!(words, expected.words(), "n={n} swap({a},{b})");
+            }
+        }
+    }
+
+    #[test]
+    fn flip_matches_scalar_reference_across_arities() {
+        let mut rng = Lcg(0x5eed_0002);
+        for n in 1..=9 {
+            // Two tables back to back: each must be negated on its own.
+            let tables = [random_table(&mut rng, n), random_table(&mut rng, n)];
+            for var in 0..n {
+                let mut words: Vec<u64> = tables.iter().flat_map(|t| t.words()).copied().collect();
+                flip_in_place(&mut words, n, var);
+                for (t, got) in tables.iter().zip(words.chunks_exact(words_len(n))) {
+                    let expected = TruthTable::from_fn(n, |a| {
+                        let m = (0..n).filter(|&i| a[i] != (i == var)).fold(0, |m, i| m | 1 << i);
+                        t.bit(m)
+                    })
+                    .unwrap();
+                    assert_eq!(got, expected.words(), "n={n} var={var}");
+                }
             }
         }
     }

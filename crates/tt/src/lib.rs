@@ -38,6 +38,8 @@ mod dsd;
 mod error;
 pub mod kernel;
 mod npn;
+#[cfg(test)]
+mod npn_oracle;
 mod truth_table;
 
 pub use dsd::{

@@ -388,24 +388,8 @@ impl TruthTable {
     ///
     /// Panics if `var >= num_vars`.
     pub fn flip_input(&self, var: usize) -> TruthTable {
-        assert!(var < self.num_vars, "variable {var} out of range");
         let mut out = self.clone();
-        if var < 6 {
-            let shift = 1usize << var;
-            let mask = VAR_MASK[var];
-            for w in &mut out.words {
-                *w = ((*w & mask) >> shift) | ((*w & !mask) << shift);
-            }
-        } else {
-            let stride = 1usize << (var - 6);
-            let n = out.words.len();
-            for i in 0..n {
-                let block = i / stride;
-                let src = (block ^ 1) * stride + (i % stride);
-                out.words[i] = self.words[src];
-            }
-        }
-        out.mask_tail();
+        kernel::flip_in_place(&mut out.words, self.num_vars, var);
         out
     }
 
