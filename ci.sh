@@ -83,6 +83,9 @@ cargo test --release --offline --manifest-path stpbench/Cargo.toml
 echo "==> NPN canonicalization oracle (release: all 65 536 4-input functions vs the reference loops)"
 cargo test --release -q -p stp-tt --offline
 
+echo "==> factorization engine at release sizes (split plans up to 12 support variables, fast/wide/naive fuzz)"
+cargo test --release -q -p stp-synth --offline
+
 echo "==> cargo test (STP_JOBS=1, sequential default)"
 STP_JOBS=1 cargo test -q --workspace --offline
 

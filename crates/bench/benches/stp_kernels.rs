@@ -2,15 +2,20 @@
 //! canonical-form construction, canonical-form AllSAT, and the circuit
 //! AllSAT solver, alone and as the candidate check `verify_chain` — plus
 //! the three parts of an NPN store hit (`npn_kernels`): canonicalize,
-//! the store lookup, and the map-back of a warmed class's chains.
+//! the store lookup, and the map-back of a warmed class's chains —
+//! plus one cold factorization round (`factor_kernels`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
+use stp_bench::suites;
 use stp_chain::{Chain, ChainError, OutputRef};
+use stp_fence::{pruned_fences, shapes_for_fence};
 use stp_matrix::{solve_all, stp, swap_matrix, Expr, LogicMatrix, Mat};
 use stp_store::{Entry, RepOutcome, Resolution, Store};
-use stp_synth::{solve_circuit, synthesize, verify_chain, SynthesisConfig};
+use stp_synth::{
+    solve_circuit, synthesize, verify_chain, FactorConfig, Factorizer, SynthesisConfig,
+};
 use stp_tt::{canonicalize, TruthTable};
 
 fn liar_puzzle() -> Expr {
@@ -133,12 +138,39 @@ fn bench_npn_kernels(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_factor_kernels(c: &mut Criterion) {
+    let mut group = c.benchmark_group("factor_kernels");
+    group.sample_size(20);
+    // One cold factorization round, as the synthesis driver runs it: a
+    // fresh engine walks every shape of the pruned fences at the
+    // optimum gate count. NPN4 class 0x07b6 (6 gates) and the first
+    // function of the Table I FDSD8 suite (7 gates).
+    let npn4 = TruthTable::from_hex(4, "07b6").unwrap();
+    let fdsd8 = suites::fdsd(8, 1, 8).functions.remove(0);
+    for (name, spec) in [("npn4_07b6", npn4), ("fdsd8", fdsd8)] {
+        let gates = synthesize(&spec, &SynthesisConfig::default()).unwrap().gate_count;
+        let shapes: Vec<_> = pruned_fences(gates).iter().flat_map(shapes_for_fence).collect();
+        group.bench_function(BenchmarkId::new("chains_on_shape_cold", name), |b| {
+            b.iter(|| {
+                let mut engine = Factorizer::new(FactorConfig::default());
+                let found: usize = shapes
+                    .iter()
+                    .map(|shape| engine.chains_on_shape(black_box(&spec), shape).unwrap().len())
+                    .sum();
+                found
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     kernels,
     bench_stp_product,
     bench_canonical_form,
     bench_canonical_allsat,
     bench_circuit_solver,
-    bench_npn_kernels
+    bench_npn_kernels,
+    bench_factor_kernels
 );
 criterion_main!(kernels);

@@ -227,13 +227,14 @@ fn duplicate_classes_coalesce_into_one_synthesis() {
 
 #[test]
 fn deadline_cancellation_propagates_to_workers() {
-    // An 8-variable PDSD instance is far too hard for a 50 ms budget,
-    // so the deadline must fire *inside* the factorization loops. If
-    // the cancellation flag failed to propagate, the workers would grind
+    // An 8-variable PDSD instance with a 4-input prime block (10 gates,
+    // seconds of search) is far too hard for a 50 ms budget, so the
+    // deadline must fire *inside* the factorization loops. If the
+    // cancellation flag failed to propagate, the workers would grind
     // through the whole round and the elapsed time would blow past the
     // assertion bound by orders of magnitude.
-    let suite = pdsd(8, 1, 8);
-    let spec = &suite.functions[0];
+    let suite = pdsd(8, 2, 8);
+    let spec = &suite.functions[1];
     let budget = Duration::from_millis(50);
     for jobs in [1, 4] {
         let config = SynthesisConfig {

@@ -28,6 +28,25 @@
 //! shared primary inputs, which is precisely the reach of the paper's
 //! `M_r`/`M_w` calculus.
 //!
+//! # Engine layout
+//!
+//! [`Factorizer::chains_on_shape`] is the only place that sees a
+//! `TreeShape` or builds a `Chain`. Inside it (see `DESIGN.md`,
+//! *Word-level factorization kernels*):
+//!
+//! * the shape is interned once, recursively, into a flat **shape
+//!   table**; the recursion passes `u32` shape ids, each entry records
+//!   its child ids and leaf count, and structurally equal subtrees share
+//!   one id, so the symmetric-shape test is an id comparison;
+//! * a subproblem is probed in its shape's [`MemoTable`] by the **table
+//!   words**; a `TruthTable` is built only on a miss;
+//! * a node walks a cached **split plan**: the splits of its support
+//!   that fit the two subtrees, in base-3 counter order;
+//! * realizations live in an **index arena**: `nodes` holds
+//!   `(gate, left, right)` triples, `lists` holds node ids, and a memo
+//!   value is a range of `lists`. Chains are materialized from the
+//!   arena only when `chains_on_shape` returns.
+//!
 //! # Word-level kernels
 //!
 //! The inner loops run on three paths (see `DESIGN.md`, *Word-level
@@ -55,6 +74,7 @@
 //! order, and the counters are identical.
 
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -98,8 +118,9 @@ const PROBE_SAMPLE: u32 = 256;
 pub struct FactorConfig {
     /// Cap on realizations materialized per (function, shape) node; the
     /// engine still proves realizability beyond the cap but stops
-    /// enumerating. The paper's suites average between 12 and 192
-    /// solutions per instance, well under the default of 4096.
+    /// enumerating. The benchmark's NPN4 classes of at most 6 gates
+    /// average about 231 optimum chains per instance and its FDSD8
+    /// instances about 1 200, under the default of 4096.
     pub max_realizations: usize,
     /// Optional wall-clock deadline; factorization aborts with
     /// [`SynthesisError::Timeout`] once it passes.
@@ -137,17 +158,96 @@ impl Default for FactorConfig {
     }
 }
 
-/// A realization of a function on a tree shape: leaves carry primary
-/// input indices, internal nodes carry 4-bit gate truth tables.
-///
-/// Subtrees are shared through [`Arc`] (not `Rc`) so a [`Factorizer`]
-/// — and the realization forests inside its memo table — can move
-/// between the worker threads of the parallel search driver.
-#[derive(Debug, PartialEq, Eq, Hash)]
-enum RealTree {
-    Leaf(usize),
-    Node(u8, Arc<RealTree>, Arc<RealTree>),
+/// Gate byte of a leaf in the realization arena (real gates are 4-bit
+/// truth tables).
+const LEAF_GATE: u8 = u8::MAX;
+
+/// One node of the realization arena: gate `gate` over the arena nodes
+/// `left` and `right`, or — when `gate` is [`LEAF_GATE`] — the primary
+/// input `left`.
+#[derive(Debug, Clone, Copy)]
+struct RealNode {
+    gate: u8,
+    left: u32,
+    right: u32,
 }
+
+/// A memo value: `len` arena node ids starting at `lists[start]`, one
+/// per realization of the subproblem.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Realizations {
+    start: u32,
+    len: u32,
+}
+
+impl Realizations {
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
+/// Shape-table id of the single leaf shape (interned by
+/// [`Factorizer::new`]).
+const LEAF_SHAPE: u32 = 0;
+
+/// One interned [`TreeShape`]: its children's shape ids (`None` for the
+/// leaf) and its leaf count.
+#[derive(Debug, Clone, Copy)]
+struct ShapeEntry {
+    children: Option<(u32, u32)>,
+    leaves: u32,
+}
+
+/// One split of a node's support: bit `i` of `a` (`b`) puts the `i`-th
+/// support variable in `A` (`B`); the variables in neither are shared.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Split {
+    a: u16,
+    b: u16,
+}
+
+/// One step of the fixed multiply-xor mix (the 64-bit finalizer of
+/// MurmurHash3). Deterministic across runs and processes — unlike
+/// `RandomState` — so probe sequences, and therefore timing, reproduce
+/// exactly.
+#[inline]
+fn mix(h: u64, w: u64) -> u64 {
+    let h = (h ^ w).wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^ (h >> 33)
+}
+
+const MIX_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// [`mix`] folded over every word written, as a [`Hasher`] for the
+/// engine's own sets and maps. None of them is ever iterated, so the
+/// hash cannot reorder results.
+struct MixHasher(u64);
+
+impl Default for MixHasher {
+    fn default() -> Self {
+        MixHasher(MIX_SEED)
+    }
+}
+
+impl Hasher for MixHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.0 = mix(self.0, i);
+    }
+}
+
+type MixState = BuildHasherDefault<MixHasher>;
 
 /// Dedup key for a candidate `(g, h1, h2)` triple within one
 /// factorization node: the same triple can surface under several
@@ -160,6 +260,9 @@ enum SeenKey {
     Big(u8, Vec<u64>, Vec<u64>),
 }
 
+/// The per-node set of candidate triples already recursed on.
+type SeenSet = HashSet<SeenKey, MixState>;
+
 fn seen_key(g: u8, h1: &TruthTable, h2: &TruthTable) -> SeenKey {
     wide_seen_key(g, h1.words(), h2.words(), h1.num_vars(), h1.words().len())
 }
@@ -169,34 +272,31 @@ const MEMO_INITIAL_SLOTS: usize = 64;
 
 /// One slot of the packed memo table: the spec words inline, the arity
 /// (the same words encode different functions at different arities),
-/// and the realization forest. `val.is_some()` doubles as the
-/// occupancy flag.
+/// and the realization range. `val.is_some()` doubles as the occupancy
+/// flag.
 #[derive(Debug, Clone)]
 struct MemoSlot {
     key: [u64; 4],
     num_vars: u8,
-    val: Option<Arc<Vec<Arc<RealTree>>>>,
+    val: Option<Realizations>,
 }
+
+// `factor.memo_bytes` counts slot storage, so the slot size is part of
+// the pinned counters.
+const _: () = assert!(std::mem::size_of::<MemoSlot>() == 48);
 
 const EMPTY_SLOT: MemoSlot = MemoSlot { key: [0; 4], num_vars: 0, val: None };
 
-/// Fixed multiply-xor mix (the 64-bit finalizer of MurmurHash3, folded
-/// over the key words). Deterministic across runs and processes —
-/// unlike `RandomState` — so probe sequences, and therefore timing,
-/// reproduce exactly.
+/// [`mix`] folded over the key words, seeded with the arity.
 fn memo_hash(key: &[u64; 4], num_vars: u8) -> u64 {
-    let mut h = 0x9e37_79b9_7f4a_7c15u64 ^ num_vars as u64;
-    for &w in key {
-        h = (h ^ w).wrapping_mul(0xff51_afd7_ed55_8ccd);
-        h ^= h >> 33;
-    }
-    h
+    key.iter().fold(MIX_SEED ^ num_vars as u64, |h, &w| mix(h, w))
 }
 
-/// Packs a ≤ [`FAST_MAX_VARS`]-input table into an inline slot key.
-fn pack_key(h: &TruthTable) -> [u64; 4] {
+/// Packs the words of a ≤ [`FAST_MAX_VARS`]-input table into an inline
+/// slot key.
+fn pack_key(words: &[u64]) -> [u64; 4] {
     let mut key = [0u64; 4];
-    key[..h.words().len()].copy_from_slice(h.words());
+    key[..words.len()].copy_from_slice(words);
     key
 }
 
@@ -204,66 +304,62 @@ fn pack_key(h: &TruthTable) -> [u64; 4] {
 /// inline `[u64; 4]` keys for specs of at most [`FAST_MAX_VARS`]
 /// inputs, plus a conventional spill map for wider specs.
 ///
-/// The previous design was `HashMap<TruthTable, Arc<_>>`: every probe
-/// paid SipHash over a heap-allocated key, and every entry carried a
-/// `TruthTable` (a `Vec` header plus a separate word allocation). The
-/// full NPN4 run does 16.7M probes, all at arity ≤ 8 — inlining the
-/// key words into the slot makes a probe one multiply-xor hash plus a
-/// linear scan of cache-resident 48-byte slots, and an entry costs
-/// exactly one slot (amortized ⁸⁄₇ under the 7/8 load cap) plus its
-/// forest `Arc`.
+/// The full NPN4 run does 16.7M probes, all at arity ≤ 8: a probe is
+/// one multiply-xor hash over the caller's words plus a linear scan of
+/// cache-resident 48-byte slots, and an entry costs exactly one slot
+/// (amortized ⁸⁄₇ under the 7/8 load cap) plus its ids in the arena.
 #[derive(Debug, Default)]
 struct MemoTable {
     slots: Vec<MemoSlot>,
     /// Occupied slots (packed entries only; the spill map tracks its
     /// own length).
     len: usize,
-    spill: HashMap<TruthTable, Arc<Vec<Arc<RealTree>>>>,
+    /// Entries wider than [`FAST_MAX_VARS`] inputs, keyed by their words
+    /// alone: past 6 inputs the word count `2^(n-6)` fixes the arity.
+    spill: HashMap<Box<[u64]>, Realizations>,
 }
 
 impl MemoTable {
-    /// Probes for `h`, cloning out the forest on a hit.
-    fn get(&self, h: &TruthTable) -> Option<Arc<Vec<Arc<RealTree>>>> {
-        if h.num_vars() > FAST_MAX_VARS {
-            return self.spill.get(h).map(Arc::clone);
+    /// Probes for the `num_vars`-input table `words`.
+    fn get(&self, num_vars: usize, words: &[u64]) -> Option<Realizations> {
+        if num_vars > FAST_MAX_VARS {
+            return self.spill.get(words).copied();
         }
         if self.slots.is_empty() {
             return None;
         }
-        let key = pack_key(h);
-        let nv = h.num_vars() as u8;
+        let key = pack_key(words);
+        let nv = num_vars as u8;
         let mask = self.slots.len() - 1;
         let mut i = memo_hash(&key, nv) as usize & mask;
         loop {
             let slot = &self.slots[i];
-            match &slot.val {
+            match slot.val {
                 None => return None,
-                Some(val) if slot.key == key && slot.num_vars == nv => {
-                    return Some(Arc::clone(val));
-                }
+                Some(val) if slot.key == key && slot.num_vars == nv => return Some(val),
                 Some(_) => i = (i + 1) & mask,
             }
         }
     }
 
-    /// Inserts (or replaces) `h`'s forest, returning how many bytes of
-    /// slot storage the insert newly allocated (nonzero only when the
-    /// table grew).
-    fn insert(&mut self, h: &TruthTable, val: Arc<Vec<Arc<RealTree>>>) -> u64 {
-        if h.num_vars() > FAST_MAX_VARS {
-            self.spill.insert(h.clone(), val);
+    /// Inserts (or replaces) the table's realizations, returning how
+    /// many bytes of slot storage the insert newly allocated (nonzero
+    /// only when the table grew).
+    fn insert(&mut self, num_vars: usize, words: &[u64], val: Realizations) -> u64 {
+        if num_vars > FAST_MAX_VARS {
+            self.spill.insert(words.into(), val);
             return 0;
         }
         // Grow before probing so the insert scan always finds a free
         // slot; ×8/7 keeps the load factor at most 7/8.
         let grown = if (self.len + 1) * 8 > self.slots.len() * 7 { self.grow() } else { 0 };
-        let key = pack_key(h);
-        let nv = h.num_vars() as u8;
+        let key = pack_key(words);
+        let nv = num_vars as u8;
         let mask = self.slots.len() - 1;
         let mut i = memo_hash(&key, nv) as usize & mask;
         loop {
             let slot = &mut self.slots[i];
-            match &slot.val {
+            match slot.val {
                 None => {
                     *slot = MemoSlot { key, num_vars: nv, val: Some(val) };
                     self.len += 1;
@@ -302,6 +398,42 @@ impl MemoTable {
     }
 }
 
+/// Appends to `out` every split of `d` support variables whose operands
+/// fit subtrees of `l1` and `l2` leaves (`|A ∪ S| ∈ 1..=l1`,
+/// `|B ∪ S| ∈ 1..=l2`), in the order of a base-3 counter over the
+/// support whose digit `i` (0 = A, 1 = B, 2 = S) places variable `i`.
+/// The counter's digit 0 turns fastest, so its order is lexicographic
+/// from digit `d - 1` down; the walk follows it and prunes every branch
+/// that already overflows a subtree.
+fn build_split_plan(d: usize, l1: usize, l2: usize, out: &mut Vec<Split>) {
+    fn walk(
+        pos: usize,
+        split: Split,
+        left: usize,
+        right: usize,
+        l: (usize, usize),
+        out: &mut Vec<Split>,
+    ) {
+        let Some(i) = pos.checked_sub(1) else {
+            if left >= 1 && right >= 1 {
+                out.push(split);
+            }
+            return;
+        };
+        let bit = 1u16 << i;
+        if left < l.0 {
+            walk(i, Split { a: split.a | bit, ..split }, left + 1, right, l, out);
+        }
+        if right < l.1 {
+            walk(i, Split { b: split.b | bit, ..split }, left, right + 1, l, out);
+        }
+        if left < l.0 && right < l.1 {
+            walk(i, split, left + 1, right + 1, l, out);
+        }
+    }
+    walk(d, Split { a: 0, b: 0 }, 0, 0, (l1, l2), out);
+}
+
 /// The factorization engine with its memo table.
 ///
 /// One engine instance should be reused across the shapes explored for a
@@ -309,16 +441,32 @@ impl MemoTable {
 /// (that reuse is a large part of the paper's speed on DSD-structured
 /// functions).
 ///
-/// Shapes are interned to dense ids and the memo is a per-shape
+/// Shapes are interned into a flat table and the memo is a per-shape
 /// [`MemoTable`] keyed by the table words alone, so a probe neither
-/// allocates nor chases a heap key (the previous design cloned the
-/// spec words *and* the shape per call just to build the lookup key,
-/// and kept a heap `TruthTable` per entry).
+/// hashes a shape nor allocates. Realizations are `u32` ids into the
+/// engine's arena; completed memo entries point into it, so the arena
+/// only ever grows (a failed subproblem leaves its partial nodes
+/// behind, unreferenced).
 #[derive(Debug)]
 pub struct Factorizer {
     config: FactorConfig,
-    shape_ids: HashMap<TreeShape, u32>,
+    /// The shape table; entry [`LEAF_SHAPE`] is the leaf.
+    shapes: Vec<ShapeEntry>,
+    /// Internal shapes by their children's ids.
+    shape_ids: HashMap<(u32, u32), u32, MixState>,
+    /// One memo table per shape-table entry.
     memo: Vec<MemoTable>,
+    /// Cached split plans: `(d, l1, l2)` (leaf counts clamped to `d`)
+    /// to a range of `plan_splits`.
+    plans: HashMap<(u8, u8, u8), (u32, u32), MixState>,
+    plan_splits: Vec<Split>,
+    /// The realization arena.
+    nodes: Vec<RealNode>,
+    /// Memo values: ranges of arena node ids.
+    lists: Vec<u32>,
+    /// Realizations of the subproblems in flight, innermost last; a
+    /// finished subproblem moves its tail into `lists`.
+    scratch: Vec<u32>,
     /// Number of factorization nodes explored (for the harness).
     nodes_explored: u64,
     /// Number of memo-table hits across [`Factorizer::realize`] calls.
@@ -342,8 +490,14 @@ impl Factorizer {
     pub fn new(config: FactorConfig) -> Self {
         Factorizer {
             config,
-            shape_ids: HashMap::new(),
-            memo: Vec::new(),
+            shapes: vec![ShapeEntry { children: None, leaves: 1 }],
+            shape_ids: HashMap::default(),
+            memo: vec![MemoTable::default()],
+            plans: HashMap::default(),
+            plan_splits: Vec::new(),
+            nodes: Vec::new(),
+            lists: Vec::new(),
+            scratch: Vec::new(),
             nodes_explored: 0,
             memo_hits: 0,
             charts_built: 0,
@@ -389,8 +543,9 @@ impl Factorizer {
         spec: &TruthTable,
         shape: &TreeShape,
     ) -> Result<Vec<Chain>, SynthesisError> {
+        let sid = self.intern(shape);
         let support_len = spec.support_mask().count_ones() as usize;
-        if support_len > shape.leaf_count() || support_len < 2 {
+        if support_len > self.shapes[sid as usize].leaves as usize || support_len < 2 {
             // Trivial specs (constants, literals) need no gates and are
             // handled by the synthesis driver, not by factorization.
             return Ok(Vec::new());
@@ -401,7 +556,10 @@ impl Factorizer {
         let probe_before = self.memo_probe_ns;
         let bytes_before = self.memo_bytes;
         let entries_before = self.memo_entries;
-        let result = self.realize(spec, shape);
+        // A call that failed mid-search may have left its in-flight
+        // realizations behind.
+        self.scratch.clear();
+        let result = self.realize(spec.num_vars(), spec.words(), sid);
         // Flush this call's exploration to the global metrics (batched —
         // the recursion itself touches only the engine-local tallies).
         // The flush runs on the thread that drove the search, so every
@@ -415,10 +573,10 @@ impl Factorizer {
         stp_telemetry::counter!("factor.memo_bytes").add(self.memo_bytes - bytes_before);
         stp_telemetry::counter!("factor.memo_entries").add(self.memo_entries - entries_before);
         let trees = result?;
-        let mut chains = Vec::with_capacity(trees.len());
+        let mut chains = Vec::with_capacity(trees.len as usize);
         let mut seen = HashSet::new();
-        for tree in trees.iter() {
-            let chain = tree_to_chain(tree, spec.num_vars());
+        for &id in &self.lists[trees.range()] {
+            let chain = tree_to_chain(&self.nodes, id, spec.num_vars());
             if seen.insert(chain_key(&chain)) {
                 chains.push(chain);
             }
@@ -450,30 +608,59 @@ impl Factorizer {
         Ok(())
     }
 
-    /// Interns `shape`, returning its dense memo index.
-    fn shape_id(&mut self, shape: &TreeShape) -> usize {
-        if let Some(&id) = self.shape_ids.get(shape) {
-            return id as usize;
+    /// Interns `shape` and its subtrees into the shape table, returning
+    /// its id. Children are interned first, so two subtrees get the same
+    /// id exactly when they are structurally equal.
+    fn intern(&mut self, shape: &TreeShape) -> u32 {
+        let TreeShape::Node(a, b) = shape else {
+            return LEAF_SHAPE;
+        };
+        let children = (self.intern(a), self.intern(b));
+        if let Some(&id) = self.shape_ids.get(&children) {
+            return id;
         }
-        let id = self.memo.len();
-        self.shape_ids.insert(shape.clone(), id as u32);
+        let id = self.shapes.len() as u32;
+        let leaves =
+            self.shapes[children.0 as usize].leaves + self.shapes[children.1 as usize].leaves;
+        self.shapes.push(ShapeEntry { children: Some(children), leaves });
         self.memo.push(MemoTable::default());
+        self.shape_ids.insert(children, id);
         id
     }
 
-    /// Core recursion: all realizations of `h` on `shape`.
+    /// The cached split plan for `d` support variables over subtrees of
+    /// `l1` and `l2` leaves, as a range of `plan_splits`.
+    fn split_plan(&mut self, d: usize, l1: usize, l2: usize) -> std::ops::Range<usize> {
+        // A subtree with at least `d` leaves never binds the split, so
+        // clamping keeps one plan per distinct constraint.
+        let key = (d as u8, l1.min(d) as u8, l2.min(d) as u8);
+        let (start, len) = match self.plans.get(&key) {
+            Some(&range) => range,
+            None => {
+                let start = self.plan_splits.len();
+                build_split_plan(d, key.1 as usize, key.2 as usize, &mut self.plan_splits);
+                let range = (start as u32, (self.plan_splits.len() - start) as u32);
+                self.plans.insert(key, range);
+                range
+            }
+        };
+        start as usize..(start + len) as usize
+    }
+
+    /// Core recursion: all realizations of the `n`-input table `words`
+    /// on shape `sid`.
     fn realize(
         &mut self,
-        h: &TruthTable,
-        shape: &TreeShape,
-    ) -> Result<Arc<Vec<Arc<RealTree>>>, SynthesisError> {
-        let sid = self.shape_id(shape);
-        // Time the probe alone (shape interning excluded): one probe in
-        // [`PROBE_SAMPLE`] is measured and extrapolated.
+        n: usize,
+        words: &[u64],
+        sid: u32,
+    ) -> Result<Realizations, SynthesisError> {
+        // Time the probe alone: one probe in [`PROBE_SAMPLE`] is
+        // measured and extrapolated.
         self.probe_tick = self.probe_tick.wrapping_add(1);
         let t0 =
             if self.probe_tick & (PROBE_SAMPLE - 1) == 0 { Some(Instant::now()) } else { None };
-        let hit = self.memo[sid].get(h);
+        let hit = self.memo[sid as usize].get(n, words);
         if let Some(t0) = t0 {
             self.memo_probe_ns +=
                 (t0.elapsed().as_nanos() as u64).saturating_mul(PROBE_SAMPLE as u64);
@@ -484,36 +671,44 @@ impl Factorizer {
         }
         self.check_deadline()?;
         self.nodes_explored += 1;
-        let result = match shape {
-            TreeShape::Leaf => {
+        let h =
+            TruthTable::from_words(n, words.to_vec()).expect("memo keys are well-formed tables");
+        let start = self.scratch.len();
+        match self.shapes[sid as usize].children {
+            None => {
                 // A leaf realizes exactly a positive literal; complements
                 // are absorbed by the parent gate's operator choice.
-                let mut out = Vec::new();
-                let sup = h.support();
-                if sup.len() == 1 {
-                    let v = sup[0];
-                    if let Ok(proj) = TruthTable::variable(h.num_vars(), v) {
-                        if *h == proj {
-                            out.push(Arc::new(RealTree::Leaf(v)));
-                        }
+                let sup = h.support_mask();
+                if sup.count_ones() == 1 {
+                    let v = sup.trailing_zeros() as usize;
+                    if TruthTable::variable(n, v).is_ok_and(|proj| h == proj) {
+                        self.scratch.push(self.nodes.len() as u32);
+                        self.nodes.push(RealNode { gate: LEAF_GATE, left: v as u32, right: 0 });
                     }
                 }
-                out
             }
-            TreeShape::Node(s1, s2) => self.realize_node(h, s1, s2)?,
+            Some((s1, s2)) => self.realize_node(&h, s1, s2, start)?,
+        }
+        let val = Realizations {
+            start: self.lists.len() as u32,
+            len: (self.scratch.len() - start) as u32,
         };
-        let rc = Arc::new(result);
-        self.memo_bytes += self.memo[sid].insert(h, Arc::clone(&rc));
+        self.lists.extend_from_slice(&self.scratch[start..]);
+        self.scratch.truncate(start);
+        self.memo_bytes += self.memo[sid as usize].insert(n, words, val);
         self.memo_entries += 1;
-        Ok(rc)
+        Ok(val)
     }
 
+    /// All realizations of `h` under a gate over shapes `s1` and `s2`,
+    /// pushed onto `scratch` from `out_start` on.
     fn realize_node(
         &mut self,
         h: &TruthTable,
-        s1: &TreeShape,
-        s2: &TreeShape,
-    ) -> Result<Vec<Arc<RealTree>>, SynthesisError> {
+        s1: u32,
+        s2: u32,
+        out_start: usize,
+    ) -> Result<(), SynthesisError> {
         let n = h.num_vars();
         let sup_mask = h.support_mask();
         let mut support = [0usize; 16];
@@ -524,116 +719,69 @@ impl Factorizer {
                 d += 1;
             }
         }
-        let l1 = s1.leaf_count();
-        let l2 = s2.leaf_count();
+        let l1 = self.shapes[s1 as usize].leaves as usize;
+        let l2 = self.shapes[s2 as usize].leaves as usize;
         let symmetric = s1 == s2;
-        let mut out: Vec<Arc<RealTree>> = Vec::new();
         if d > l1 + l2 || d == 0 {
-            return Ok(out);
+            return Ok(());
         }
-        let mut seen_triples: HashSet<SeenKey> = HashSet::new();
-        // Enumerate splits: each support variable goes to A (left
-        // exclusive), B (right exclusive), or S (shared).
-        let mut split = [0u8; 16];
+        let mut seen_triples = SeenSet::default();
+        // Each support variable goes to A (left exclusive), B (right
+        // exclusive), or S (shared); the plan lists the splits whose
+        // operands fit the subtrees.
         let mut a_vars = [0usize; 16];
         let mut b_vars = [0usize; 16];
         let mut s_vars = [0usize; 16];
-        'splits: loop {
+        for p in self.split_plan(d, l1, l2) {
             self.check_deadline()?;
+            let split = self.plan_splits[p];
             let (mut na, mut nb, mut ns) = (0usize, 0usize, 0usize);
-            for (&cls, &v) in split[..d].iter().zip(&support[..d]) {
-                match cls {
-                    0 => {
-                        a_vars[na] = v;
-                        na += 1;
-                    }
-                    1 => {
-                        b_vars[nb] = v;
-                        nb += 1;
-                    }
-                    _ => {
-                        s_vars[ns] = v;
-                        ns += 1;
-                    }
-                }
-            }
-            let feasible = na + ns >= 1 && nb + ns >= 1 && na + ns <= l1 && nb + ns <= l2;
-            if feasible {
-                // The fast path needs the whole spec in 4 words, chart
-                // cell blocks in one word, and ≤ 64 shared assignments.
-                // The wide path relaxes all three by one W4: spec in 64
-                // words, cell blocks in one `[u64; 4]`, ≤ 256 shared
-                // assignments. Anything larger falls back to the scalar
-                // reference.
-                let force = self.config.force_naive;
-                let fast = !force && n <= FAST_MAX_VARS && na + nb <= 6 && ns <= 6;
-                let wide = !force && !fast && n <= WIDE_MAX_VARS && na + nb <= 8 && ns <= 8;
-                if fast {
-                    self.factor_split_fast(
-                        h,
-                        &a_vars[..na],
-                        &b_vars[..nb],
-                        &s_vars[..ns],
-                        s1,
-                        s2,
-                        symmetric,
-                        &mut seen_triples,
-                        &mut out,
-                    )?;
-                } else if wide {
-                    self.factor_split_wide(
-                        h,
-                        &a_vars[..na],
-                        &b_vars[..nb],
-                        &s_vars[..ns],
-                        s1,
-                        s2,
-                        symmetric,
-                        &mut seen_triples,
-                        &mut out,
-                    )?;
+            for (i, &v) in support[..d].iter().enumerate() {
+                if split.a >> i & 1 == 1 {
+                    a_vars[na] = v;
+                    na += 1;
+                } else if split.b >> i & 1 == 1 {
+                    b_vars[nb] = v;
+                    nb += 1;
                 } else {
-                    self.factor_split_naive(
-                        h,
-                        &a_vars[..na],
-                        &b_vars[..nb],
-                        &s_vars[..ns],
-                        s1,
-                        s2,
-                        symmetric,
-                        &mut seen_triples,
-                        &mut out,
-                    )?;
-                }
-                if out.len() >= self.config.max_realizations {
-                    break 'splits;
+                    s_vars[ns] = v;
+                    ns += 1;
                 }
             }
-            // Advance the base-3 counter.
-            let mut i = 0;
-            loop {
-                if i == d {
-                    break 'splits;
-                }
-                split[i] += 1;
-                if split[i] < 3 {
-                    break;
-                }
-                split[i] = 0;
-                i += 1;
+            // The fast path needs the whole spec in 4 words, chart cell
+            // blocks in one word, and ≤ 64 shared assignments. The wide
+            // path relaxes all three by one W4: spec in 64 words, cell
+            // blocks in one `[u64; 4]`, ≤ 256 shared assignments.
+            // Anything larger falls back to the scalar reference.
+            let force = self.config.force_naive;
+            let fast = !force && n <= FAST_MAX_VARS && na + nb <= 6 && ns <= 6;
+            let wide = !force && !fast && n <= WIDE_MAX_VARS && na + nb <= 8 && ns <= 8;
+            let (a, b, s) = (&a_vars[..na], &b_vars[..nb], &s_vars[..ns]);
+            let seen = &mut seen_triples;
+            if fast {
+                self.factor_split_fast(h, a, b, s, s1, s2, symmetric, seen, out_start)?;
+            } else if wide {
+                self.factor_split_wide(h, a, b, s, s1, s2, symmetric, seen, out_start)?;
+            } else {
+                self.factor_split_naive(h, a, b, s, s1, s2, symmetric, seen, out_start)?;
+            }
+            if self.scratch.len() - out_start >= self.config.max_realizations {
+                break;
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Word-level `factor_split`: factors `h = g(h1(A ∪ S), h2(B ∪ S))`
-    /// for one fixed split, appending every realization to `out`.
+    /// for one fixed split, pushing every realization onto `scratch`
+    /// (the subproblem's realizations start at `out_start`).
     ///
     /// Requires `h.num_vars() ≤ 8`, `|A| + |B| ≤ 6` and `|S| ≤ 6` (the
     /// caller gates on this). Charts, patterns and labellings live in
-    /// `u64` masks and fixed stack buffers — the split and combination
-    /// loops perform no heap allocation; memory is touched only when a
-    /// fresh canonical candidate is materialized for recursion.
+    /// `u64` masks and fixed stack buffers, and candidate operands are
+    /// probed in the memo straight from those buffers — the split and
+    /// combination loops perform no heap allocation; memory is touched
+    /// only when a memo miss recurses or the arena grows.
     ///
     /// Byte-equal to [`Factorizer::factor_split_naive`] in output,
     /// order, and counter increments (pinned by the differential fuzz
@@ -645,11 +793,11 @@ impl Factorizer {
         a_vars: &[usize],
         b_vars: &[usize],
         s_vars: &[usize],
-        s1: &TreeShape,
-        s2: &TreeShape,
+        s1: u32,
+        s2: u32,
         symmetric: bool,
-        seen_triples: &mut HashSet<SeenKey>,
-        out: &mut Vec<Arc<RealTree>>,
+        seen_triples: &mut SeenSet,
+        out_start: usize,
     ) -> Result<(), SynthesisError> {
         let n = h.num_vars();
         let (ra, rb, rs) = (a_vars.len(), b_vars.len(), s_vars.len());
@@ -816,14 +964,10 @@ impl Factorizer {
                     // Mirror dedup for symmetric shapes.
                     let ordered = !symmetric || f1 <= f2;
                     if ordered && seen_triples.insert(wide_seen_key(g, &f1, &f2, n, nw)) {
-                        let h1 = TruthTable::from_words(n, f1[..nw].to_vec())
-                            .expect("operand arity equals the spec arity");
-                        let h2 = TruthTable::from_words(n, f2[..nw].to_vec())
-                            .expect("operand arity equals the spec arity");
-                        let r1 = self.realize(&h1, s1)?;
-                        if !r1.is_empty() {
-                            let r2 = self.realize(&h2, s2)?;
-                            if self.emit_pairs(g, &r1, &r2, out) {
+                        let r1 = self.realize(n, &f1[..nw], s1)?;
+                        if r1.len > 0 {
+                            let r2 = self.realize(n, &f2[..nw], s2)?;
+                            if self.emit_pairs(g, r1, r2, out_start) {
                                 return Ok(());
                             }
                         }
@@ -866,11 +1010,11 @@ impl Factorizer {
         a_vars: &[usize],
         b_vars: &[usize],
         s_vars: &[usize],
-        s1: &TreeShape,
-        s2: &TreeShape,
+        s1: u32,
+        s2: u32,
         symmetric: bool,
-        seen_triples: &mut HashSet<SeenKey>,
-        out: &mut Vec<Arc<RealTree>>,
+        seen_triples: &mut SeenSet,
+        out_start: usize,
     ) -> Result<(), SynthesisError> {
         let n = h.num_vars();
         let (ra, rb, rs) = (a_vars.len(), b_vars.len(), s_vars.len());
@@ -1010,14 +1154,10 @@ impl Factorizer {
                     // Mirror dedup for symmetric shapes.
                     let ordered = !symmetric || f1[..nw] <= f2[..nw];
                     if ordered && seen_triples.insert(wide_seen_key(g, &f1, &f2, n, nw)) {
-                        let h1 = TruthTable::from_words(n, f1[..nw].to_vec())
-                            .expect("operand arity equals the spec arity");
-                        let h2 = TruthTable::from_words(n, f2[..nw].to_vec())
-                            .expect("operand arity equals the spec arity");
-                        let r1 = self.realize(&h1, s1)?;
-                        if !r1.is_empty() {
-                            let r2 = self.realize(&h2, s2)?;
-                            if self.emit_pairs(g, &r1, &r2, out) {
+                        let r1 = self.realize(n, &f1[..nw], s1)?;
+                        if r1.len > 0 {
+                            let r2 = self.realize(n, &f2[..nw], s2)?;
+                            if self.emit_pairs(g, r1, r2, out_start) {
                                 return Ok(());
                             }
                         }
@@ -1051,11 +1191,11 @@ impl Factorizer {
         a_vars: &[usize],
         b_vars: &[usize],
         s_vars: &[usize],
-        s1: &TreeShape,
-        s2: &TreeShape,
+        s1: u32,
+        s2: u32,
         symmetric: bool,
-        seen_triples: &mut HashSet<SeenKey>,
-        out: &mut Vec<Arc<RealTree>>,
+        seen_triples: &mut SeenSet,
+        out_start: usize,
     ) -> Result<(), SynthesisError> {
         let n = h.num_vars();
         let rows = 1usize << a_vars.len();
@@ -1152,10 +1292,10 @@ impl Factorizer {
                 // Mirror dedup for symmetric shapes.
                 let ordered = !symmetric || h1.words() <= h2.words();
                 if canonical && ordered && seen_triples.insert(seen_key(g, &h1, &h2)) {
-                    let r1 = self.realize(&h1, s1)?;
-                    if !r1.is_empty() {
-                        let r2 = self.realize(&h2, s2)?;
-                        if self.emit_pairs(g, &r1, &r2, out) {
+                    let r1 = self.realize(n, h1.words(), s1)?;
+                    if r1.len > 0 {
+                        let r2 = self.realize(n, h2.words(), s2)?;
+                        if self.emit_pairs(g, r1, r2, out_start) {
                             return Ok(());
                         }
                     }
@@ -1178,28 +1318,25 @@ impl Factorizer {
         Ok(())
     }
 
-    /// Cross-products two realization forests under operator `g` into
-    /// `out`; returns `true` when the realization cap was reached.
-    fn emit_pairs(
-        &self,
-        g: u8,
-        r1: &[Arc<RealTree>],
-        r2: &[Arc<RealTree>],
-        out: &mut Vec<Arc<RealTree>>,
-    ) -> bool {
-        for t1 in r1 {
-            for t2 in r2 {
+    /// Cross-products two realization ranges under operator `g` onto
+    /// `scratch`; returns `true` when the realization cap was reached
+    /// for the subproblem whose realizations start at `out_start`.
+    fn emit_pairs(&mut self, g: u8, r1: Realizations, r2: Realizations, out_start: usize) -> bool {
+        for i in r1.range() {
+            let t1 = self.lists[i];
+            for j in r2.range() {
+                let t2 = self.lists[j];
                 // A gate reading the same leaf twice computes a unary
                 // function, so a strictly smaller chain exists and the
                 // candidate can never be part of a minimum solution
                 // (chains also reject tied fanins).
-                if let (RealTree::Leaf(a), RealTree::Leaf(b)) = (t1.as_ref(), t2.as_ref()) {
-                    if a == b {
-                        continue;
-                    }
+                let (n1, n2) = (self.nodes[t1 as usize], self.nodes[t2 as usize]);
+                if n1.gate == LEAF_GATE && n2.gate == LEAF_GATE && n1.left == n2.left {
+                    continue;
                 }
-                out.push(Arc::new(RealTree::Node(g, Arc::clone(t1), Arc::clone(t2))));
-                if out.len() >= self.config.max_realizations {
+                self.scratch.push(self.nodes.len() as u32);
+                self.nodes.push(RealNode { gate: g, left: t1, right: t2 });
+                if self.scratch.len() - out_start >= self.config.max_realizations {
                     return true;
                 }
             }
@@ -1599,23 +1736,22 @@ fn build_operand(
     .expect("operand arity equals the spec arity")
 }
 
-/// Converts a realization tree into a chain over `n` inputs with a
-/// single positive output.
-fn tree_to_chain(tree: &RealTree, n: usize) -> Chain {
-    fn emit(tree: &RealTree, chain: &mut Chain) -> usize {
-        match tree {
-            RealTree::Leaf(v) => *v,
-            RealTree::Node(g, l, r) => {
-                let li = emit(l, chain);
-                let ri = emit(r, chain);
-                chain
-                    .add_gate(li, ri, *g)
-                    .expect("realization trees reference earlier signals with distinct fanins")
-            }
+/// Converts the arena realization `id` into a chain over `n` inputs
+/// with a single positive output.
+fn tree_to_chain(nodes: &[RealNode], id: u32, n: usize) -> Chain {
+    fn emit(nodes: &[RealNode], id: u32, chain: &mut Chain) -> usize {
+        let node = nodes[id as usize];
+        if node.gate == LEAF_GATE {
+            return node.left as usize;
         }
+        let li = emit(nodes, node.left, chain);
+        let ri = emit(nodes, node.right, chain);
+        chain
+            .add_gate(li, ri, node.gate)
+            .expect("realization trees reference earlier signals with distinct fanins")
     }
     let mut chain = Chain::new(n);
-    let top = emit(tree, &mut chain);
+    let top = emit(nodes, id, &mut chain);
     chain.add_output(OutputRef::signal(top));
     chain
 }
@@ -1870,6 +2006,25 @@ mod tests {
         TruthTable::from_words(n, words).unwrap()
     }
 
+    /// The candidates a kernel left on `engine`'s scratch stack, rendered
+    /// structurally (arena ids alone could coincide across engines).
+    fn scratch_trees(engine: &Factorizer) -> Vec<String> {
+        fn render(nodes: &[RealNode], id: u32) -> String {
+            let node = nodes[id as usize];
+            if node.gate == LEAF_GATE {
+                format!("x{}", node.left)
+            } else {
+                format!(
+                    "({:x} {} {})",
+                    node.gate,
+                    render(nodes, node.left),
+                    render(nodes, node.right)
+                )
+            }
+        }
+        engine.scratch.iter().map(|&id| render(&engine.nodes, id)).collect()
+    }
+
     #[test]
     fn fuzz_fast_split_matches_naive_reference() {
         // For random tables over 2–8 variables and random (A, B, S)
@@ -1880,7 +2035,6 @@ mod tests {
         // set, same counter increments. Leaf children keep the
         // recursion trivial so the comparison isolates the kernels.
         let mut rng = Lcg(0xfac7_0123_5eed_0001);
-        let leaf = TreeShape::Leaf;
         let mut tested = 0usize;
         let mut attempts = 0usize;
         while tested < 150 {
@@ -1918,20 +2072,18 @@ mod tests {
             let symmetric = rng.next() & 1 == 1;
             let mut fast = Factorizer::new(FactorConfig::default());
             let mut naive = Factorizer::new(FactorConfig::default());
-            let mut seen_f = HashSet::new();
-            let mut out_f = Vec::new();
-            let mut seen_n = HashSet::new();
-            let mut out_n = Vec::new();
+            let mut seen_f = SeenSet::default();
+            let mut seen_n = SeenSet::default();
             fast.factor_split_fast(
                 &h,
                 &a,
                 &b,
                 &s,
-                &leaf,
-                &leaf,
+                LEAF_SHAPE,
+                LEAF_SHAPE,
                 symmetric,
                 &mut seen_f,
-                &mut out_f,
+                0,
             )
             .unwrap();
             naive
@@ -1940,15 +2092,15 @@ mod tests {
                     &a,
                     &b,
                     &s,
-                    &leaf,
-                    &leaf,
+                    LEAF_SHAPE,
+                    LEAF_SHAPE,
                     symmetric,
                     &mut seen_n,
-                    &mut out_n,
+                    0,
                 )
                 .unwrap();
             let ctx = format!("n={n} a={a:?} b={b:?} s={s:?} spec={}", h.to_hex());
-            assert_eq!(out_f, out_n, "candidates differ: {ctx}");
+            assert_eq!(scratch_trees(&fast), scratch_trees(&naive), "candidates differ: {ctx}");
             assert_eq!(seen_f, seen_n, "seen triples differ: {ctx}");
             assert_eq!(fast.charts_built, naive.charts_built, "chart counts differ: {ctx}");
             assert_eq!(fast.nodes_explored, naive.nodes_explored, "node counts differ: {ctx}");
@@ -2011,7 +2163,6 @@ mod tests {
         // is capped at 3 for the same combination-explosion reason as the
         // fast fuzz.
         let mut rng = Lcg(0xfac7_0123_5eed_0002);
-        let leaf = TreeShape::Leaf;
         let mut tested = 0usize;
         let mut multiword_axes = 0usize;
         let mut attempts = 0usize;
@@ -2046,20 +2197,18 @@ mod tests {
             let symmetric = rng.next() & 1 == 1;
             let mut wide = Factorizer::new(FactorConfig::default());
             let mut naive = Factorizer::new(FactorConfig::default());
-            let mut seen_w = HashSet::new();
-            let mut out_w = Vec::new();
-            let mut seen_n = HashSet::new();
-            let mut out_n = Vec::new();
+            let mut seen_w = SeenSet::default();
+            let mut seen_n = SeenSet::default();
             wide.factor_split_wide(
                 &h,
                 &a,
                 &b,
                 &s,
-                &leaf,
-                &leaf,
+                LEAF_SHAPE,
+                LEAF_SHAPE,
                 symmetric,
                 &mut seen_w,
-                &mut out_w,
+                0,
             )
             .unwrap();
             naive
@@ -2068,15 +2217,15 @@ mod tests {
                     &a,
                     &b,
                     &s,
-                    &leaf,
-                    &leaf,
+                    LEAF_SHAPE,
+                    LEAF_SHAPE,
                     symmetric,
                     &mut seen_n,
-                    &mut out_n,
+                    0,
                 )
                 .unwrap();
             let ctx = format!("n={n} a={a:?} b={b:?} s={s:?} spec={}", h.to_hex());
-            assert_eq!(out_w, out_n, "candidates differ: {ctx}");
+            assert_eq!(scratch_trees(&wide), scratch_trees(&naive), "candidates differ: {ctx}");
             assert_eq!(seen_w, seen_n, "seen triples differ: {ctx}");
             assert_eq!(wide.charts_built, naive.charts_built, "chart counts differ: {ctx}");
             assert_eq!(wide.nodes_explored, naive.nodes_explored, "node counts differ: {ctx}");
@@ -2143,17 +2292,21 @@ mod tests {
         }
     }
 
+    /// A distinct memo value per `i`.
+    fn val(i: usize) -> Realizations {
+        Realizations { start: i as u32, len: 1 }
+    }
+
     #[test]
     fn memo_table_packed_roundtrip_growth_and_bytes() {
         let mut table = MemoTable::default();
-        let forest = |v: usize| Arc::new(vec![Arc::new(RealTree::Leaf(v))]);
         let mut rng = Lcg(0x9e37_79b9_0000_0001);
         let mut keys = Vec::new();
         let mut bytes = 0u64;
         for i in 0..200usize {
             let n = 2 + (rng.next() % 7) as usize;
             let h = random_table(&mut rng, n);
-            bytes += table.insert(&h, forest(i));
+            bytes += table.insert(n, h.words(), val(i));
             keys.push((h, i));
         }
         // Bytes grew monotonically with slot-array capacity and the load
@@ -2161,7 +2314,8 @@ mod tests {
         let cap = bytes as usize / std::mem::size_of::<MemoSlot>();
         assert!(cap.is_power_of_two(), "slot capacity {cap} not a power of two");
         assert!(table.len * 8 <= cap * 7, "load factor exceeded 7/8: {}/{cap}", table.len);
-        // Every inserted key probes back to its latest forest (duplicate
+        assert_eq!(bytes, (cap * 48) as u64, "slot storage is 48 bytes a slot");
+        // Every inserted key probes back to its latest value (duplicate
         // tables along the way replace, never duplicate).
         let mut latest: HashMap<Vec<u64>, usize> = HashMap::new();
         for (h, i) in &keys {
@@ -2174,8 +2328,8 @@ mod tests {
             let mut k = vec![h.num_vars() as u64];
             k.extend_from_slice(h.words());
             let want = latest[&k];
-            let got = table.get(h).expect("inserted key must probe back");
-            assert_eq!(*got, *forest(want), "wrong forest for {}", h.to_hex());
+            let got = table.get(h.num_vars(), h.words()).expect("inserted key must probe back");
+            assert_eq!(got, val(want), "wrong value for {}", h.to_hex());
         }
         // A table that was never probed for a missing key still answers
         // misses with None.
@@ -2183,7 +2337,7 @@ mod tests {
         let mut k = vec![missing.num_vars() as u64];
         k.extend_from_slice(missing.words());
         if !latest.contains_key(&k) {
-            assert!(table.get(&missing).is_none());
+            assert!(table.get(8, missing.words()).is_none());
         }
     }
 
@@ -2193,12 +2347,10 @@ mod tests {
         let mut rng = Lcg(0x5b11_a5e5_0000_0002);
         let wide = random_table(&mut rng, 9);
         let narrow = random_table(&mut rng, 4);
-        let f1 = Arc::new(vec![Arc::new(RealTree::Leaf(1))]);
-        let f2 = Arc::new(vec![Arc::new(RealTree::Leaf(2))]);
-        assert_eq!(table.insert(&wide, Arc::clone(&f1)), 0, "spill inserts allocate no slots");
-        table.insert(&narrow, Arc::clone(&f2));
-        assert_eq!(*table.get(&wide).unwrap(), *f1);
-        assert_eq!(*table.get(&narrow).unwrap(), *f2);
+        assert_eq!(table.insert(9, wide.words(), val(1)), 0, "spill inserts allocate no slots");
+        table.insert(4, narrow.words(), val(2));
+        assert_eq!(table.get(9, wide.words()), Some(val(1)));
+        assert_eq!(table.get(4, narrow.words()), Some(val(2)));
         assert_eq!(table.entries(), 2);
         assert_eq!(table.len, 1, "only the narrow spec lands in the packed array");
     }
@@ -2208,15 +2360,76 @@ mod tests {
         // The same words encode different functions at different
         // arities; both entries must coexist in the packed array.
         let mut table = MemoTable::default();
-        let h3 = TruthTable::from_words(3, vec![0x5a]).unwrap();
-        let h6 = TruthTable::from_words(6, vec![0x5a]).unwrap();
-        let f3 = Arc::new(vec![Arc::new(RealTree::Leaf(3))]);
-        let f6 = Arc::new(vec![Arc::new(RealTree::Leaf(6))]);
-        table.insert(&h3, Arc::clone(&f3));
-        table.insert(&h6, Arc::clone(&f6));
-        assert_eq!(*table.get(&h3).unwrap(), *f3);
-        assert_eq!(*table.get(&h6).unwrap(), *f6);
+        table.insert(3, &[0x5a], val(3));
+        table.insert(6, &[0x5a], val(6));
+        assert_eq!(table.get(3, &[0x5a]), Some(val(3)));
+        assert_eq!(table.get(6, &[0x5a]), Some(val(6)));
         assert_eq!(table.entries(), 2);
+    }
+
+    /// The feasible splits of the full base-3 counter over `d` support
+    /// variables, in counter order: the enumeration the split plans
+    /// replace.
+    fn counter_splits(d: usize, l1: usize, l2: usize) -> Vec<Split> {
+        let mut out = Vec::new();
+        let mut digits = [0u8; 16];
+        loop {
+            let (mut split, mut na, mut nb, mut ns) = (Split { a: 0, b: 0 }, 0, 0, 0);
+            for (i, &digit) in digits[..d].iter().enumerate() {
+                match digit {
+                    0 => {
+                        split.a |= 1 << i;
+                        na += 1;
+                    }
+                    1 => {
+                        split.b |= 1 << i;
+                        nb += 1;
+                    }
+                    _ => ns += 1,
+                }
+            }
+            if na + ns >= 1 && nb + ns >= 1 && na + ns <= l1 && nb + ns <= l2 {
+                out.push(split);
+            }
+            let mut i = 0;
+            loop {
+                if i == d {
+                    return out;
+                }
+                digits[i] += 1;
+                if digits[i] < 3 {
+                    break;
+                }
+                digits[i] = 0;
+                i += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn split_plans_follow_the_base3_counter() {
+        // Every plan a node can ask for (d ≤ l1 + l2, leaf counts up to
+        // 16 in total) equals the feasible subsequence of the counter,
+        // element for element — through the engine's cache, asked twice.
+        let max_d = if cfg!(debug_assertions) { 8 } else { 12 };
+        let mut engine = Factorizer::new(FactorConfig::default());
+        for d in 1..=max_d {
+            for l1 in 1..16 {
+                for l2 in 1..=16 - l1 {
+                    if d > l1 + l2 {
+                        continue;
+                    }
+                    let want = counter_splits(d, l1, l2);
+                    for _ in 0..2 {
+                        let range = engine.split_plan(d, l1, l2);
+                        assert!(
+                            engine.plan_splits[range] == want[..],
+                            "plan differs for d={d} l1={l1} l2={l2}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,10 +11,16 @@
 //! warm-up call, re-running `chains_on_shape` on a memoized
 //! (unrealizable) subproblem must not allocate. It lives in its own
 //! integration-test binary so the `#[global_allocator]` cannot
-//! interfere with any other test, and so no parallel test thread can
-//! allocate concurrently with the measured window.
+//! interfere with any other test.
+//!
+//! A second test pins the cold path: a cold sweep probes the memo by
+//! the candidate's words and builds a `TruthTable` only on a miss, so a
+//! whole sweep allocates fewer times than it hits the memo. It counts
+//! on a per-thread tally, which keeps its allocations out of the
+//! global count the warmed test measures concurrently.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use stp_fence::shapes_with_gates;
@@ -22,16 +28,35 @@ use stp_synth::{FactorConfig, Factorizer};
 use stp_tt::TruthTable;
 
 /// `System`, plus a count of every allocation request (`alloc`,
-/// `alloc_zeroed`, and growth through `realloc`).
+/// `alloc_zeroed`, and growth through `realloc`): into the calling
+/// thread's private tally once it has called `cold::count_privately`, into
+/// [`ALLOCATIONS`] otherwise.
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
-// SAFETY: delegates every operation to `System` unchanged; the counter
-// is a relaxed atomic and allocates nothing itself.
+thread_local! {
+    /// This thread's private allocation tally, once enabled. A `const`
+    /// thread-local without a destructor, so reading it never allocates.
+    static PRIVATE: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+fn count_one() {
+    let private = PRIVATE
+        .try_with(|tally| tally.get().map(|count| tally.set(Some(count + 1))))
+        .ok()
+        .flatten();
+    if private.is_none() {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: delegates every operation to `System` unchanged; the counters
+// are a relaxed atomic and a const thread-local cell, and allocate
+// nothing themselves.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
@@ -40,12 +65,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -110,4 +135,50 @@ fn warmed_memo_probes_do_not_allocate() {
     let factorize =
         tree.find(&["memo_alloc.shape", "phase.factorize"]).expect("profiled spans recorded");
     assert_eq!(factorize.calls as usize, 102 * shapes.len());
+}
+
+// A `faultsim` build evaluates the `factor.deadline` failpoint at every
+// checkpoint, and each evaluation allocates its registry key.
+#[cfg(not(feature = "faultsim"))]
+mod cold {
+    use super::*;
+    use stp_fence::{pruned_fences, shapes_for_fence};
+
+    /// Moves the calling thread's allocations from [`ALLOCATIONS`] to a
+    /// private tally starting at zero.
+    fn count_privately() {
+        PRIVATE.with(|tally| tally.set(Some(0)));
+    }
+
+    /// The calling thread's private tally.
+    fn private_allocations() -> u64 {
+        PRIVATE.with(|tally| tally.get().expect("count_privately was called"))
+    }
+
+    #[test]
+    fn cold_sweep_allocates_less_than_it_hits_the_memo() {
+        // NPN4 class 0x07b6 needs 6 gates; its round walks every shape of
+        // the pruned 6-gate fences with one fresh engine, as the synthesis
+        // driver does. Most candidate operands are already memoized, and a
+        // hit costs no allocation, so the whole sweep — misses, arena
+        // growth and the chains it returns included — allocates fewer
+        // times than it hits.
+        count_privately();
+        let spec = TruthTable::from_hex(4, "07b6").unwrap();
+        let shapes: Vec<_> = pruned_fences(6).iter().flat_map(shapes_for_fence).collect();
+        let before = private_allocations();
+        let mut engine = Factorizer::new(FactorConfig::default());
+        let mut chains = 0;
+        for shape in &shapes {
+            chains += engine.chains_on_shape(&spec, shape).unwrap().len();
+        }
+        let allocations = private_allocations() - before;
+        assert!(chains > 0, "0x07b6 has 6-gate realizations");
+        let (hits, misses) = (engine.memo_hits(), engine.nodes_explored());
+        assert!(hits > 4 * misses, "the sweep must be hit-dominated: {hits} hits, {misses} misses");
+        assert!(
+            allocations < hits,
+            "cold sweep allocated {allocations} times for {hits} memo hits ({misses} misses)"
+        );
+    }
 }
