@@ -3,10 +3,12 @@
 //! AllSAT solver, alone and as the candidate check `verify_chain` — plus
 //! the three parts of an NPN store hit (`npn_kernels`): canonicalize,
 //! the store lookup, and the map-back of a warmed class's chains —
-//! plus one cold factorization round (`factor_kernels`).
+//! plus one cold factorization round (`factor_kernels`), without and with
+//! verification of its candidates.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
+use std::sync::atomic::AtomicBool;
 use std::time::Duration;
 use stp_bench::suites;
 use stp_chain::{Chain, ChainError, OutputRef};
@@ -156,6 +158,30 @@ fn bench_factor_kernels(c: &mut Criterion) {
                 let found: usize = shapes
                     .iter()
                     .map(|shape| engine.chains_on_shape(black_box(&spec), shape).unwrap().len())
+                    .sum();
+                found
+            })
+        });
+        // The same round with step (iv): every root verified over the
+        // realization forest, accepted chains built.
+        let never = AtomicBool::new(false);
+        group.bench_function(BenchmarkId::new("verified_chains_on_shape_cold", name), |b| {
+            b.iter(|| {
+                let mut engine = Factorizer::new(FactorConfig::default());
+                let found: usize = shapes
+                    .iter()
+                    .map(|shape| {
+                        engine
+                            .verified_chains_on_shape(
+                                black_box(&spec),
+                                shape,
+                                usize::MAX,
+                                None,
+                                &never,
+                            )
+                            .unwrap()
+                            .len()
+                    })
                     .sum();
                 found
             })

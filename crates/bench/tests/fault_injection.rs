@@ -10,14 +10,16 @@
 //! transcript must be the no-fault transcript minus exactly the faulted
 //! shape's contribution (so the prefix before the fault is
 //! byte-identical), and the damage must be identical at any worker
-//! count.
+//! count. The same holds for a panic on one candidate root inside a
+//! shape's verification loop.
 
 #![cfg(feature = "faultsim")]
 
 use std::time::Duration;
 
 use stp_bench::{run_suite_with_retry, Algorithm, RetryPolicy, Suite};
-use stp_synth::{synthesize, SynthesisConfig, SynthesisError};
+use stp_fence::{pruned_fences, shapes_for_fence};
+use stp_synth::{synthesize, FactorConfig, Factorizer, SynthesisConfig, SynthesisError};
 use stp_tt::TruthTable;
 
 /// Runs the paper's running example and renders each chain as one
@@ -26,6 +28,12 @@ fn run_chains(jobs: usize) -> Result<Vec<String>, SynthesisError> {
     let spec = TruthTable::from_hex(4, "8ff8").unwrap();
     let config = SynthesisConfig { jobs, ..SynthesisConfig::default() };
     synthesize(&spec, &config).map(|r| r.chains.iter().map(|c| c.to_string()).collect())
+}
+
+/// [`run_chains`] for any spec.
+fn run_spec(spec: &TruthTable, jobs: usize) -> Result<Vec<String>, SynthesisError> {
+    let config = SynthesisConfig { jobs, ..SynthesisConfig::default() };
+    synthesize(spec, &config).map(|r| r.chains.iter().map(|c| c.to_string()).collect())
 }
 
 /// True when `sub` is an (ordered, possibly non-contiguous) subsequence
@@ -95,6 +103,63 @@ fn panicking_shape_keeps_sibling_solutions_at_any_worker_count() {
     }
     // The sweep is only meaningful if some shape was expendable.
     assert!(runs_with_survivors > 0, "every shape index was load-bearing");
+}
+
+/// The candidate chains of each shape of the optimum gate-count round,
+/// in shape order (every candidate is accepted, so they concatenate to
+/// the no-fault transcript).
+fn optimum_round_chains(spec: &TruthTable, gates: usize) -> Vec<Vec<String>> {
+    let mut engine = Factorizer::new(FactorConfig::default());
+    pruned_fences(gates)
+        .iter()
+        .flat_map(shapes_for_fence)
+        .map(|shape| {
+            let chains = engine.chains_on_shape(spec, &shape).unwrap();
+            chains.iter().map(|c| c.to_string()).collect()
+        })
+        .collect()
+}
+
+#[test]
+fn panicking_root_loses_only_its_shape_at_any_worker_count() {
+    let _serial = stp_faultsim::test_guard();
+    stp_faultsim::clear_all();
+    let nproc = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
+    // Both specs solve at 3 gates on two shapes with roots: 0x1ee1 with
+    // 4 and 8, 0x6996 with 12 and 48. The `verify.root` hit index is the
+    // root's 1-based index within its shape, so a hit above the smaller
+    // shape's root count reaches exactly one root of the round, at any
+    // worker count. Sweep the first and last such hit.
+    for hex in ["1ee1", "6996"] {
+        let spec = TruthTable::from_hex(4, hex).unwrap();
+        let baseline = run_spec(&spec, 1).expect("no-fault baseline must solve");
+        let per_shape = optimum_round_chains(&spec, 3);
+        assert_eq!(per_shape.concat(), baseline, "{hex}: candidates differ from the transcript");
+        let mut counts: Vec<usize> = per_shape.iter().map(Vec::len).collect();
+        let victim = (0..counts.len()).max_by_key(|&i| counts[i]).unwrap();
+        counts.sort_unstable();
+        let [.., second, top] = counts[..] else { panic!("{hex}: one shape only") };
+        assert!(second < top, "{hex}: no root index is unique to one shape");
+        let expected: Vec<String> = per_shape
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| i != victim)
+            .flat_map(|(_, chains)| chains.iter().cloned())
+            .collect();
+        for k in [second + 1, top] {
+            let mut outcomes = Vec::new();
+            for jobs in [1, nproc] {
+                stp_faultsim::set("verify.root", &format!("{k}:panic")).unwrap();
+                outcomes.push(run_spec(&spec, jobs));
+                stp_faultsim::clear_all();
+            }
+            let [seq, par] = <[_; 2]>::try_from(outcomes).unwrap();
+            let seq = seq.unwrap_or_else(|e| panic!("{hex} k={k}: survivors must stand: {e}"));
+            assert_eq!(Ok(&seq), par.as_ref(), "{hex} k={k}: damage differs at jobs={nproc}");
+            assert_eq!(seq, expected, "{hex} k={k}: more than the faulted shape was lost");
+            assert!(is_subsequence(&seq, &baseline), "{hex} k={k}: not a subsequence");
+        }
+    }
 }
 
 #[test]

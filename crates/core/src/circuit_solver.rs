@@ -14,16 +14,32 @@
 //! its output true are exactly the ON-set of the specification.
 //!
 //! Internally a partial assignment is a packed [`Cube`] (two `u32`
-//! masks), so `MERGE` is one conflict test and two ORs; each query
-//! memoizes its `(signal, target)` subproblems, so every one is solved
-//! once however many structural-matrix columns ask for it; and the final
-//! simulation to `f_s` ORs each cube's literal mask straight into
-//! [`TruthTable`]-layout words.
+//! masks), so `MERGE` is one conflict test and two ORs.
+//!
+//! # Node view and root check
+//!
+//! Algorithm 2 runs over a [`NodeView`]: signal ids that are either
+//! primary inputs or gates with two fanin ids. A [`Chain`] is one view
+//! (signals below `n` are inputs); the factorization engine's
+//! realization arena is another (a leaf node is input `left`). A
+//! propagator memoizes every `(signal, target)` subproblem as a sorted,
+//! deduplicated cube list, so each is solved once however many
+//! structural-matrix columns — or, over the arena, however many
+//! candidate roots — ask for it.
+//!
+//! Verification ends in the **root check**: the root's columns are
+//! merged into a tail with no sort or dedup, the tail's literal masks
+//! are ORed straight into [`TruthTable`]-layout `f_s` words, and the
+//! tail is dropped. OR is idempotent, so the repeats a sort would have
+//! removed cannot change `f_s`. [`verify_chain`] and the engine's
+//! forest verifier share this check; [`solve_circuit`] keeps
+//! Algorithm 1's merge with the all-unassigned solution and its sorted
+//! output.
 
 use std::collections::BTreeSet;
 use std::ops::Range;
 
-use stp_chain::{Chain, OutputRef};
+use stp_chain::{Chain, Gate, OutputRef};
 use stp_tt::kernel::{self, VAR_MASK};
 use stp_tt::TruthTable;
 
@@ -157,83 +173,170 @@ fn cover_words(cubes: &[Cube], num_vars: usize, words: &mut [u64]) {
     }
 }
 
-/// One query's Algorithm 2 state: every solved `(signal, target)`
-/// subproblem keeps its sorted, deduplicated cube list in one arena for
-/// the rest of the query.
-struct Propagator<'c> {
-    chain: &'c Chain,
-    /// `memo[2 * signal + target]`: where that subproblem's list sits in
-    /// `cubes`, once solved.
-    memo: Vec<Option<Range<usize>>>,
+/// One signal of a 2-LUT network, as Algorithm 2 reads it: primary
+/// input `var`, or a gate over two other signals.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Signal {
+    Input(usize),
+    Gate(Gate),
+}
+
+/// A 2-LUT network seen as a DAG of numbered signals. A [`Chain`]
+/// numbers its inputs before its gates; the factorization engine's
+/// realization arena is another view, in which one shared subtree
+/// serves many candidate roots.
+pub(crate) trait NodeView {
+    /// The signal `id`.
+    fn signal(&self, id: usize) -> Signal;
+}
+
+impl NodeView for Chain {
+    fn signal(&self, id: usize) -> Signal {
+        let n = self.num_inputs();
+        id.checked_sub(n).map_or(Signal::Input(id), |g| Signal::Gate(self.gates()[g]))
+    }
+}
+
+/// Algorithm 2's state over one [`NodeView`]: every solved
+/// `(signal, target)` subproblem keeps its sorted, deduplicated cube
+/// list in one arena for as long as the propagator lives. A cube list
+/// depends only on the signal's fan-in cone, so a propagator may serve
+/// any number of roots of the same view.
+#[derive(Debug, Default)]
+pub(crate) struct Propagator {
+    /// `memo[2 * signal + target]`: that subproblem's `start..end` in
+    /// `cubes`, written once the list is complete.
+    memo: Vec<Option<(u32, u32)>>,
     cubes: Vec<Cube>,
-    /// Distinct subproblems solved (`solver.propagation_steps`).
+    /// The root check's `f_s` words.
+    f_s: Vec<u64>,
+    tallies: Tallies,
+}
+
+/// A propagator's counts since its last flush: queries and their
+/// verdicts, subproblems expanded, and merge attempts (conflicting ones
+/// included).
+#[derive(Debug, Default)]
+struct Tallies {
+    queries: u64,
+    accepted: u64,
+    rejected: u64,
     propagation_steps: u64,
-    /// Merge attempts over memoized lists, conflicting ones included
-    /// (`solver.merges`).
     merges: u64,
 }
 
-impl<'c> Propagator<'c> {
-    fn new(chain: &'c Chain) -> Self {
-        Propagator {
-            chain,
-            memo: vec![None; 2 * chain.num_signals()],
-            cubes: Vec::new(),
-            propagation_steps: 0,
-            merges: 0,
+impl Propagator {
+    /// Enumerates the assignments under which `signal` takes `target`,
+    /// as a sorted, deduplicated range of `cubes`.
+    fn solve<V: NodeView + ?Sized>(
+        &mut self,
+        view: &V,
+        signal: usize,
+        target: bool,
+    ) -> Range<usize> {
+        let slot = 2 * signal + usize::from(target);
+        if let Some(&Some((start, end))) = self.memo.get(slot) {
+            return start as usize..end as usize;
         }
+        let start = self.expand(view, signal, target);
+        sort_dedup_tail(&mut self.cubes, start);
+        if self.memo.len() <= slot {
+            self.memo.resize(slot + 1, None);
+        }
+        self.memo[slot] = Some((start as u32, self.cubes.len() as u32));
+        start..self.cubes.len()
     }
 
-    /// Enumerates the assignments under which `signal` takes `target`.
-    fn solve(&mut self, signal: usize, target: bool) -> Range<usize> {
-        let slot = 2 * signal + usize::from(target);
-        if let Some(span) = &self.memo[slot] {
-            return span.clone();
-        }
-        self.propagation_steps += 1;
-        let n = self.chain.num_inputs();
-        let start = if signal < n {
-            // Algorithm 2, lines 2–4: a PI consumes the target directly.
-            self.cubes.push(Cube::literal(signal, target));
-            self.cubes.len() - 1
-        } else {
-            // Algorithm 2, lines 5–9: the gate's structural matrix names
-            // the fanin pairs mapping to the target. Both fanins of every
-            // pair are solved first so this list lands after theirs.
-            let gate = self.chain.gates()[signal - n];
-            let mut columns: [(Range<usize>, Range<usize>); 4] = Default::default();
-            let mut used = 0;
-            for a in [false, true] {
-                for b in [false, true] {
-                    if gate.apply(a, b) != target {
-                        continue;
-                    }
-                    let left = self.solve(gate.fanin[0], a);
-                    if left.is_empty() {
-                        continue;
-                    }
-                    columns[used] = (left, self.solve(gate.fanin[1], b));
-                    used += 1;
-                }
+    /// Algorithm 2 for one subproblem: pushes the assignments under
+    /// which `signal` takes `target` onto `cubes`, unsorted and possibly
+    /// repeated, and returns where they start. Fanins go through the
+    /// memo.
+    fn expand<V: NodeView + ?Sized>(&mut self, view: &V, signal: usize, target: bool) -> usize {
+        self.tallies.propagation_steps += 1;
+        let gate = match view.signal(signal) {
+            Signal::Input(var) => {
+                // Algorithm 2, lines 2–4: a PI consumes the target directly.
+                self.cubes.push(Cube::literal(var, target));
+                return self.cubes.len() - 1;
             }
-            let start = self.cubes.len();
-            for (left, right) in &columns[..used] {
-                self.merges += (left.len() * right.len()) as u64;
-                for l in left.clone() {
-                    let l = self.cubes[l];
-                    for r in right.clone() {
-                        if let Some(m) = l.merge(self.cubes[r]) {
-                            self.cubes.push(m);
-                        }
-                    }
-                }
-            }
-            sort_dedup_tail(&mut self.cubes, start);
-            start
+            Signal::Gate(gate) => gate,
         };
-        let span = start..self.cubes.len();
-        self.memo[slot] = Some(span.clone());
-        span
+        // Algorithm 2, lines 5–9: the gate's structural matrix names the
+        // fanin pairs mapping to the target. Both fanins of every pair
+        // are solved first so this list lands after theirs.
+        let mut columns: [(Range<usize>, Range<usize>); 4] = Default::default();
+        let mut used = 0;
+        for a in [false, true] {
+            for b in [false, true] {
+                if gate.apply(a, b) != target {
+                    continue;
+                }
+                let left = self.solve(view, gate.fanin[0], a);
+                if left.is_empty() {
+                    continue;
+                }
+                columns[used] = (left, self.solve(view, gate.fanin[1], b));
+                used += 1;
+            }
+        }
+        let start = self.cubes.len();
+        for (left, right) in &columns[..used] {
+            self.tallies.merges += (left.len() * right.len()) as u64;
+            for l in left.clone() {
+                let l = self.cubes[l];
+                for r in right.clone() {
+                    if let Some(m) = l.merge(self.cubes[r]) {
+                        self.cubes.push(m);
+                    }
+                }
+            }
+        }
+        start
+    }
+
+    /// The root check, one query: expands `signal` under `target` into a
+    /// tail of `cubes` with no sort or dedup, ORs the tail into the `f_s`
+    /// words (OR is idempotent, so repeats cannot change `f_s`), drops
+    /// the tail, and accepts iff `f_s` equals `spec`. The root's own list
+    /// is never memoized; its fanins' lists are.
+    pub(crate) fn root_check<V: NodeView + ?Sized>(
+        &mut self,
+        view: &V,
+        signal: usize,
+        target: bool,
+        spec: &TruthTable,
+    ) -> bool {
+        let start = self.expand(view, signal, target);
+        self.f_s.clear();
+        self.f_s.resize(spec.words().len(), 0);
+        cover_words(&self.cubes[start..], spec.num_vars(), &mut self.f_s);
+        self.cubes.truncate(start);
+        let accepted = self.f_s == spec.words();
+        self.verdict(accepted)
+    }
+
+    /// Tallies one query and its verdict, and returns the verdict.
+    fn verdict(&mut self, accepted: bool) -> bool {
+        self.tallies.queries += 1;
+        *if accepted { &mut self.tallies.accepted } else { &mut self.tallies.rejected } += 1;
+        accepted
+    }
+
+    /// Adds the tallies to the global counters in one batch (the
+    /// recursion is far too hot for per-node updates), skipping zeros.
+    pub(crate) fn flush(&mut self) {
+        let t = std::mem::take(&mut self.tallies);
+        for (name, count) in [
+            ("solver.queries", t.queries),
+            ("solver.candidates_verified", t.accepted),
+            ("solver.candidates_rejected", t.rejected),
+            ("solver.propagation_steps", t.propagation_steps),
+            ("solver.merges", t.merges),
+        ] {
+            if count > 0 {
+                stp_telemetry::metrics_global().counter(name).add(count);
+            }
+        }
     }
 }
 
@@ -253,22 +356,20 @@ fn sort_dedup_tail(cubes: &mut Vec<Cube>, start: usize) {
 
 /// Algorithm 1 over cubes: `S` starts as the single all-unassigned
 /// solution and is merged with each output's solution set in turn.
-/// Flushes the query's tallies to the global counters in one batch (the
-/// recursion is far too hot for per-node atomic updates).
 fn solve_cubes(chain: &Chain, targets: &[bool]) -> Vec<Cube> {
     assert!(chain.num_inputs() <= MAX_INPUTS, "at most {MAX_INPUTS} inputs");
-    let mut prop = Propagator::new(chain);
+    let mut prop = Propagator::default();
     let mut solutions = vec![Cube::TOP];
     for (out, &target) in chain.outputs().iter().zip(targets) {
         let s_i = match *out {
             OutputRef::Signal { index, negated } => {
-                let span = prop.solve(index, target ^ negated);
+                let span = prop.solve(chain, index, target ^ negated);
                 &prop.cubes[span]
             }
             OutputRef::Constant(v) if v == target => &[Cube::TOP][..],
             OutputRef::Constant(_) => &[],
         };
-        prop.merges += (solutions.len() * s_i.len()) as u64;
+        prop.tallies.merges += (solutions.len() * s_i.len()) as u64;
         let mut merged: Vec<Cube> =
             solutions.iter().flat_map(|s| s_i.iter().filter_map(|t| s.merge(*t))).collect();
         merged.sort_unstable();
@@ -278,9 +379,8 @@ fn solve_cubes(chain: &Chain, targets: &[bool]) -> Vec<Cube> {
             break;
         }
     }
-    stp_telemetry::counter!("solver.queries").inc();
-    stp_telemetry::counter!("solver.propagation_steps").add(prop.propagation_steps);
-    stp_telemetry::counter!("solver.merges").add(prop.merges);
+    prop.tallies.queries += 1;
+    prop.flush();
     solutions
 }
 
@@ -323,8 +423,9 @@ pub fn solve_circuit(chain: &Chain, targets: &[bool]) -> CircuitSolutions {
 }
 
 /// Verifies a candidate chain against a specification (step iv of
-/// §III): solves the circuit for output `true`, simulates the solution
-/// set to `f_s` word by word, and accepts iff `f_s == f`.
+/// §III): runs the root check on the chain's output for target `true`
+/// — Algorithm 2 with the output's list covered straight into `f_s`
+/// words — and accepts iff `f_s == f`.
 ///
 /// A malformed candidate — wrong input count, not exactly one output,
 /// or failing [`Chain::validate`] — is rejected, not a panic.
@@ -337,16 +438,18 @@ pub fn verify_chain(chain: &Chain, spec: &TruthTable) -> Result<bool, SynthesisE
     let well_formed = chain.num_inputs() == spec.num_vars()
         && chain.outputs().len() == 1
         && chain.validate().is_ok();
-    let accepted = well_formed && {
-        let mut f_s = vec![0u64; spec.words().len()];
-        cover_words(&solve_cubes(chain, &[true]), spec.num_vars(), &mut f_s);
-        f_s == spec.words()
-    };
-    if accepted {
-        stp_telemetry::counter!("solver.candidates_verified").inc();
-    } else {
+    if !well_formed {
         stp_telemetry::counter!("solver.candidates_rejected").inc();
+        return Ok(false);
     }
+    let mut prop = Propagator::default();
+    let accepted = match chain.outputs()[0] {
+        OutputRef::Signal { index, negated } => prop.root_check(chain, index, !negated, spec),
+        OutputRef::Constant(v) => {
+            prop.verdict(TruthTable::constant(spec.num_vars(), v).is_ok_and(|c| c == *spec))
+        }
+    };
+    prop.flush();
     Ok(accepted)
 }
 

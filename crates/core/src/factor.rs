@@ -30,8 +30,9 @@
 //!
 //! # Engine layout
 //!
-//! [`Factorizer::chains_on_shape`] is the only place that sees a
-//! `TreeShape` or builds a `Chain`. Inside it (see `DESIGN.md`,
+//! [`Factorizer::chains_on_shape`] and
+//! [`Factorizer::verified_chains_on_shape`] are the only places that see
+//! a `TreeShape` or build a `Chain`. Inside them (see `DESIGN.md`,
 //! *Word-level factorization kernels*):
 //!
 //! * the shape is interned once, recursively, into a flat **shape
@@ -44,8 +45,9 @@
 //!   that fit the two subtrees, in base-3 counter order;
 //! * realizations live in an **index arena**: `nodes` holds
 //!   `(gate, left, right)` triples, `lists` holds node ids, and a memo
-//!   value is a range of `lists`. Chains are materialized from the
-//!   arena only when `chains_on_shape` returns.
+//!   value is a range of `lists`, and a shape's candidates are the
+//!   **roots** its top-level subproblem lists. Chains are materialized
+//!   from the arena only when a shape returns.
 //!
 //! # Word-level kernels
 //!
@@ -69,21 +71,44 @@
 //!   ([`Factorizer::factor_split_naive`], also the reference the fuzz
 //!   tests pin both kernels against).
 //!
-//! All three paths enumerate candidates in the same order and build
-//! their dedup keys with one function, so the produced chains, their
-//! order, and the counters are identical.
+//! All three paths enumerate candidates in the same order, so the
+//! produced chains, their order, and the counters are identical.
+//!
+//! # Uniqueness without dedup sets
+//!
+//! No node recurses on a `(g, h1, h2)` triple twice, and no shape
+//! yields a chain twice, with no set to enforce it:
+//!
+//! * every kernel admits a triple only under the canonical split, where
+//!   `supp(h1) = A ∪ S` and `supp(h2) = B ∪ S`; so a triple passes under
+//!   exactly one split, `S = supp(h1) ∩ supp(h2)`;
+//! * within one split and gate, two labelling choices differ at some
+//!   shared assignment, where one picks the complement of the other's
+//!   row (or column) labels, so `h1` (or `h2`) differs on that block;
+//! * a tree's post-order gate list identifies the tree, so distinct
+//!   triples over distinct realizations give distinct chains.
+//!
+//! # Forest verification
+//!
+//! [`Factorizer::verified_chains_on_shape`] runs the paper's step (iv)
+//! on the arena itself: the circuit solver's Algorithm 2 walks the
+//! realization DAG through a `NodeView`, with one `(node, target)` cube
+//! memo that lives as long as the arena, so a subtree shared by many
+//! candidates is propagated once. Each root gets the solver's root
+//! check against the spec, and only an accepted root becomes a `Chain`.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use stp_chain::{Chain, OutputRef};
+use stp_chain::{Chain, Gate, OutputRef};
 use stp_fence::TreeShape;
 use stp_tt::kernel::{self, W4};
 use stp_tt::TruthTable;
 
+use crate::circuit_solver::{NodeView, Propagator, Signal};
 use crate::error::SynthesisError;
 
 /// Specs up to this arity use the single-word fast path (all suite
@@ -219,8 +244,8 @@ fn mix(h: u64, w: u64) -> u64 {
 const MIX_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// [`mix`] folded over every word written, as a [`Hasher`] for the
-/// engine's own sets and maps. None of them is ever iterated, so the
-/// hash cannot reorder results.
+/// engine's own maps. None of them is ever iterated, so the hash cannot
+/// reorder results.
 struct MixHasher(u64);
 
 impl Default for MixHasher {
@@ -248,24 +273,6 @@ impl Hasher for MixHasher {
 }
 
 type MixState = BuildHasherDefault<MixHasher>;
-
-/// Dedup key for a candidate `(g, h1, h2)` triple within one
-/// factorization node: the same triple can surface under several
-/// splits, so keys are full operand tables — inline arrays on the ≤ 8
-/// variable path (no heap traffic in the combination loop), owned words
-/// beyond that.
-#[derive(Debug, PartialEq, Eq, Hash)]
-enum SeenKey {
-    Small(u8, [u64; 4], [u64; 4]),
-    Big(u8, Vec<u64>, Vec<u64>),
-}
-
-/// The per-node set of candidate triples already recursed on.
-type SeenSet = HashSet<SeenKey, MixState>;
-
-fn seen_key(g: u8, h1: &TruthTable, h2: &TruthTable) -> SeenKey {
-    wide_seen_key(g, h1.words(), h2.words(), h1.num_vars(), h1.words().len())
-}
 
 /// Initial slot-array capacity of a [`MemoTable`] (a power of two).
 const MEMO_INITIAL_SLOTS: usize = 64;
@@ -483,6 +490,12 @@ pub struct Factorizer {
     memo_entries: u64,
     probe_tick: u32,
     poll_tick: u32,
+    /// Algorithm 2's memo over the arena, by `2 · id + target`.
+    forest: Propagator,
+    /// Every candidate triple the kernels recursed on, in order (test
+    /// builds only: the fuzz tests compare kernels triple for triple).
+    #[cfg(test)]
+    triples: Vec<(u8, Vec<u64>, Vec<u64>)>,
 }
 
 impl Factorizer {
@@ -506,6 +519,9 @@ impl Factorizer {
             memo_entries: 0,
             probe_tick: 0,
             poll_tick: 0,
+            forest: Propagator::default(),
+            #[cfg(test)]
+            triples: Vec::new(),
         }
     }
 
@@ -528,11 +544,11 @@ impl Factorizer {
 
     /// Enumerates every chain realizing `spec` on the given tree shape
     /// (all leaf-to-PI bindings and all gate assignments), up to the
-    /// configured cap.
+    /// configured cap, without verifying them.
     ///
-    /// The returned chains use only operators that depend on both
-    /// fanins; callers are expected to verify them with the circuit
-    /// solver (the paper's step iv).
+    /// The returned chains are distinct and use only operators that
+    /// depend on both fanins; [`Factorizer::verified_chains_on_shape`]
+    /// keeps the ones the circuit solver accepts.
     ///
     /// # Errors
     ///
@@ -543,12 +559,57 @@ impl Factorizer {
         spec: &TruthTable,
         shape: &TreeShape,
     ) -> Result<Vec<Chain>, SynthesisError> {
+        let roots = self.roots(spec, shape)?;
+        let n = spec.num_vars();
+        Ok(self.lists[roots.range()].iter().map(|&id| tree_to_chain(&self.nodes, id, n)).collect())
+    }
+
+    /// One shape's steps (iii) and (iv): factorizes `spec` on `shape`
+    /// (span `phase.factorize`), then verifies the candidate roots in
+    /// order (span `phase.verify`; see *Forest verification* above) and
+    /// returns the accepted chains, at most `max_solutions` of them.
+    /// Roots deeper than `max_depth` are skipped unverified. Counts one
+    /// `synth.candidates` per root and one `solver.queries` per check.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SynthesisError::Timeout`] when the configured deadline
+    /// expires mid-factorization or `cancel` is set between roots.
+    pub fn verified_chains_on_shape(
+        &mut self,
+        spec: &TruthTable,
+        shape: &TreeShape,
+        max_solutions: usize,
+        max_depth: Option<usize>,
+        cancel: &AtomicBool,
+    ) -> Result<Vec<Chain>, SynthesisError> {
+        let roots = {
+            let _factor = stp_telemetry::span!("phase.factorize");
+            self.roots(spec, shape)?
+        };
+        stp_telemetry::counter!("synth.candidates").add(u64::from(roots.len));
+        // A realization mirrors its shape, so every root's depth is the
+        // shape's height.
+        if max_depth.is_some_and(|d| shape.height() > d) {
+            return Ok(Vec::new());
+        }
+        let _verify = stp_telemetry::span!("phase.verify");
+        self.verify_roots(spec, roots, max_solutions, cancel)
+    }
+
+    /// All realizations of `spec` on `shape`: the roots both public
+    /// enumerations walk. Flushes the factorization counters.
+    fn roots(
+        &mut self,
+        spec: &TruthTable,
+        shape: &TreeShape,
+    ) -> Result<Realizations, SynthesisError> {
         let sid = self.intern(shape);
         let support_len = spec.support_mask().count_ones() as usize;
         if support_len > self.shapes[sid as usize].leaves as usize || support_len < 2 {
             // Trivial specs (constants, literals) need no gates and are
             // handled by the synthesis driver, not by factorization.
-            return Ok(Vec::new());
+            return Ok(Realizations { start: 0, len: 0 });
         }
         let nodes_before = self.nodes_explored;
         let hits_before = self.memo_hits;
@@ -572,16 +633,40 @@ impl Factorizer {
         stp_telemetry::counter!("factor.memo_probe_ns").add(self.memo_probe_ns - probe_before);
         stp_telemetry::counter!("factor.memo_bytes").add(self.memo_bytes - bytes_before);
         stp_telemetry::counter!("factor.memo_entries").add(self.memo_entries - entries_before);
-        let trees = result?;
-        let mut chains = Vec::with_capacity(trees.len as usize);
-        let mut seen = HashSet::new();
-        for &id in &self.lists[trees.range()] {
-            let chain = tree_to_chain(&self.nodes, id, spec.num_vars());
-            if seen.insert(chain_key(&chain)) {
-                chains.push(chain);
+        result
+    }
+
+    /// The verification loop of [`Factorizer::verified_chains_on_shape`].
+    fn verify_roots(
+        &mut self,
+        spec: &TruthTable,
+        roots: Realizations,
+        max_solutions: usize,
+        cancel: &AtomicBool,
+    ) -> Result<Vec<Chain>, SynthesisError> {
+        let mut solutions = Vec::with_capacity((roots.len as usize).min(max_solutions));
+        let mut outcome = Ok(());
+        for i in roots.range() {
+            // Acquire pairs with the SeqCst cancellation store: seeing the
+            // flag also publishes its cause (`cap_reached`). The checkpoint
+            // runs between every root, so it must not be a fence.
+            if cancel.load(Ordering::Acquire) {
+                outcome = Err(SynthesisError::Timeout);
+                break;
+            }
+            if solutions.len() >= max_solutions {
+                break;
+            }
+            let id = self.lists[i];
+            // Deterministic crash injection: the hit index is the
+            // 1-based root index within the shape.
+            stp_faultsim::fail_point!("verify.root", hit = (i - roots.start as usize) as u64 + 1);
+            if self.forest.root_check(&self.nodes[..], id as usize, true, spec) {
+                solutions.push(tree_to_chain(&self.nodes, id, spec.num_vars()));
             }
         }
-        Ok(chains)
+        self.forest.flush();
+        outcome.map(|()| solutions)
     }
 
     fn check_deadline(&mut self) -> Result<(), SynthesisError> {
@@ -725,7 +810,6 @@ impl Factorizer {
         if d > l1 + l2 || d == 0 {
             return Ok(());
         }
-        let mut seen_triples = SeenSet::default();
         // Each support variable goes to A (left exclusive), B (right
         // exclusive), or S (shared); the plan lists the splits whose
         // operands fit the subtrees.
@@ -757,13 +841,12 @@ impl Factorizer {
             let fast = !force && n <= FAST_MAX_VARS && na + nb <= 6 && ns <= 6;
             let wide = !force && !fast && n <= WIDE_MAX_VARS && na + nb <= 8 && ns <= 8;
             let (a, b, s) = (&a_vars[..na], &b_vars[..nb], &s_vars[..ns]);
-            let seen = &mut seen_triples;
             if fast {
-                self.factor_split_fast(h, a, b, s, s1, s2, symmetric, seen, out_start)?;
+                self.factor_split_fast(h, a, b, s, s1, s2, symmetric, out_start)?;
             } else if wide {
-                self.factor_split_wide(h, a, b, s, s1, s2, symmetric, seen, out_start)?;
+                self.factor_split_wide(h, a, b, s, s1, s2, symmetric, out_start)?;
             } else {
-                self.factor_split_naive(h, a, b, s, s1, s2, symmetric, seen, out_start)?;
+                self.factor_split_naive(h, a, b, s, s1, s2, symmetric, out_start)?;
             }
             if self.scratch.len() - out_start >= self.config.max_realizations {
                 break;
@@ -796,7 +879,6 @@ impl Factorizer {
         s1: u32,
         s2: u32,
         symmetric: bool,
-        seen_triples: &mut SeenSet,
         out_start: usize,
     ) -> Result<(), SynthesisError> {
         let n = h.num_vars();
@@ -962,8 +1044,9 @@ impl Factorizer {
                     let mut f2 = [0u64; 4];
                     expand_with_plan_words(&cbuf2, k2, n, &plan2[..plan2_len], &mut f2);
                     // Mirror dedup for symmetric shapes.
-                    let ordered = !symmetric || f1 <= f2;
-                    if ordered && seen_triples.insert(wide_seen_key(g, &f1, &f2, n, nw)) {
+                    if !symmetric || f1 <= f2 {
+                        #[cfg(test)]
+                        self.triples.push((g, f1[..nw].to_vec(), f2[..nw].to_vec()));
                         let r1 = self.realize(n, &f1[..nw], s1)?;
                         if r1.len > 0 {
                             let r2 = self.realize(n, &f2[..nw], s2)?;
@@ -1013,7 +1096,6 @@ impl Factorizer {
         s1: u32,
         s2: u32,
         symmetric: bool,
-        seen_triples: &mut SeenSet,
         out_start: usize,
     ) -> Result<(), SynthesisError> {
         let n = h.num_vars();
@@ -1152,8 +1234,9 @@ impl Factorizer {
                     let mut f2 = [0u64; WIDE_WORDS];
                     expand_with_plan_words(&cbuf2, k2, n, &plan2[..plan2_len], &mut f2);
                     // Mirror dedup for symmetric shapes.
-                    let ordered = !symmetric || f1[..nw] <= f2[..nw];
-                    if ordered && seen_triples.insert(wide_seen_key(g, &f1, &f2, n, nw)) {
+                    if !symmetric || f1[..nw] <= f2[..nw] {
+                        #[cfg(test)]
+                        self.triples.push((g, f1[..nw].to_vec(), f2[..nw].to_vec()));
                         let r1 = self.realize(n, &f1[..nw], s1)?;
                         if r1.len > 0 {
                             let r2 = self.realize(n, &f2[..nw], s2)?;
@@ -1194,7 +1277,6 @@ impl Factorizer {
         s1: u32,
         s2: u32,
         symmetric: bool,
-        seen_triples: &mut SeenSet,
         out_start: usize,
     ) -> Result<(), SynthesisError> {
         let n = h.num_vars();
@@ -1291,7 +1373,9 @@ impl Factorizer {
                 let canonical = h1_sup == want1 && h2_sup == want2;
                 // Mirror dedup for symmetric shapes.
                 let ordered = !symmetric || h1.words() <= h2.words();
-                if canonical && ordered && seen_triples.insert(seen_key(g, &h1, &h2)) {
+                if canonical && ordered {
+                    #[cfg(test)]
+                    self.triples.push((g, h1.words().to_vec(), h2.words().to_vec()));
                     let r1 = self.realize(n, h1.words(), s1)?;
                     if r1.len > 0 {
                         let r2 = self.realize(n, h2.words(), s2)?;
@@ -1395,20 +1479,6 @@ fn expand_with_plan_words(compact: &[u64], k: usize, n: usize, plan: &[(u8, u8)]
     kernel::tile_words(&compact[..kernel::words_len(k)], k, n, &mut out[..nw]);
     for &(i, p) in plan.iter().rev() {
         kernel::swap_in_place(&mut out[..nw], n, i as usize, p as usize);
-    }
-}
-
-/// Dedup key for the operand tables `f1`/`f2` of an `n`-input candidate
-/// (each holds `nw` meaningful words); every path builds its keys here.
-fn wide_seen_key(g: u8, f1: &[u64], f2: &[u64], n: usize, nw: usize) -> SeenKey {
-    if n <= FAST_MAX_VARS {
-        let mut w1 = [0u64; 4];
-        w1[..nw].copy_from_slice(&f1[..nw]);
-        let mut w2 = [0u64; 4];
-        w2[..nw].copy_from_slice(&f2[..nw]);
-        SeenKey::Small(g, w1, w2)
-    } else {
-        SeenKey::Big(g, f1[..nw].to_vec(), f2[..nw].to_vec())
     }
 }
 
@@ -1736,6 +1806,19 @@ fn build_operand(
     .expect("operand arity equals the spec arity")
 }
 
+/// The realization arena as the circuit solver's DAG: a leaf node is
+/// primary input `left`, any other node a gate over two arena nodes.
+impl NodeView for [RealNode] {
+    fn signal(&self, id: usize) -> Signal {
+        let node = self[id];
+        if node.gate == LEAF_GATE {
+            Signal::Input(node.left as usize)
+        } else {
+            Signal::Gate(Gate { tt2: node.gate, fanin: [node.left as usize, node.right as usize] })
+        }
+    }
+}
+
 /// Converts the arena realization `id` into a chain over `n` inputs
 /// with a single positive output.
 fn tree_to_chain(nodes: &[RealNode], id: u32, n: usize) -> Chain {
@@ -1756,22 +1839,11 @@ fn tree_to_chain(nodes: &[RealNode], id: u32, n: usize) -> Chain {
     chain
 }
 
-/// Packed dedup key for [`Factorizer::chains_on_shape`]: one word per
-/// gate. Chains produced by [`tree_to_chain`] share the input count and
-/// output structure, so the gate list identifies the chain — no
-/// rendered-`String` key needed.
-fn chain_key(chain: &Chain) -> Vec<u64> {
-    chain
-        .gates()
-        .iter()
-        .map(|g| ((g.fanin[0] as u64) << 24) | ((g.fanin[1] as u64) << 8) | g.tt2 as u64)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stp_fence::shapes_with_gates;
+    use std::collections::HashSet;
+    use stp_fence::{pruned_fences, shapes_for_fence, shapes_with_gates};
 
     fn balanced3() -> TreeShape {
         let leaf = TreeShape::Leaf;
@@ -2025,15 +2097,49 @@ mod tests {
         engine.scratch.iter().map(|&id| render(&engine.nodes, id)).collect()
     }
 
+    /// Asserts that `engine`'s kernels recursed on no candidate triple
+    /// twice (the fuzz tests run one split of one node per engine).
+    fn assert_unique_triples(engine: &Factorizer, ctx: &str) {
+        let distinct: HashSet<_> = engine.triples.iter().collect();
+        assert_eq!(distinct.len(), engine.triples.len(), "a triple repeated: {ctx}");
+    }
+
+    /// Asserts that no memo entry lists two arena nodes with the same
+    /// gate over the same operand realizations. A node that emitted a
+    /// realizable `(g, h1, h2)` triple twice would list every such node
+    /// twice.
+    fn assert_forest_unique(engine: &Factorizer, ctx: &str) {
+        for table in &engine.memo {
+            let values = table.slots.iter().filter_map(|slot| slot.val);
+            for val in values.chain(table.spill.values().copied()) {
+                let mut seen = HashSet::new();
+                for &id in &engine.lists[val.range()] {
+                    let node = engine.nodes[id as usize];
+                    assert!(
+                        seen.insert((node.gate, node.left, node.right)),
+                        "a node emitted a triple twice: {ctx}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Asserts that `chains` holds no chain twice.
+    fn assert_distinct_chains(chains: &[String], ctx: &str) {
+        let distinct: HashSet<&String> = chains.iter().collect();
+        assert_eq!(distinct.len(), chains.len(), "a shape emitted a chain twice: {ctx}");
+    }
+
     #[test]
     fn fuzz_fast_split_matches_naive_reference() {
         // For random tables over 2–8 variables and random (A, B, S)
         // splits within the fast-path bounds, the word-level kernels
         // (chart extraction, two-pattern labelling, consistency check,
-        // operand scatter, canonicality, dedup keys) must be byte-equal
-        // to the scalar reference: same emitted candidates, same seen
-        // set, same counter increments. Leaf children keep the
-        // recursion trivial so the comparison isolates the kernels.
+        // operand scatter, canonicality) must be byte-equal to the
+        // scalar reference: same emitted candidates, same candidate
+        // triples in the same order (none of them twice), same counter
+        // increments. Leaf children keep the recursion trivial so the
+        // comparison isolates the kernels.
         let mut rng = Lcg(0xfac7_0123_5eed_0001);
         let mut tested = 0usize;
         let mut attempts = 0usize;
@@ -2072,36 +2178,12 @@ mod tests {
             let symmetric = rng.next() & 1 == 1;
             let mut fast = Factorizer::new(FactorConfig::default());
             let mut naive = Factorizer::new(FactorConfig::default());
-            let mut seen_f = SeenSet::default();
-            let mut seen_n = SeenSet::default();
-            fast.factor_split_fast(
-                &h,
-                &a,
-                &b,
-                &s,
-                LEAF_SHAPE,
-                LEAF_SHAPE,
-                symmetric,
-                &mut seen_f,
-                0,
-            )
-            .unwrap();
-            naive
-                .factor_split_naive(
-                    &h,
-                    &a,
-                    &b,
-                    &s,
-                    LEAF_SHAPE,
-                    LEAF_SHAPE,
-                    symmetric,
-                    &mut seen_n,
-                    0,
-                )
-                .unwrap();
+            fast.factor_split_fast(&h, &a, &b, &s, LEAF_SHAPE, LEAF_SHAPE, symmetric, 0).unwrap();
+            naive.factor_split_naive(&h, &a, &b, &s, LEAF_SHAPE, LEAF_SHAPE, symmetric, 0).unwrap();
             let ctx = format!("n={n} a={a:?} b={b:?} s={s:?} spec={}", h.to_hex());
             assert_eq!(scratch_trees(&fast), scratch_trees(&naive), "candidates differ: {ctx}");
-            assert_eq!(seen_f, seen_n, "seen triples differ: {ctx}");
+            assert_eq!(fast.triples, naive.triples, "candidate triples differ: {ctx}");
+            assert_unique_triples(&fast, &ctx);
             assert_eq!(fast.charts_built, naive.charts_built, "chart counts differ: {ctx}");
             assert_eq!(fast.nodes_explored, naive.nodes_explored, "node counts differ: {ctx}");
         }
@@ -2147,7 +2229,10 @@ mod tests {
                     .map(|c| format!("{c}"))
                     .collect();
                 assert_eq!(chains_f, chains_n, "spec={} shape={shape:?}", spec.to_hex());
+                assert_distinct_chains(&chains_f, &spec.to_hex());
             }
+            assert_forest_unique(&fast, &spec.to_hex());
+            assert_forest_unique(&naive, &spec.to_hex());
             assert_eq!(fast.nodes_explored(), naive.nodes_explored(), "spec={}", spec.to_hex());
             assert_eq!(fast.memo_hits(), naive.memo_hits(), "spec={}", spec.to_hex());
             assert_eq!(fast.charts_built, naive.charts_built, "spec={}", spec.to_hex());
@@ -2197,36 +2282,12 @@ mod tests {
             let symmetric = rng.next() & 1 == 1;
             let mut wide = Factorizer::new(FactorConfig::default());
             let mut naive = Factorizer::new(FactorConfig::default());
-            let mut seen_w = SeenSet::default();
-            let mut seen_n = SeenSet::default();
-            wide.factor_split_wide(
-                &h,
-                &a,
-                &b,
-                &s,
-                LEAF_SHAPE,
-                LEAF_SHAPE,
-                symmetric,
-                &mut seen_w,
-                0,
-            )
-            .unwrap();
-            naive
-                .factor_split_naive(
-                    &h,
-                    &a,
-                    &b,
-                    &s,
-                    LEAF_SHAPE,
-                    LEAF_SHAPE,
-                    symmetric,
-                    &mut seen_n,
-                    0,
-                )
-                .unwrap();
+            wide.factor_split_wide(&h, &a, &b, &s, LEAF_SHAPE, LEAF_SHAPE, symmetric, 0).unwrap();
+            naive.factor_split_naive(&h, &a, &b, &s, LEAF_SHAPE, LEAF_SHAPE, symmetric, 0).unwrap();
             let ctx = format!("n={n} a={a:?} b={b:?} s={s:?} spec={}", h.to_hex());
             assert_eq!(scratch_trees(&wide), scratch_trees(&naive), "candidates differ: {ctx}");
-            assert_eq!(seen_w, seen_n, "seen triples differ: {ctx}");
+            assert_eq!(wide.triples, naive.triples, "candidate triples differ: {ctx}");
+            assert_unique_triples(&wide, &ctx);
             assert_eq!(wide.charts_built, naive.charts_built, "chart counts differ: {ctx}");
             assert_eq!(wide.nodes_explored, naive.nodes_explored, "node counts differ: {ctx}");
         }
@@ -2285,6 +2346,9 @@ mod tests {
                 .map(|c| format!("{c}"))
                 .collect();
             assert_eq!(chains_w, chains_n, "spec arity {d}");
+            assert_distinct_chains(&chains_w, &format!("spec arity {d}"));
+            assert_forest_unique(&wide, &format!("spec arity {d}"));
+            assert_forest_unique(&naive, &format!("spec arity {d}"));
             assert_eq!(wide.nodes_explored(), naive.nodes_explored(), "spec arity {d}");
             assert_eq!(wide.memo_hits(), naive.memo_hits(), "spec arity {d}");
             assert_eq!(wide.charts_built, naive.charts_built, "spec arity {d}");
@@ -2460,6 +2524,176 @@ mod tests {
             // The sampled probe timing lands in the same scope (it may
             // legitimately be zero when no probe hit the sample tick).
             assert_eq!(got.get("factor.memo_probe_ns").copied().unwrap_or(0), engine.memo_probe_ns);
+        }
+    }
+
+    /// The specs of `tests/factor_transcripts.rs`: twelve NPN4 class
+    /// representatives of 4–6 gates, three FDSD8 functions and one
+    /// 9-input DSD function drawn with its seed.
+    fn factor_transcript_specs() -> Vec<TruthTable> {
+        use rand::SeedableRng;
+        let mut specs: Vec<TruthTable> = [
+            "0018", "033c", "035b", "1be4", "013c", "0182", "0669", "178e", "011b", "016a", "07b6",
+            "0693",
+        ]
+        .iter()
+        .map(|hex| TruthTable::from_hex(4, hex).unwrap())
+        .collect();
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(0x5eed);
+        for n in [8, 8, 8, 9] {
+            specs.push(stp_tt::random_fdsd_tree(n, &mut rng).to_truth_table(n).unwrap());
+        }
+        specs
+    }
+
+    /// The shapes of the optimum gate-count round, as the synthesis
+    /// driver walks them.
+    fn optimum_round(spec: &TruthTable) -> Vec<TreeShape> {
+        let config = crate::SynthesisConfig { jobs: 1, ..crate::SynthesisConfig::default() };
+        let gates = crate::synthesize(spec, &config).unwrap().gate_count;
+        pruned_fences(gates).iter().flat_map(shapes_for_fence).collect()
+    }
+
+    /// The forest verifier's verdict on arena node `id`.
+    fn forest_accepts(engine: &mut Factorizer, spec: &TruthTable, id: u32) -> bool {
+        engine.forest.root_check(&engine.nodes[..], id as usize, true, spec)
+    }
+
+    /// Every root of every shape in `shapes`, with its chain, after
+    /// asserting that the forest verifier and `verify_chain` accept it
+    /// alike under `max_depth`, that it realizes `spec`, and that no
+    /// shape emitted a chain twice.
+    fn differential_roots(
+        engine: &mut Factorizer,
+        spec: &TruthTable,
+        shapes: &[TreeShape],
+        max_depth: Option<usize>,
+    ) -> Vec<(u32, Chain)> {
+        let mut all = Vec::new();
+        let never = AtomicBool::new(false);
+        for shape in shapes {
+            let roots = engine.roots(spec, shape).unwrap();
+            let ids = engine.lists[roots.range()].to_vec();
+            let chains: Vec<Chain> =
+                ids.iter().map(|&id| tree_to_chain(&engine.nodes, id, spec.num_vars())).collect();
+            let ctx = format!("spec {} shape {shape:?}", spec.to_hex());
+            let rendered: Vec<String> = chains.iter().map(|c| c.to_string()).collect();
+            assert_distinct_chains(&rendered, &ctx);
+            for (&id, chain) in ids.iter().zip(&chains) {
+                assert_eq!(chain.simulate_outputs().unwrap()[0], *spec, "{ctx}");
+                let by_chain = crate::verify_chain(chain, spec).unwrap();
+                assert!(by_chain, "a real candidate was rejected: {ctx}");
+                assert_eq!(forest_accepts(engine, spec, id), by_chain, "{ctx}:\n{chain}");
+            }
+            let expected: Vec<String> = chains
+                .iter()
+                .filter(|c| max_depth.is_none_or(|d| c.depth() <= d))
+                .map(|c| c.to_string())
+                .collect();
+            let verified: Vec<String> = engine
+                .verified_chains_on_shape(spec, shape, usize::MAX, max_depth, &never)
+                .unwrap()
+                .iter()
+                .map(|c| c.to_string())
+                .collect();
+            assert_eq!(verified, expected, "{ctx}");
+            all.extend(ids.into_iter().zip(chains));
+        }
+        all
+    }
+
+    #[test]
+    fn transcript_specs_emit_each_candidate_once_and_verify_alike() {
+        // Every root of every shape in the optimum round: no node lists
+        // a triple twice, no shape a chain twice, and the forest
+        // verifier agrees with `verify_chain` root by root.
+        for spec in factor_transcript_specs() {
+            let mut engine = Factorizer::new(FactorConfig::default());
+            let roots = differential_roots(&mut engine, &spec, &optimum_round(&spec), None);
+            assert!(!roots.is_empty(), "spec {}", spec.to_hex());
+            assert_forest_unique(&engine, &spec.to_hex());
+        }
+    }
+
+    #[test]
+    fn depth_objective_specs_verify_alike_under_the_depth_cap() {
+        // The depth objective's optimum round walks every shape of its
+        // gate count up to its depth, and verification skips deeper
+        // roots: one level less skips every root before any query.
+        let mut specs: Vec<TruthTable> = stp_tt::npn_classes(3);
+        for (vars, hex) in [(4, "8ff8"), (4, "6996"), (3, "e8"), (4, "1ee1"), (4, "cafe")] {
+            specs.push(TruthTable::from_hex(vars, hex).unwrap());
+        }
+        let depth = crate::objective_from_spec("depth").unwrap();
+        let config = crate::SynthesisConfig { jobs: 1, ..crate::SynthesisConfig::default() };
+        let never = AtomicBool::new(false);
+        for spec in specs {
+            let result = crate::synthesize_with_objective(&spec, depth.as_ref(), &config).unwrap();
+            if result.gate_count == 0 {
+                continue;
+            }
+            let d = result.chains[0].depth();
+            let shapes: Vec<TreeShape> = shapes_with_gates(result.gate_count)
+                .into_iter()
+                .filter(|shape| shape.height() <= d)
+                .collect();
+            let mut engine = Factorizer::new(FactorConfig::default());
+            let roots = differential_roots(&mut engine, &spec, &shapes, Some(d));
+            assert!(!roots.is_empty(), "spec {}", spec.to_hex());
+            assert_forest_unique(&engine, &spec.to_hex());
+            let scope = stp_telemetry::CounterScope::enter();
+            for shape in &shapes {
+                let shallower =
+                    engine.verified_chains_on_shape(&spec, shape, usize::MAX, Some(d - 1), &never);
+                assert!(shallower.unwrap().is_empty(), "spec {}", spec.to_hex());
+            }
+            assert_eq!(scope.finish().get("solver.queries"), None, "spec {}", spec.to_hex());
+        }
+    }
+
+    #[test]
+    fn both_verifiers_reject_a_flipped_minterm_and_a_flipped_gate() {
+        // Real candidates are never rejected, so build rejections: the
+        // roots checked against a spec with one minterm flipped, and
+        // every root copied with its gate byte complemented. Both
+        // verifiers refuse all of them and the counters record it.
+        let never = AtomicBool::new(false);
+        for spec in factor_transcript_specs() {
+            let mut engine = Factorizer::new(FactorConfig::default());
+            let shapes = optimum_round(&spec);
+            let roots = differential_roots(&mut engine, &spec, &shapes, None);
+            let mut words = spec.words().to_vec();
+            words[0] ^= 1 << 5;
+            let flipped = TruthTable::from_words(spec.num_vars(), words).unwrap();
+            // Complemented copies: new arena nodes over the same operand
+            // realizations, so their fanins' cube lists are memo hits.
+            let start = engine.lists.len() as u32;
+            for &(id, _) in &roots {
+                let node = engine.nodes[id as usize];
+                engine.lists.push(engine.nodes.len() as u32);
+                engine.nodes.push(RealNode { gate: node.gate ^ 0xf, ..node });
+            }
+            let complemented = Realizations { start, len: roots.len() as u32 };
+            let scope = stp_telemetry::CounterScope::enter();
+            for shape in &shapes {
+                let real = engine.roots(&spec, shape).unwrap();
+                let kept = engine.verify_roots(&flipped, real, usize::MAX, &never).unwrap();
+                assert!(kept.is_empty(), "spec {}: flipped minterm accepted", spec.to_hex());
+            }
+            let kept = engine.verify_roots(&spec, complemented, usize::MAX, &never).unwrap();
+            assert!(kept.is_empty(), "spec {}: complemented gate accepted", spec.to_hex());
+            let counters = scope.finish();
+            let rejected = 2 * roots.len() as u64;
+            assert_eq!(counters.get("solver.candidates_rejected"), Some(&rejected));
+            assert_eq!(counters.get("solver.queries"), Some(&rejected));
+            assert_eq!(counters.get("solver.candidates_verified"), None);
+            for (i, (_, chain)) in roots.iter().enumerate() {
+                assert!(!crate::verify_chain(chain, &flipped).unwrap());
+                let id = engine.lists[complemented.range()][i];
+                let wrong = tree_to_chain(&engine.nodes, id, spec.num_vars());
+                assert!(!crate::verify_chain(&wrong, &spec).unwrap());
+                assert!(!forest_accepts(&mut engine, &spec, id));
+            }
         }
     }
 }

@@ -380,9 +380,9 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// [`SynthesisError::JobPanicked`], so sibling shapes survive.
 ///
 /// `AssertUnwindSafe` is sound for the engine reference: the factorizer
-/// only publishes memo entries for *completed* subproblems, so an
-/// unwind cannot leave a half-written entry that later queries would
-/// trust.
+/// publishes factorization and verification memo entries only for
+/// *completed* subproblems, so an unwind cannot leave a half-written
+/// entry that later queries would trust.
 fn run_shape_task(
     spec: &TruthTable,
     shape: &TreeShape,
@@ -396,7 +396,11 @@ fn run_shape_task(
         // Deterministic crash injection: the hit index is the 1-based
         // shape index within the round, identical at any worker count.
         stp_faultsim::fail_point!("parallel.shape", hit = idx as u64 + 1);
-        process_task(spec, shape, engine, max_solutions, max_depth, cancel)
+        let _shape = stp_telemetry::Span::enter(shape_label(shape));
+        // Factorize, then verify the candidate roots in order. The engine
+        // checks `cancel` between roots, so a deadline or a satisfied
+        // solution cap interrupts long verify streaks too.
+        engine.verified_chains_on_shape(spec, shape, max_solutions, max_depth, cancel)
     }));
     caught.unwrap_or_else(|payload| {
         stp_telemetry::counter!("parallel.jobs_panicked").inc();
@@ -406,9 +410,6 @@ fn run_shape_task(
     })
 }
 
-/// One shape task: factorize, then verify candidates in order. The
-/// worker checks the cancellation flag between candidates so a deadline
-/// or a satisfied solution cap interrupts long verify streaks too.
 /// Static per-height shape labels, so the per-shape profile span never
 /// formats (and never allocates) in the round's inner loop. Heights
 /// beyond the table share one overflow label; fence heights are bounded
@@ -434,42 +435,6 @@ const SHAPE_LABELS: [&str; 16] = [
 
 fn shape_label(shape: &TreeShape) -> &'static str {
     SHAPE_LABELS.get(shape.height()).copied().unwrap_or("shape.h16plus")
-}
-
-fn process_task(
-    spec: &TruthTable,
-    shape: &TreeShape,
-    engine: &mut Factorizer,
-    max_solutions: usize,
-    max_depth: Option<usize>,
-    cancel: &AtomicBool,
-) -> TaskResult {
-    let _shape = stp_telemetry::Span::enter(shape_label(shape));
-    let candidates = {
-        let _factor = stp_telemetry::span!("phase.factorize");
-        engine.chains_on_shape(spec, shape)?
-    };
-    stp_telemetry::counter!("synth.candidates").add(candidates.len() as u64);
-    let _verify = stp_telemetry::span!("phase.verify");
-    let mut solutions = Vec::new();
-    for chain in candidates {
-        // Acquire pairs with the SeqCst cancellation store: seeing the
-        // flag also publishes its cause (`cap_reached`). The checkpoint
-        // runs between every candidate, so it must not be a fence.
-        if cancel.load(Ordering::Acquire) {
-            return Err(SynthesisError::Timeout);
-        }
-        if solutions.len() >= max_solutions {
-            break;
-        }
-        if max_depth.is_some_and(|d| chain.depth() > d) {
-            continue;
-        }
-        if crate::circuit_solver::verify_chain(&chain, spec)? {
-            solutions.push(chain);
-        }
-    }
-    Ok(solutions)
 }
 
 /// The contiguous prefix of completed tasks and its solution tally.

@@ -11,9 +11,9 @@
 //! 3. encode the Boolean-chain candidates by STP factorization
 //!    ([`crate::Factorizer`]); when none exist, increase the constraint
 //!    and repeat;
-//! 4. check every candidate with the STP circuit AllSAT solver
-//!    ([`crate::verify_chain`]) and return **all** verified optimum
-//!    chains in one pass.
+//! 4. check every candidate with the STP circuit AllSAT solver, run over
+//!    the realization forest ([`crate::Factorizer::verified_chains_on_shape`]),
+//!    and return **all** verified optimum chains in one pass.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};

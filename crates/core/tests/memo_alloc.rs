@@ -15,9 +15,11 @@
 //!
 //! A second test pins the cold path: a cold sweep probes the memo by
 //! the candidate's words and builds a `TruthTable` only on a miss, so a
-//! whole sweep allocates fewer times than it hits the memo. It counts
-//! on a per-thread tally, which keeps its allocations out of the
-//! global count the warmed test measures concurrently.
+//! whole sweep allocates fewer times than it hits the memo. A third
+//! pins verification: on a warmed shape the root checks allocate
+//! nothing, so the only allocations left are the accepted chains'. Both
+//! count on a per-thread tally, which keeps their allocations out of
+//! the global count the warmed test measures concurrently.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -146,12 +148,12 @@ mod cold {
 
     /// Moves the calling thread's allocations from [`ALLOCATIONS`] to a
     /// private tally starting at zero.
-    fn count_privately() {
+    pub(super) fn count_privately() {
         PRIVATE.with(|tally| tally.set(Some(0)));
     }
 
     /// The calling thread's private tally.
-    fn private_allocations() -> u64 {
+    pub(super) fn private_allocations() -> u64 {
         PRIVATE.with(|tally| tally.get().expect("count_privately was called"))
     }
 
@@ -180,5 +182,53 @@ mod cold {
             allocations < hits,
             "cold sweep allocated {allocations} times for {hits} memo hits ({misses} misses)"
         );
+    }
+}
+
+// Same reason as `cold`: the `verify.root` failpoint allocates in a
+// `faultsim` build.
+#[cfg(not(feature = "faultsim"))]
+mod warm_verify {
+    use super::cold::{count_privately, private_allocations};
+    use super::*;
+    use std::sync::atomic::AtomicBool;
+    use stp_fence::{pruned_fences, shapes_for_fence};
+
+    #[test]
+    fn verifying_a_warmed_shape_allocates_only_its_accepted_chains() {
+        // After one pass over the 6-gate shapes of class 0x07b6, the
+        // factorization memo, the forest's cube memo and its buffers are
+        // warm. Verifying a shape's roots again then allocates what
+        // building its chains does (`chains_on_shape`: one result vector,
+        // plus each chain's own gate and output buffers) and at most a
+        // constant more.
+        count_privately();
+        let spec = TruthTable::from_hex(4, "07b6").unwrap();
+        let shapes: Vec<_> = pruned_fences(6).iter().flat_map(shapes_for_fence).collect();
+        let mut engine = Factorizer::new(FactorConfig::default());
+        let never = AtomicBool::new(false);
+        for _ in 0..2 {
+            for shape in &shapes {
+                engine.verified_chains_on_shape(&spec, shape, usize::MAX, None, &never).unwrap();
+            }
+        }
+        let mut accepted = 0;
+        for shape in &shapes {
+            let before = private_allocations();
+            let built = engine.chains_on_shape(&spec, shape).unwrap();
+            let building = private_allocations() - before;
+            let before = private_allocations();
+            let verified =
+                engine.verified_chains_on_shape(&spec, shape, usize::MAX, None, &never).unwrap();
+            let verifying = private_allocations() - before;
+            assert_eq!(verified, built, "every candidate is accepted");
+            accepted += verified.len();
+            assert!(
+                verifying <= building + 1,
+                "verifying {} roots allocated {verifying} times, building them {building}",
+                verified.len()
+            );
+        }
+        assert!(accepted > 0, "0x07b6 has 6-gate realizations");
     }
 }

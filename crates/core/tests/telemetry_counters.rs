@@ -6,6 +6,8 @@
 //! the bench harness and the committed `BENCH_factor.json` baseline
 //! rely on. It lives in its own integration binary because it reads the
 //! global registry and must not race other tests' counter traffic.
+//! A second test pins the candidate and verification counters of two
+//! whole synthesis runs per objective.
 
 use stp_fence::TreeShape;
 use stp_synth::{FactorConfig, Factorizer};
@@ -35,4 +37,52 @@ fn factor_counters_reach_the_global_registry() {
     assert!(*delta.counters.get("factor.memo_hits").unwrap_or(&0) > 0);
     assert_eq!(*delta.counters.get("factor.subproblems").unwrap_or(&0), 0);
     assert_eq!(*delta.counters.get("factor.charts_built").unwrap_or(&0), 0);
+}
+
+/// The candidate and verification counters of one `jobs = 1` synthesis
+/// run, read from a counter scope on this thread.
+fn verify_counters(spec: &TruthTable, objective: &str) -> [u64; 5] {
+    let objective = stp_synth::objective_from_spec(objective).unwrap();
+    let config = stp_synth::SynthesisConfig { jobs: 1, ..stp_synth::SynthesisConfig::default() };
+    let scope = stp_telemetry::CounterScope::enter();
+    stp_synth::synthesize_with_objective(spec, objective.as_ref(), &config).unwrap();
+    let counters = scope.finish();
+    let get = |name: &str| counters.get(name).copied().unwrap_or(0);
+    [
+        get("synth.candidates"),
+        get("solver.queries"),
+        get("solver.candidates_verified"),
+        get("synth.solutions"),
+        get("solver.propagation_steps"),
+    ]
+}
+
+/// `(spec, objective, [synth.candidates, solver.queries,
+/// solver.candidates_verified, synth.solutions], parent propagation
+/// steps)`, recorded before verification ran over the realization
+/// forest: one query per candidate, every candidate accepted.
+#[rustfmt::skip]
+const PINNED: [(usize, &str, &str, [u64; 4], u64); 4] = [
+    (8, "ffffffffffffffff0005000100050004ffffffffffffffff0000000400000001", "gates", [960, 960, 960, 960], 27_840),
+    (8, "ffffffffffffffff0005000100050004ffffffffffffffff0000000400000001", "depth", [768, 768, 768, 768], 23_808),
+    (4, "0693", "gates", [1120, 1120, 1120, 1120], 21_280),
+    (4, "0693", "depth", [480, 480, 480, 480], 9_120),
+];
+
+#[test]
+fn forest_verification_keeps_the_candidate_counters() {
+    // An FDSD8 function (7 gates) and a 6-gate NPN4 class under the
+    // gate-count and depth objectives: the candidate, query, accept and
+    // solution counts stay those of per-chain verification, while the
+    // shared subtrees are propagated once per engine instead of once
+    // per candidate.
+    for (n, hex, objective, pinned, parent_steps) in PINNED {
+        let spec = TruthTable::from_hex(n, hex).unwrap();
+        let [candidates, queries, verified, solutions, steps] = verify_counters(&spec, objective);
+        assert_eq!([candidates, queries, verified, solutions], pinned, "{n}:{hex} {objective}");
+        assert!(
+            steps < parent_steps,
+            "{n}:{hex} {objective}: {steps} propagation steps, {parent_steps} per chain"
+        );
+    }
 }
