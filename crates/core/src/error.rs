@@ -5,6 +5,7 @@ use std::fmt;
 
 use stp_chain::ChainError;
 use stp_matrix::MatrixError;
+use stp_store::MapBackError;
 use stp_tt::TruthTableError;
 
 /// Errors raised by the STP synthesis engine.
@@ -38,6 +39,9 @@ pub enum SynthesisError {
     Chain(ChainError),
     /// A logic-matrix operation failed.
     Matrix(MatrixError),
+    /// A stored NPN answer failed its check against the requested spec
+    /// and was refused (see `stp_store::NpnView::first`).
+    MapBack(MapBackError),
     /// A worker job panicked. The panic was caught at the job boundary
     /// (one tree shape, or one in-flight store solve), so sibling jobs
     /// and their solutions survive; this error surfaces only when the
@@ -64,6 +68,7 @@ impl fmt::Display for SynthesisError {
             SynthesisError::TruthTable(e) => write!(f, "truth table error: {e}"),
             SynthesisError::Chain(e) => write!(f, "chain error: {e}"),
             SynthesisError::Matrix(e) => write!(f, "matrix error: {e}"),
+            SynthesisError::MapBack(e) => write!(f, "refused a stored answer: {e}"),
             SynthesisError::JobPanicked { message } => {
                 write!(f, "synthesis job panicked: {message}")
             }
@@ -77,6 +82,7 @@ impl Error for SynthesisError {
             SynthesisError::TruthTable(e) => Some(e),
             SynthesisError::Chain(e) => Some(e),
             SynthesisError::Matrix(e) => Some(e),
+            SynthesisError::MapBack(e) => Some(e),
             _ => None,
         }
     }
@@ -91,6 +97,12 @@ impl From<TruthTableError> for SynthesisError {
 impl From<ChainError> for SynthesisError {
     fn from(e: ChainError) -> Self {
         SynthesisError::Chain(e)
+    }
+}
+
+impl From<MapBackError> for SynthesisError {
+    fn from(e: MapBackError) -> Self {
+        SynthesisError::MapBack(e)
     }
 }
 

@@ -49,8 +49,8 @@ pub use factor::{FactorConfig, Factorizer};
 pub use parallel::{jobs_from_env, jobs_from_env_checked, resolve_jobs, run_instances, JobBudget};
 pub use synth::{
     objective_from_spec, synthesize, synthesize_default, synthesize_multi,
-    synthesize_multi_npn_with_store, synthesize_npn, synthesize_npn_with_store,
-    synthesize_with_objective, warm_classes, warm_npn4, CostObjective, DepthThenGatesObjective,
-    GateCountObjective, GateProfileObjective, MultiSpec, MultiSynthesisResult, SynthesisConfig,
-    SynthesisResult, WarmReport,
+    synthesize_multi_npn_answer, synthesize_multi_npn_with_store, synthesize_npn,
+    synthesize_npn_answer, synthesize_npn_with_store, synthesize_with_objective, warm_classes,
+    warm_npn4, CostObjective, DepthThenGatesObjective, GateCountObjective, GateProfileObjective,
+    MultiSpec, MultiSynthesisResult, NpnAnswer, SynthesisConfig, SynthesisResult, WarmReport,
 };

@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 
 use stp_chain::{trivial_chain, Chain, CostModel};
 use stp_fence::{pruned_fences, shapes_for_fence, shapes_with_gates, TreeShape};
-use stp_store::{NpnOutcome, RepOutcome, Store};
+use stp_store::{NpnOutcome, NpnView, RepOutcome, Store};
 use stp_tt::TruthTable;
 
 use crate::error::SynthesisError;
@@ -733,50 +733,123 @@ pub fn synthesize_multi(
 }
 
 /// [`synthesize_multi`] through the multi-output NPN class
-/// representative tuple, against a shared [`Store`].
-///
-/// The spec vector is canonicalized with [`stp_tt::canonicalize_multi`]
-/// (shared input transform, output permutation, per-output phases), the
-/// representative tuple is looked up or synthesized once (gate-count
-/// objective — the cached objective of the store), and the stored
-/// shared chain is mapped back through
-/// [`Chain::permute_negate_outputs`]. Returns the shared chain with
-/// outputs in original spec order.
+/// representative tuple, against a shared [`Store`]: the checked first
+/// chain of [`synthesize_multi_npn_answer`]. Returns the shared chain
+/// with outputs in original spec order.
 ///
 /// # Errors
 ///
-/// Same conditions as [`synthesize`]; a stored exhaustion at a budget
-/// at least as large as ours surfaces as [`SynthesisError::Timeout`].
+/// Same conditions as [`synthesize_multi_npn_answer`], plus
+/// [`SynthesisError::MapBack`] when the stored chain fails its check.
 pub fn synthesize_multi_npn_with_store(
     multi: &MultiSpec,
     config: &SynthesisConfig,
     store: &Store,
 ) -> Result<Chain, SynthesisError> {
-    let chains = solve_through_store(config, |budget| {
+    synthesize_multi_npn_answer(multi, config, store)?.first()
+}
+
+/// The store-backed answer for a spec vector, unmapped.
+///
+/// The spec vector is canonicalized with [`stp_tt::canonicalize_multi`]
+/// (shared input transform, output permutation, per-output phases) and
+/// the representative tuple is looked up or synthesized once
+/// (gate-count objective — the cached objective of the store). The
+/// answer maps the stored shared chains back through
+/// [`Chain::permute_negate_outputs`] only when read.
+///
+/// # Errors
+///
+/// Same conditions as [`synthesize`]; a stored exhaustion at a budget
+/// at least as large as ours surfaces as [`SynthesisError::Timeout`].
+pub fn synthesize_multi_npn_answer(
+    multi: &MultiSpec,
+    config: &SynthesisConfig,
+    store: &Store,
+) -> Result<NpnAnswer, SynthesisError> {
+    solve_through_store(config, |budget| {
         store.solve_npn_multi(multi.specs(), budget, |reps| {
             let rep_multi = MultiSpec::new(reps.to_vec())?;
             rep_outcome(
                 synthesize_multi(&rep_multi, &GateCountObjective, config).map(|r| vec![r.chain]),
             )
         })
-    })?;
-    Ok(chains.into_iter().next().expect("store answers are non-empty"))
+    })
+}
+
+/// What a store-backed NPN solve answers with: a trivial spec's
+/// zero-gate chain, or the view over its class's stored chains, mapped
+/// back only as they are read.
+#[derive(Debug, Clone)]
+pub enum NpnAnswer {
+    /// A constant or (complemented) projection, built directly.
+    Trivial(Chain),
+    /// A solved class, seen from the requested spec(s).
+    Class(NpnView),
+}
+
+impl NpnAnswer {
+    /// How many optimum chains answer the spec: the class size, or 1
+    /// for a trivial spec. Maps nothing.
+    pub fn len(&self) -> usize {
+        match self {
+            NpnAnswer::Trivial(_) => 1,
+            NpnAnswer::Class(view) => view.len(),
+        }
+    }
+
+    /// Always `false`: every answer holds at least one chain.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The first chain, mapped back and checked against the spec in
+    /// release builds (see [`NpnView::first`]).
+    ///
+    /// # Errors
+    ///
+    /// [`SynthesisError::MapBack`] when the stored chain fails the check.
+    pub fn first(&self) -> Result<Chain, SynthesisError> {
+        match self {
+            NpnAnswer::Trivial(chain) => Ok(chain.clone()),
+            NpnAnswer::Class(view) => Ok(view.first()?),
+        }
+    }
+
+    /// Every chain, mapped back in stored order (see [`NpnView::iter`]).
+    ///
+    /// # Errors
+    ///
+    /// [`SynthesisError::Chain`] when a stored chain does not map.
+    pub fn into_chains(self) -> Result<Vec<Chain>, SynthesisError> {
+        match self {
+            NpnAnswer::Trivial(chain) => Ok(vec![chain]),
+            NpnAnswer::Class(view) => {
+                // Pre-sized: collecting through `Result` would start from
+                // an empty vector and regrow it for hundreds of chains.
+                let mut chains = Vec::with_capacity(view.len());
+                for chain in view.iter() {
+                    chains.push(chain?);
+                }
+                Ok(chains)
+            }
+        }
+    }
 }
 
 /// Runs one store-backed NPN solve, offering the time left before
-/// [`SynthesisConfig::deadline`] as its budget, and maps the outcome to
-/// the chains it answers with (a trivial spec answers with its
-/// zero-gate chain).
+/// [`SynthesisConfig::deadline`] as its budget, and turns the outcome
+/// into an answer or an error.
 fn solve_through_store(
     config: &SynthesisConfig,
     solve: impl FnOnce(Duration) -> Result<NpnOutcome, SynthesisError>,
-) -> Result<Vec<Chain>, SynthesisError> {
+) -> Result<NpnAnswer, SynthesisError> {
     let budget = config
         .deadline
         .map_or(Duration::MAX, |deadline| deadline.saturating_duration_since(Instant::now()));
     match solve(budget)? {
-        NpnOutcome::Trivial(chain) => Ok(vec![chain]),
-        NpnOutcome::Solved(chains) => Ok(chains),
+        NpnOutcome::Trivial(chain) => Ok(NpnAnswer::Trivial(chain)),
+        NpnOutcome::Solved(view) => Ok(NpnAnswer::Class(view)),
         NpnOutcome::Exhausted { .. } | NpnOutcome::WaitTimeout => Err(SynthesisError::Timeout),
         NpnOutcome::Poisoned { message } => Err(SynthesisError::JobPanicked { message }),
     }
@@ -815,9 +888,11 @@ pub fn synthesize_npn(
 }
 
 /// [`synthesize_npn`] against a shared [`Store`]: the canonicalize →
-/// lookup-or-synthesize → `permute_negate` map-back pipeline lives in
-/// [`Store::solve_npn`]; this wrapper only adapts the engine to the
-/// store's solver interface.
+/// lookup-or-synthesize pipeline lives in [`Store::solve_npn`]; this
+/// wrapper adapts the engine to the store's solver interface and maps
+/// every stored chain back through `permute_negate`, in stored order
+/// ([`NpnAnswer::into_chains`]). Callers that read one chain use
+/// [`synthesize_npn_answer`] instead.
 ///
 /// The store makes repeated traffic O(distinct NPN classes): the first
 /// call per class runs the full engine, every later call (from any
@@ -843,14 +918,7 @@ pub fn synthesize_npn_with_store(
     // Search statistics only exist when the engine actually ran; a
     // store hit (or another thread's in-flight solve) reports zeros.
     let mut stats: Option<(usize, usize, u64)> = None;
-    let chains = solve_through_store(config, |budget| {
-        store.solve_npn(spec, budget, |rep| {
-            rep_outcome(synthesize(rep, config).map(|result| {
-                stats = Some((result.shapes_explored, result.fences_explored, result.factor_nodes));
-                result.chains
-            }))
-        })
-    })?;
+    let chains = npn_answer(spec, config, store, &mut stats)?.into_chains()?;
     let (shapes_explored, fences_explored, factor_nodes) = stats.unwrap_or_default();
     Ok(SynthesisResult {
         gate_count: chains[0].num_gates(),
@@ -858,6 +926,41 @@ pub fn synthesize_npn_with_store(
         shapes_explored,
         fences_explored,
         factor_nodes,
+    })
+}
+
+/// The store-backed answer for `spec`, unmapped: what
+/// [`synthesize_npn_with_store`] answers from, for callers that read
+/// one chain ([`NpnAnswer::first`]) or only the class size
+/// ([`NpnAnswer::len`]).
+///
+/// # Errors
+///
+/// Same conditions as [`synthesize_npn_with_store`].
+pub fn synthesize_npn_answer(
+    spec: &TruthTable,
+    config: &SynthesisConfig,
+    store: &Store,
+) -> Result<NpnAnswer, SynthesisError> {
+    npn_answer(spec, config, store, &mut None)
+}
+
+/// [`synthesize_npn_answer`], recording the engine's search statistics
+/// in `stats` when the class had to be synthesized.
+fn npn_answer(
+    spec: &TruthTable,
+    config: &SynthesisConfig,
+    store: &Store,
+    stats: &mut Option<(usize, usize, u64)>,
+) -> Result<NpnAnswer, SynthesisError> {
+    solve_through_store(config, |budget| {
+        store.solve_npn(spec, budget, |rep| {
+            rep_outcome(synthesize(rep, config).map(|result| {
+                *stats =
+                    Some((result.shapes_explored, result.fences_explored, result.factor_nodes));
+                result.chains
+            }))
+        })
     })
 }
 
@@ -944,7 +1047,9 @@ pub fn warm_classes(
         let mut per_class = config.clone();
         per_class.jobs = shape_jobs;
         per_class.deadline = per_class_timeout.map(|t| Instant::now() + t);
-        let outcome = synthesize_npn_with_store(&reps[idx], &per_class, store);
+        // Only the outcome kind matters here: the answer is never read,
+        // so nothing is mapped back.
+        let outcome = synthesize_npn_answer(&reps[idx], &per_class, store);
         let counters = scope.finish();
         match outcome {
             // A fresh synthesis registers exactly one store miss on

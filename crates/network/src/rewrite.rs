@@ -69,9 +69,10 @@ const MAX_GROUP_OUTPUTS: usize = 3;
 /// across rewriting calls (and typically across networks and threads).
 ///
 /// Since the store refactor this is a thin, clonable handle over an
-/// [`stp_store::Store`]: the canonicalize → lookup-or-synthesize →
-/// map-back pipeline lives in [`Store::solve_npn`], shared with
-/// `stp_synth::synthesize_npn`. Wrap a warmed, disk-loaded store with
+/// [`stp_store::Store`]: the canonicalize → lookup-or-synthesize
+/// pipeline lives in [`Store::solve_npn`], shared with
+/// `stp_synth::synthesize_npn`, and a cut maps back only the one chain
+/// it splices ([`stp_store::NpnView::first`]). Wrap a warmed, disk-loaded store with
 /// [`SynthesisCache::with_store`] and rewriting answers every NPN4 cut
 /// without a single synthesis call.
 #[derive(Debug, Clone, Default)]
@@ -113,11 +114,14 @@ impl SynthesisCache {
     ///
     /// A synthesis failure (timeout or gate limit) under `budget` is
     /// recorded as exhausted at that budget and returns `Ok(None)`; a
-    /// later call offering a strictly larger budget retries.
+    /// later call offering a strictly larger budget retries. Only the
+    /// first stored chain is mapped back, and a stored chain that fails
+    /// its check against `spec` is refused the same way (`Ok(None)`,
+    /// counted in `store.mapback_rejects`), so the cut stays as it is.
     ///
     /// # Errors
     ///
-    /// Propagates chain-mapping and non-budget synthesis failures.
+    /// Propagates non-budget synthesis failures.
     pub fn optimum_chain(
         &self,
         spec: &TruthTable,
@@ -147,7 +151,7 @@ impl SynthesisCache {
         }
         match outcome {
             NpnOutcome::Trivial(chain) => Ok(Some(chain)),
-            NpnOutcome::Solved(mut chains) => Ok(Some(chains.swap_remove(0))),
+            NpnOutcome::Solved(view) => Ok(view.first().ok()),
             NpnOutcome::Exhausted { .. } | NpnOutcome::WaitTimeout => Ok(None),
             NpnOutcome::Poisoned { message } => {
                 Err(NetworkError::from(SynthesisError::JobPanicked { message }))
@@ -162,11 +166,12 @@ impl SynthesisCache {
     /// `specs` order and its internal gates are shared across outputs.
     ///
     /// A synthesis failure (timeout or gate limit) under `budget` is
-    /// recorded as exhausted at that budget and returns `Ok(None)`.
+    /// recorded as exhausted at that budget and returns `Ok(None)`, as
+    /// does a stored chain refused by its map-back check.
     ///
     /// # Errors
     ///
-    /// Propagates chain-mapping and non-budget synthesis failures.
+    /// Propagates chain-merging and non-budget synthesis failures.
     ///
     /// # Panics
     ///
@@ -200,7 +205,7 @@ impl SynthesisCache {
         }
         match outcome {
             NpnOutcome::Trivial(chain) => Ok(Some(chain)),
-            NpnOutcome::Solved(mut chains) => Ok(Some(chains.swap_remove(0))),
+            NpnOutcome::Solved(view) => Ok(view.first().ok()),
             NpnOutcome::Exhausted { .. } | NpnOutcome::WaitTimeout => Ok(None),
             NpnOutcome::Poisoned { message } => {
                 Err(NetworkError::from(SynthesisError::JobPanicked { message }))

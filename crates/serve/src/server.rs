@@ -53,8 +53,7 @@ use std::time::{Duration, Instant};
 use stp_network::{rewrite, Network, RewriteConfig, SynthesisCache};
 use stp_store::Store;
 use stp_synth::{
-    synthesize_multi_npn_with_store, synthesize_npn_with_store, MultiSpec, SynthesisConfig,
-    SynthesisError,
+    synthesize_multi_npn_answer, synthesize_npn_answer, MultiSpec, SynthesisConfig, SynthesisError,
 };
 use stp_telemetry::{CounterScope, Json, RunReport};
 use stp_tt::TruthTable;
@@ -559,23 +558,15 @@ fn run_synth(tables: &[TruthTable], shared: &Shared, deadline: Instant) -> WorkO
     let scope = CounterScope::enter();
     stp_faultsim::fail_point!("serve.request.pre_solve");
     let start = Instant::now();
-    let solved = if tables.len() == 1 {
-        synthesize_npn_with_store(&tables[0], &config, &shared.store).map(|result| {
-            let solutions = result.chains.len();
-            let chain = result
-                .chains
-                .into_iter()
-                .next()
-                .expect("a successful synthesis carries at least one chain");
-            (chain, solutions)
-        })
+    // The response carries the class size and one chain: map back (and
+    // check) only that chain.
+    let answer = if tables.len() == 1 {
+        synthesize_npn_answer(&tables[0], &config, &shared.store)
     } else {
-        match MultiSpec::new(tables.to_vec()) {
-            Ok(multi) => synthesize_multi_npn_with_store(&multi, &config, &shared.store)
-                .map(|chain| (chain, 1)),
-            Err(e) => Err(e),
-        }
+        MultiSpec::new(tables.to_vec())
+            .and_then(|multi| synthesize_multi_npn_answer(&multi, &config, &shared.store))
     };
+    let solved = answer.and_then(|answer| Ok((answer.first()?, answer.len())));
     let wall_s = start.elapsed().as_secs_f64();
     let counters = scope.finish();
     // A positive pending-wait count means this request parked on

@@ -8,7 +8,11 @@ mod common;
 use std::time::{Duration, Instant};
 
 use common::{counter, shutdown_and_wait, spawn_stpd, status, Conn, Scratch};
+use stp_chain::{Chain, OutputRef};
+use stp_store::Store;
+use stp_synth::{synthesize_npn_with_store, SynthesisConfig};
 use stp_telemetry::Json;
+use stp_tt::TruthTable;
 
 const WINDOW: Duration = Duration::from_secs(30);
 
@@ -298,4 +302,67 @@ fn loadgen_cli_rejects_usage_errors_with_exit_2() {
             String::from_utf8_lossy(&output.stderr)
         );
     }
+}
+
+/// Rebuilds a chain from its `Display` text (`x5 = 0x6(x3, x4)` gates,
+/// `f1 = !x7` outputs; signals 1-based).
+fn parse_chain_text(num_inputs: usize, text: &str) -> Chain {
+    let signal = |s: &str| s.trim().trim_start_matches('x').parse::<usize>().unwrap() - 1;
+    let mut chain = Chain::new(num_inputs);
+    for line in text.lines() {
+        let (_, rhs) = line.split_once(" = ").expect("`lhs = rhs` line");
+        if line.starts_with('f') {
+            let negated = rhs.starts_with('!');
+            chain.add_output(OutputRef::Signal {
+                index: signal(rhs.trim_start_matches('!')),
+                negated,
+            });
+        } else {
+            let (tt2, args) = rhs.trim_end_matches(')').split_once('(').unwrap();
+            let (a, b) = args.split_once(',').unwrap();
+            let tt2 = u8::from_str_radix(tt2.trim_start_matches("0x"), 16).unwrap();
+            chain.add_gate(signal(a), signal(b), tt2).unwrap();
+        }
+    }
+    chain
+}
+
+#[test]
+fn snapshot_entry_with_a_flipped_lut_bit_is_dropped_and_re_solved() {
+    let scratch = Scratch::new("flipped-lut");
+    let store = scratch.store();
+    let spec = TruthTable::from_hex(4, "8ff8").unwrap();
+    let warmed = Store::new();
+    let config = SynthesisConfig { jobs: 1, ..SynthesisConfig::default() };
+    let solutions = synthesize_npn_with_store(&spec, &config, &warmed).unwrap().chains.len();
+    // Flip the low bit of the first gate's LUT in the saved snapshot.
+    let mut flipped = false;
+    let text: String = warmed
+        .save_to_string()
+        .lines()
+        .map(|line| match line.strip_prefix("gate ").and_then(|g| g.rsplit_once(' ')) {
+            Some((fanins, tt2)) if !flipped => {
+                flipped = true;
+                let tt2 = u8::from_str_radix(tt2, 16).unwrap() ^ 1;
+                format!("gate {fanins} {tt2:x}\n")
+            }
+            _ => format!("{line}\n"),
+        })
+        .collect();
+    assert!(flipped);
+    std::fs::write(&store, text).unwrap();
+
+    let daemon = spawn_stpd(&["--store", store.to_str().unwrap()], None);
+    let mut conn = Conn::open(&daemon.addr);
+    let resp = conn.roundtrip("{\"op\":\"synth\",\"tables\":[\"8ff8\"]}", WINDOW);
+    assert_eq!(status(&resp), "ok", "{resp}");
+    assert_eq!(resp.get("gates").and_then(Json::as_u64), Some(3));
+    assert_eq!(resp.get("solutions").and_then(Json::as_u64), Some(solutions as u64));
+    let chain = parse_chain_text(4, resp.get("chain").and_then(Json::as_str).unwrap());
+    assert_eq!(chain.simulate_outputs().unwrap(), vec![spec], "the served chain realizes 8ff8");
+    let stats = conn.roundtrip("{\"op\":\"stats\"}", WINDOW);
+    assert_eq!(counter(&stats, "store.invalid_entries"), 1, "{stats}");
+    assert_eq!(counter(&stats, "store.misses"), 1, "the dropped class is re-solved");
+    assert_eq!(counter(&stats, "store.mapback_rejects"), 0);
+    shutdown_and_wait(daemon);
 }

@@ -123,7 +123,8 @@ impl Journal {
 /// records applied and whether the journal used the legacy v1 format.
 /// A torn final record (the frame runs past end-of-file) ends the
 /// replay with a warning; a structurally intact but unparsable record
-/// is corruption and errors out.
+/// is corruption and errors out. A parsable record whose chains do not
+/// realize its key is dropped (see [`Store::invalid_entries`]).
 pub(crate) fn replay(path: &Path, store: &Store) -> Result<(usize, bool), StoreFileError> {
     stp_faultsim::fail_point!(
         "store.load.pre_replay",
@@ -148,6 +149,7 @@ pub(crate) fn replay(path: &Path, store: &Store) -> Result<(usize, bool), StoreF
         return Err(StoreFileError::MissingHeader);
     };
     let snapshot_header = if legacy { "stp-store v1" } else { "stp-store v2" };
+    let origin = path.display().to_string();
     let mut applied = 0usize;
     let mut cursor = rest;
     while !cursor.is_empty() {
@@ -182,7 +184,9 @@ pub(crate) fn replay(path: &Path, store: &Store) -> Result<(usize, bool), StoreF
                 other => other,
             })?;
         for (key, entry) in parsed.snapshot() {
-            store.insert_class(key, entry);
+            if store.admit(&key, &entry, &origin) {
+                store.insert_class(key, entry);
+            }
         }
         if legacy {
             store.note_legacy_load(parsed.migrated_v1());

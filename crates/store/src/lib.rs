@@ -16,10 +16,12 @@
 //! * [`Store::lookup_or_solve`] — concurrent lookup with in-flight
 //!   deduplication: when N threads ask for the same unsolved class,
 //!   exactly one synthesizes while the rest wait on the slot;
-//! * [`Store::solve_npn`] — the shared *canonicalize → lookup-or-solve
-//!   → map-back* helper used by both `stp_synth::synthesize_npn` and
-//!   `stp_network::SynthesisCache`, with a trivial-function fast path
-//!   that never touches canonicalization or the store;
+//! * [`Store::solve_npn`] — the shared *canonicalize → lookup-or-solve*
+//!   helper used by `stp_synth::synthesize_npn`,
+//!   `stp_network::SynthesisCache` and `stpd`, with a trivial-function
+//!   fast path that never touches canonicalization or the store. A
+//!   solved class is answered with an [`NpnView`]: the store's shared
+//!   chains plus the NPN transform, mapped back only when read;
 //! * [`Store::solve_npn_multi`] — the multi-output analogue: entries
 //!   are keyed by [`ClassKey`] (a tuple of representatives over a
 //!   common support, as produced by `stp_tt::canonicalize_multi`), so
@@ -28,6 +30,25 @@
 //!   text serialization (see the module docs of `persist`): v2 files
 //!   carry multi-output classes, and legacy v1 snapshots and journals
 //!   are migrated in place by [`Store::open`].
+//!
+//! # Checks
+//!
+//! A wrong chain is refused and counted, never served:
+//!
+//! * [`NpnView::first`] simulates the one chain it maps against the
+//!   caller's spec in release builds; a mismatch is an error counted in
+//!   `store.mapback_rejects`, and the entry is dropped so the next
+//!   lookup re-solves the class. [`NpnView::iter`], which maps whole
+//!   solution sets, checks only under `debug_assert!`.
+//! * Entries that come from outside the process — [`Store::load`],
+//!   [`Store::open`] (snapshot and journal replay), [`Store::merge_entry`]
+//!   and with it [`Store::merge`] and [`Store::merge_files`] — are
+//!   simulated once against their [`ClassKey`]. A failing entry is
+//!   dropped with a warning and counted in `store.invalid_entries`;
+//!   its class is re-solved on demand.
+//! * [`Store::insert`] / [`Store::insert_class`] and [`Store::parse`]
+//!   stay unchecked: they are the in-process API that tests and benches
+//!   use to plant entries.
 //!
 //! The store is deliberately *below* the synthesis engine in the crate
 //! graph: it never synthesizes anything itself, callers pass a closure.
@@ -50,10 +71,13 @@
 //!     chain.add_output(OutputRef::signal(g));
 //!     Ok(RepOutcome::Solved(vec![chain]))
 //! };
-//! let NpnOutcome::Solved(chains) = store.solve_npn(&spec, Duration::MAX, solve)? else {
+//! let NpnOutcome::Solved(view) = store.solve_npn(&spec, Duration::MAX, solve)? else {
 //!     unreachable!("solver always succeeds");
 //! };
-//! assert_eq!(chains[0].simulate_outputs()?[0], spec);
+//! // One stored chain; `first` maps it back and checks it against `spec`.
+//! assert_eq!(view.len(), 1);
+//! let chain = view.first().expect("the stored chain realizes its class");
+//! assert_eq!(chain.simulate_outputs()?[0], spec);
 //! assert_eq!(store.misses(), 1);
 //! // The whole NPN orbit now answers from the store.
 //! assert!(matches!(
@@ -69,6 +93,7 @@
 
 mod journal;
 mod persist;
+mod view;
 
 use std::collections::hash_map::{DefaultHasher, Entry as MapEntry};
 use std::collections::HashMap;
@@ -81,6 +106,7 @@ use stp_chain::{merge_chains, trivial_chain, Chain, ChainError};
 use stp_tt::{canonicalize, canonicalize_multi, TruthTable};
 
 pub use persist::StoreFileError;
+pub use view::{Iter as NpnViewIter, MapBackError, NpnView};
 
 /// The key of one store entry: the NPN class representative(s) of a
 /// single- or multi-output specification over a common support.
@@ -221,9 +247,9 @@ pub enum NpnOutcome {
     /// zero-gate chain is built directly, with no canonicalization and
     /// no store round-trip.
     Trivial(Chain),
-    /// Chains realizing the *original* spec (NPN-mapped from the class
-    /// representative's solutions). Never empty.
-    Solved(Vec<Chain>),
+    /// The class's stored chains, seen through the NPN transform back
+    /// to the *original* spec: mapped only when read (see [`NpnView`]).
+    Solved(NpnView),
     /// The class is exhausted at the recorded budget.
     Exhausted {
         /// The largest budget known to be insufficient.
@@ -242,14 +268,18 @@ pub enum NpnOutcome {
 }
 
 /// A slot is being solved by exactly one thread, holds a ready entry,
-/// or was poisoned by a panicking solver. Waiters block on the condvar.
-/// Solved chains are held behind an `Arc` so every hit shares them.
+/// was poisoned by a panicking solver, or held an entry whose chain was
+/// refused at map-back. Waiters block on the condvar. Solved chains are
+/// held behind an `Arc` so every hit shares them.
 #[derive(Debug)]
 enum SlotState {
     Pending,
     Solved(Arc<[Chain]>),
     Exhausted(Duration),
     Poisoned(String),
+    /// [`NpnView::first`] refused this class's chain: the entry is out
+    /// of service, and the next lookup re-solves the class.
+    Refused,
 }
 
 impl SlotState {
@@ -259,7 +289,7 @@ impl SlotState {
         match self {
             SlotState::Solved(chains) => Some(Entry::Solved(chains.to_vec())),
             SlotState::Exhausted(budget) => Some(Entry::Exhausted { budget: *budget }),
-            SlotState::Pending | SlotState::Poisoned(_) => None,
+            SlotState::Pending | SlotState::Poisoned(_) | SlotState::Refused => None,
         }
     }
 }
@@ -296,6 +326,16 @@ impl Slot {
         *self.state.lock().expect("slot lock poisoned") = SlotState::Poisoned(message);
         self.cv.notify_all();
     }
+
+    /// Takes the solved entry `chains` out of service after one of its
+    /// chains was refused — unless the slot already holds another
+    /// entry (a concurrent re-solve or insert).
+    fn refuse(&self, chains: &Arc<[Chain]>) {
+        let mut state = self.state.lock().expect("slot lock poisoned");
+        if matches!(&*state, SlotState::Solved(held) if Arc::ptr_eq(held, chains)) {
+            *state = SlotState::Refused;
+        }
+    }
 }
 
 #[derive(Debug, Default)]
@@ -329,6 +369,9 @@ pub struct Store {
     /// Class records migrated from the legacy v1 on-disk format (see
     /// [`Store::parse`] / [`Store::open`]).
     migrated_v1: AtomicU64,
+    /// Loaded or merged entries dropped because their chains do not
+    /// realize their key (see [`Store::invalid_entries`]).
+    invalid_entries: AtomicU64,
     /// Whether any loaded snapshot or journal used the legacy v1
     /// format — set even when it carried zero classes, so
     /// [`Store::open`] knows to rewrite the files as v2.
@@ -399,6 +442,7 @@ impl Store {
             trivial_hits: AtomicU64::new(0),
             merged_classes: AtomicU64::new(0),
             migrated_v1: AtomicU64::new(0),
+            invalid_entries: AtomicU64::new(0),
             legacy_loaded: AtomicBool::new(false),
             journal: Mutex::new(None),
         }
@@ -444,6 +488,37 @@ impl Store {
     /// format (snapshot or journal). Zero for stores born v2.
     pub fn migrated_v1(&self) -> u64 {
         self.migrated_v1.load(Ordering::Relaxed)
+    }
+
+    /// Entries that [`Store::load`], [`Store::open`] or
+    /// [`Store::merge_entry`] dropped because a chain did not realize
+    /// the entry's key. Mirrored into the global `store.invalid_entries`
+    /// counter.
+    pub fn invalid_entries(&self) -> u64 {
+        self.invalid_entries.load(Ordering::Relaxed)
+    }
+
+    /// The check every entry from outside the process passes before it
+    /// is published: `true` when each chain of a solved entry realizes
+    /// `key` (exhausted entries carry no chain). A failing entry is
+    /// logged and counted against `origin`, and the caller drops it, so
+    /// its class is re-solved on demand.
+    pub(crate) fn admit(&self, key: &ClassKey, entry: &Entry, origin: &str) -> bool {
+        let valid = match entry {
+            Entry::Solved(chains) => {
+                chains.iter().all(|chain| chain.simulate_outputs().is_ok_and(|o| o == key.reps()))
+            }
+            Entry::Exhausted { .. } => true,
+        };
+        if !valid {
+            self.invalid_entries.fetch_add(1, Ordering::Relaxed);
+            stp_telemetry::counter!("store.invalid_entries").inc();
+            stp_telemetry::warn!(
+                "store: dropped class {} from {origin}: a stored chain does not realize it",
+                key.label()
+            );
+        }
+        valid
     }
 
     /// Records that `count` class records were read from legacy v1
@@ -530,9 +605,16 @@ impl Store {
     /// rules (see [`Store::merge`]). Tallied in
     /// [`Store::merged_classes`] and the global `store.merged_classes`
     /// counter whether the record wins or loses.
+    ///
+    /// The record's chains are first simulated against `key`; a record
+    /// that fails is dropped (see [`Store::invalid_entries`]), so a
+    /// corrupt shard claiming a cheaper, wrong chain never wins.
     pub fn merge_entry(&self, key: ClassKey, entry: Entry) {
         self.merged_classes.fetch_add(1, Ordering::Relaxed);
         stp_telemetry::counter!("store.merged_classes").inc();
+        if !self.admit(&key, &entry, "a merge") {
+            return;
+        }
         let replace = match self.get_class(&key) {
             None => true,
             Some(current) => merge_wins(&key, &entry, &current),
@@ -562,7 +644,8 @@ impl Store {
     }
 
     /// Loads `paths` as shard snapshots and folds them into one fresh
-    /// in-memory store (see [`Store::merge`]).
+    /// in-memory store (see [`Store::merge`]). Every entry is checked
+    /// once, by [`Store::merge_entry`].
     ///
     /// # Errors
     ///
@@ -577,21 +660,22 @@ impl Store {
             // name the shard file: with N shards on the command line,
             // "corrupt at line 7" alone does not say *which* file to
             // re-warm.
-            let shard = Store::load(path).map_err(|e| match e {
-                e @ StoreFileError::Io { .. } => e,
-                StoreFileError::Corrupt { line, message } => StoreFileError::Corrupt {
-                    line,
-                    message: format!("{}: {message}", path.display()),
-                },
-                StoreFileError::MissingHeader => StoreFileError::Corrupt {
-                    line: 1,
-                    message: format!("{}: missing store header", path.display()),
-                },
-                StoreFileError::VersionMismatch { found } => StoreFileError::Corrupt {
-                    line: 1,
-                    message: format!("{}: unsupported store version {found}", path.display()),
-                },
-            })?;
+            let shard =
+                persist::read(path).and_then(|text| Store::parse(&text)).map_err(|e| match e {
+                    e @ StoreFileError::Io { .. } => e,
+                    StoreFileError::Corrupt { line, message } => StoreFileError::Corrupt {
+                        line,
+                        message: format!("{}: {message}", path.display()),
+                    },
+                    StoreFileError::MissingHeader => StoreFileError::Corrupt {
+                        line: 1,
+                        message: format!("{}: missing store header", path.display()),
+                    },
+                    StoreFileError::VersionMismatch { found } => StoreFileError::Corrupt {
+                        line: 1,
+                        message: format!("{}: unsupported store version {found}", path.display()),
+                    },
+                })?;
             merged.merge(&shard);
         }
         Ok(merged)
@@ -649,6 +733,17 @@ impl Store {
         budget: Duration,
         solve: impl FnOnce(&ClassKey) -> Result<RepOutcome, E>,
     ) -> Result<Resolution, E> {
+        self.resolve(key, budget, solve).map(|(resolution, _)| resolution)
+    }
+
+    /// [`Store::lookup_or_solve_class`], also returning the class's
+    /// slot, through which an [`NpnView`] refuses a wrong entry.
+    fn resolve<E>(
+        &self,
+        key: &ClassKey,
+        budget: Duration,
+        solve: impl FnOnce(&ClassKey) -> Result<RepOutcome, E>,
+    ) -> Result<(Resolution, Arc<Slot>), E> {
         let (slot, created) = {
             let mut map = self.shard(key).map.lock().expect("shard lock poisoned");
             match map.entry(key.clone()) {
@@ -661,7 +756,7 @@ impl Store {
             }
         };
         if created {
-            return self.run_solver(key, &slot, budget, None, solve);
+            return self.run_solver(key, &slot, budget, None, solve).map(|r| (r, slot));
         }
         // A waiter's patience is its own `budget`: effectively-infinite
         // budgets (`Duration::MAX` callers, or anything that overflows
@@ -688,7 +783,7 @@ impl Store {
                             if now >= deadline {
                                 drop(state);
                                 stp_telemetry::counter!("store.wait_timeouts").inc();
-                                return Ok(Resolution::WaitTimeout);
+                                return Ok((Resolution::WaitTimeout, slot));
                             }
                             state = slot
                                 .cv
@@ -703,7 +798,7 @@ impl Store {
                     drop(state);
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     stp_telemetry::counter!("store.hits").inc();
-                    return Ok(Resolution::Solved(chains));
+                    return Ok((Resolution::Solved(chains), slot));
                 }
                 SlotState::Poisoned(message) => {
                     // The solve this caller was waiting on died. The
@@ -713,7 +808,7 @@ impl Store {
                     let message = message.clone();
                     drop(state);
                     stp_telemetry::counter!("store.poisoned_waits").inc();
-                    return Ok(Resolution::Poisoned { message });
+                    return Ok((Resolution::Poisoned { message }, slot));
                 }
                 SlotState::Exhausted(failed) => {
                     let failed = *failed;
@@ -723,12 +818,21 @@ impl Store {
                         // retry, restoring the old record on failure.
                         *state = SlotState::Pending;
                         drop(state);
-                        return self.run_solver(key, &slot, budget, Some(failed), solve);
+                        return self
+                            .run_solver(key, &slot, budget, Some(failed), solve)
+                            .map(|r| (r, slot));
                     }
                     drop(state);
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     stp_telemetry::counter!("store.hits").inc();
-                    return Ok(Resolution::Exhausted { budget: failed });
+                    return Ok((Resolution::Exhausted { budget: failed }, slot));
+                }
+                SlotState::Refused => {
+                    // The entry failed its map-back check: solve the
+                    // class afresh, as on first sight.
+                    *state = SlotState::Pending;
+                    drop(state);
+                    return self.run_solver(key, &slot, budget, None, solve).map(|r| (r, slot));
                 }
             }
         }
@@ -805,24 +909,26 @@ impl Store {
         }
     }
 
-    /// The shared *canonicalize → lookup-or-solve → map-back* helper:
-    /// every NPN-cached entry path (`stp_synth::synthesize_npn`,
-    /// `stp_network::SynthesisCache`) routes through this one function.
+    /// The shared *canonicalize → lookup-or-solve* helper: every
+    /// NPN-cached entry path (`stp_synth::synthesize_npn`,
+    /// `stp_network::SynthesisCache`, `stpd`) routes through this one
+    /// function.
     ///
     /// Constants and (complemented) projections short-circuit to
     /// [`NpnOutcome::Trivial`] before canonicalization. Otherwise the
-    /// spec is canonicalized, the representative resolved through
-    /// [`Store::lookup_or_solve`], and every solution chain is mapped
-    /// back through the NPN transform (inputs rewired, negations
-    /// absorbed into gate LUTs, output phase fixed) — so the store only
-    /// ever holds one entry per class while callers see chains for
-    /// their own function.
+    /// spec is canonicalized and the representative resolved through
+    /// [`Store::lookup_or_solve`]. A solved class answers with an
+    /// [`NpnView`] over the shared chains and the NPN transform; nothing
+    /// is mapped here. The caller maps what it reads: one checked chain
+    /// through [`NpnView::first`], or every chain through
+    /// [`NpnView::iter`] (inputs rewired, negations absorbed into gate
+    /// LUTs, output phase fixed). So the store only ever holds one entry
+    /// per class while callers see chains for their own function.
     ///
     /// # Errors
     ///
-    /// Propagates solver errors and chain-mapping failures (the latter
-    /// via `E: From<ChainError>`).
-    pub fn solve_npn<E: From<ChainError>>(
+    /// Propagates solver errors.
+    pub fn solve_npn<E>(
         &self,
         spec: &TruthTable,
         budget: Duration,
@@ -838,38 +944,20 @@ impl Store {
             let _npn = stp_telemetry::span!("phase.npn_canonicalize");
             canonicalize(spec)
         };
-        match self.lookup_or_solve(&canon.representative, budget, solve)? {
-            Resolution::Solved(rep_chains) => {
-                let _map = stp_telemetry::span!("phase.map_back");
-                let t = &canon.transform;
-                let mut chains = Vec::with_capacity(rep_chains.len());
-                for chain in rep_chains.iter() {
-                    chains.push(
-                        chain
-                            .permute_negate(&t.perm, t.input_negations, t.output_negated)
-                            .map_err(E::from)?,
-                    );
-                }
-                debug_assert!(
-                    chains
-                        .iter()
-                        .all(|c| c.simulate_outputs().map(|o| o[0] == *spec).unwrap_or(false)),
-                    "NPN-mapped chains must realize the original spec"
-                );
-                Ok(NpnOutcome::Solved(chains))
-            }
-            Resolution::Exhausted { budget } => Ok(NpnOutcome::Exhausted { budget }),
-            Resolution::Poisoned { message } => Ok(NpnOutcome::Poisoned { message }),
-            Resolution::WaitTimeout => Ok(NpnOutcome::WaitTimeout),
-        }
+        let key = ClassKey::single(canon.representative);
+        let (resolution, slot) = self.resolve(&key, budget, |k| solve(&k.reps()[0]))?;
+        Ok(NpnOutcome::resolved(resolution, |chains| {
+            NpnView::single(chains, slot, canon.transform, spec.clone())
+        }))
     }
 
     /// The multi-output analogue of [`Store::solve_npn`]: canonicalize
     /// the output vector with [`stp_tt::canonicalize_multi`], resolve
     /// the representative tuple through
-    /// [`Store::lookup_or_solve_class`], and map every solution chain
-    /// back (inputs rewired, outputs reordered and re-phased) so the
-    /// caller sees chains whose output `i` realizes `specs[i]`.
+    /// [`Store::lookup_or_solve_class`], and answer with an [`NpnView`]
+    /// whose mapped chains (inputs rewired, outputs reordered and
+    /// re-phased) have output `i` realizing `specs[i]`. As there, nothing
+    /// is mapped until the caller reads the view.
     ///
     /// Single-element slices take the exact [`Store::solve_npn`] path —
     /// including its keyspace, so single-output entries are shared
@@ -885,8 +973,8 @@ impl Store {
     ///
     /// # Errors
     ///
-    /// Propagates solver errors and chain-mapping failures (the latter
-    /// via `E: From<ChainError>`).
+    /// Propagates solver errors, and chain-merging failures of the
+    /// all-trivial fast path (via `E: From<ChainError>`).
     pub fn solve_npn_multi<E: From<ChainError>>(
         &self,
         specs: &[TruthTable],
@@ -911,36 +999,22 @@ impl Store {
             canonicalize_multi(specs)
         };
         let key = ClassKey::multi(canon.representatives.clone());
-        match self.lookup_or_solve_class(&key, budget, |k| solve(k.reps()))? {
-            Resolution::Solved(rep_chains) => {
-                let _map = stp_telemetry::span!("phase.map_back");
-                let t = &canon.transform;
-                let mut chains = Vec::with_capacity(rep_chains.len());
-                for chain in rep_chains.iter() {
-                    chains.push(
-                        chain
-                            .permute_negate_outputs(
-                                &t.perm,
-                                t.input_negations,
-                                &t.output_perm,
-                                &t.output_negations,
-                            )
-                            .map_err(E::from)?,
-                    );
-                }
-                debug_assert!(
-                    chains.iter().all(|c| {
-                        c.simulate_outputs()
-                            .map(|o| o.len() == specs.len() && o == specs)
-                            .unwrap_or(false)
-                    }),
-                    "NPN-mapped multi-output chains must realize the original specs in order"
-                );
-                Ok(NpnOutcome::Solved(chains))
-            }
-            Resolution::Exhausted { budget } => Ok(NpnOutcome::Exhausted { budget }),
-            Resolution::Poisoned { message } => Ok(NpnOutcome::Poisoned { message }),
-            Resolution::WaitTimeout => Ok(NpnOutcome::WaitTimeout),
+        let (resolution, slot) = self.resolve(&key, budget, |k| solve(k.reps()))?;
+        Ok(NpnOutcome::resolved(resolution, |chains| {
+            NpnView::multi(chains, slot, canon.transform, specs.to_vec())
+        }))
+    }
+}
+
+impl NpnOutcome {
+    /// Lifts a representative's [`Resolution`] to the caller's answer,
+    /// wrapping solved chains in the view `view` builds.
+    fn resolved(resolution: Resolution, view: impl FnOnce(Arc<[Chain]>) -> NpnView) -> Self {
+        match resolution {
+            Resolution::Solved(chains) => NpnOutcome::Solved(view(chains)),
+            Resolution::Exhausted { budget } => NpnOutcome::Exhausted { budget },
+            Resolution::Poisoned { message } => NpnOutcome::Poisoned { message },
+            Resolution::WaitTimeout => NpnOutcome::WaitTimeout,
         }
     }
 }
@@ -1092,10 +1166,10 @@ mod tests {
                     Ok::<_, ChainError>(RepOutcome::Solved(vec![chain]))
                 })
                 .unwrap();
-            let NpnOutcome::Solved(chains) = outcome else {
+            let NpnOutcome::Solved(view) = outcome else {
                 panic!("expected solutions");
             };
-            assert_eq!(chains[0].simulate_outputs().unwrap()[0], *spec);
+            assert_eq!(view.first().unwrap().simulate_outputs().unwrap()[0], *spec);
         }
         assert_eq!(calls.load(Ordering::SeqCst), 1, "one synthesis per NPN class");
         assert_eq!(store.len(), 1);
@@ -1126,10 +1200,10 @@ mod tests {
                                 Ok::<_, ChainError>(RepOutcome::Solved(vec![chain]))
                             })
                             .unwrap();
-                        let NpnOutcome::Solved(chains) = outcome else {
+                        let NpnOutcome::Solved(view) = outcome else {
                             panic!("expected solutions");
                         };
-                        assert_eq!(chains[0].simulate_outputs().unwrap()[0], *spec);
+                        assert_eq!(view.first().unwrap().simulate_outputs().unwrap()[0], *spec);
                     }
                 });
             }
@@ -1195,10 +1269,10 @@ mod tests {
                     honest_multi_solver(reps)
                 })
                 .unwrap();
-            let NpnOutcome::Solved(chains) = outcome else {
+            let NpnOutcome::Solved(view) = outcome else {
                 panic!("expected solutions");
             };
-            let outputs = chains[0].simulate_outputs().unwrap();
+            let outputs = view.first().unwrap().simulate_outputs().unwrap();
             assert_eq!(outputs.as_slice(), specs, "output i must realize specs[i]");
         }
         assert_eq!(calls.load(Ordering::SeqCst), 1, "one synthesis per multi-output orbit");
@@ -1249,8 +1323,8 @@ mod tests {
                 honest_multi_solver(reps)
             })
             .unwrap();
-        let NpnOutcome::Solved(chains) = outcome else { panic!("expected solutions") };
-        assert_eq!(chains[0].simulate_outputs().unwrap()[0], spec);
+        let NpnOutcome::Solved(view) = outcome else { panic!("expected solutions") };
+        assert_eq!(view.first().unwrap().simulate_outputs().unwrap()[0], spec);
         assert_eq!(calls.load(Ordering::SeqCst), 1, "the singleton must hit the existing entry");
         assert_eq!(store.len(), 1);
     }
@@ -1324,6 +1398,18 @@ mod tests {
         let mut last = 1;
         for _ in 0..gates {
             last = chain.add_gate(0, last, 0x8).unwrap();
+        }
+        chain.add_output(OutputRef::signal(last));
+        chain
+    }
+
+    /// A 2-input chain of `gates` gates computing `tt2(x0, x1)`: the
+    /// gate itself, then projections onto it (cost = `gates`).
+    fn padded_chain(tt2: u8, gates: usize) -> Chain {
+        let mut chain = Chain::new(2);
+        let mut last = chain.add_gate(0, 1, tt2).unwrap();
+        for _ in 1..gates {
+            last = chain.add_gate(last, 0, 0xa).unwrap();
         }
         chain.add_output(OutputRef::signal(last));
         chain
@@ -1408,15 +1494,17 @@ mod tests {
         // v2 snapshots regardless of merge order (the acceptance rule
         // `merge(save(a), save(b)) == merge(save(b), save(a))`, extended
         // to three shards and both association orders).
+        // Solved entries must realize their keys to survive the merge
+        // check, so each key is a 2-input gate function and its chains
+        // are that gate padded with projections to a random cost.
         let mut rng = Lcg(0x6d65_7267_655f_0001);
+        let functions = [0x1u8, 0x2, 0x4, 0x6, 0x8, 0xe];
         for _round in 0..20 {
-            let keys: Vec<TruthTable> = (0..6)
-                .map(|i| TruthTable::from_words(3, vec![(rng.next() % 0xff) | (i << 8)]).unwrap())
-                .collect();
             let shards: Vec<Store> = (0..3)
                 .map(|_| {
                     let s = Store::new();
-                    for key in &keys {
+                    for &tt2 in &functions {
+                        let key = TruthTable::from_u64(2, u64::from(tt2)).unwrap();
                         match rng.next() % 4 {
                             0 => {}
                             1 => s.insert(
@@ -1427,7 +1515,10 @@ mod tests {
                             ),
                             _ => s.insert(
                                 key.clone(),
-                                Entry::Solved(vec![cascade_chain(1 + (rng.next() % 4) as usize)]),
+                                Entry::Solved(vec![padded_chain(
+                                    tt2,
+                                    1 + (rng.next() % 4) as usize,
+                                )]),
                             ),
                         }
                     }
@@ -1456,7 +1547,7 @@ mod tests {
         let a = Store::new();
         a.insert(TruthTable::from_hex(2, "8").unwrap(), Entry::Solved(vec![cascade_chain(1)]));
         let b = Store::new();
-        b.insert(TruthTable::from_hex(2, "6").unwrap(), Entry::Solved(vec![cascade_chain(2)]));
+        b.insert(TruthTable::from_hex(2, "6").unwrap(), Entry::Solved(vec![padded_chain(0x6, 2)]));
         let pa = dir.join("shard0.store");
         let pb = dir.join("shard1.store");
         a.save(&pa).unwrap();
@@ -1475,6 +1566,104 @@ mod tests {
         std::fs::write(&pb, "").unwrap();
         let err = Store::merge_files(&[&pa, &pb]).unwrap_err();
         assert!(err.to_string().contains("shard1.store"), "got `{err}`");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+    /// `chain` with the LUT of gate `gate` complemented: structurally
+    /// valid, functionally wrong.
+    fn corrupted(chain: &Chain, gate: usize) -> Chain {
+        let mut out = Chain::new(chain.num_inputs());
+        for (i, g) in chain.gates().iter().enumerate() {
+            let tt2 = if i == gate { !g.tt2 & 0xf } else { g.tt2 };
+            out.add_gate(g.fanin[0], g.fanin[1], tt2).unwrap();
+        }
+        for tap in chain.outputs() {
+            out.add_output(*tap);
+        }
+        out
+    }
+
+    #[test]
+    fn first_refuses_a_planted_wrong_chain_single_and_multi() {
+        let store = Store::new();
+        let never = |_: &TruthTable| -> Result<RepOutcome, ChainError> {
+            panic!("the planted entry must answer")
+        };
+        // Single output: NOR answers from the class entry of AND.
+        let spec = TruthTable::from_hex(2, "1").unwrap();
+        let rep = canonicalize(&spec).representative;
+        let right = one_gate_chain(rep.words()[0] as u8);
+        store.insert(rep.clone(), Entry::Solved(vec![corrupted(&right, 0), right.clone()]));
+        // Multi output: [XOR, AND] over the class tuple of its orbit.
+        let specs = [TruthTable::from_hex(2, "6").unwrap(), TruthTable::from_hex(2, "8").unwrap()];
+        let key = ClassKey::multi(canonicalize_multi(&specs).representatives);
+        let RepOutcome::Solved(mut shared) = honest_multi_solver(key.reps()).unwrap() else {
+            unreachable!("the honest solver always solves")
+        };
+        let shared = shared.remove(0);
+        store.insert_class(key, Entry::Solved(vec![corrupted(&shared, 1)]));
+
+        let scope = stp_telemetry::CounterScope::enter();
+        let NpnOutcome::Solved(view) = store.solve_npn(&spec, Duration::MAX, never).unwrap() else {
+            panic!("expected the planted class");
+        };
+        assert_eq!(view.len(), 2);
+        assert!(matches!(view.first(), Err(MapBackError::Mismatch { .. })));
+        let outcome = store
+            .solve_npn_multi(&specs, Duration::MAX, |_| -> Result<RepOutcome, ChainError> {
+                panic!("the planted entry must answer")
+            })
+            .unwrap();
+        let NpnOutcome::Solved(view) = outcome else { panic!("expected the planted class") };
+        assert_eq!(view.len(), 1);
+        assert!(matches!(view.first(), Err(MapBackError::Mismatch { .. })));
+
+        // A refused entry is out of service: the next lookup of each
+        // class runs its solver again, and the fresh chain is served.
+        let misses = store.misses();
+        let resolve = |_: &TruthTable| Ok::<_, ChainError>(RepOutcome::Solved(vec![right.clone()]));
+        let NpnOutcome::Solved(view) = store.solve_npn(&spec, Duration::MAX, resolve).unwrap()
+        else {
+            panic!("expected the re-solved class");
+        };
+        assert_eq!(view.first().unwrap().simulate_outputs().unwrap()[0], spec);
+        let outcome = store.solve_npn_multi(&specs, Duration::MAX, honest_multi_solver).unwrap();
+        let NpnOutcome::Solved(view) = outcome else { panic!("expected the re-solved class") };
+        assert_eq!(view.first().unwrap().simulate_outputs().unwrap(), specs);
+        assert_eq!(store.misses(), misses + 2, "each refused class is solved once more");
+        // The re-solved entries answer from the store again.
+        let NpnOutcome::Solved(view) = store.solve_npn(&spec, Duration::MAX, never).unwrap() else {
+            panic!("expected the re-solved class");
+        };
+        assert!(view.first().is_ok());
+        assert_eq!(store.misses(), misses + 2);
+        let counters = scope.finish();
+        assert_eq!(counters.get("store.mapback_rejects").copied(), Some(2), "one per refusal");
+    }
+
+    #[test]
+    fn merge_drops_a_corrupt_cheaper_shard() {
+        let rep = TruthTable::from_hex(2, "6").unwrap();
+        let dir =
+            std::env::temp_dir().join(format!("stp-store-corrupt-merge-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let valid = Store::new();
+        valid.insert(rep.clone(), Entry::Solved(vec![padded_chain(0x6, 3)]));
+        // A one-gate chain is cheaper, and wrong: its LUT is complemented.
+        let corrupt = Store::new();
+        corrupt.insert(rep.clone(), Entry::Solved(vec![corrupted(&padded_chain(0x6, 1), 0)]));
+        let paths = [dir.join("valid.store"), dir.join("corrupt.store")];
+        valid.save(&paths[0]).unwrap();
+        corrupt.save(&paths[1]).unwrap();
+        for order in [[0, 1], [1, 0]] {
+            let merged = Store::merge_files(&[&paths[order[0]], &paths[order[1]]]).unwrap();
+            assert_eq!(merged.get(&rep), valid.get(&rep), "the valid entry must win");
+            assert_eq!(merged.invalid_entries(), 1);
+            assert_eq!(merged.merged_classes(), 2);
+        }
+        // Loading the corrupt shard on its own drops the class.
+        let loaded = Store::load(&paths[1]).unwrap();
+        assert!(loaded.is_empty());
+        assert_eq!(loaded.invalid_entries(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -48,8 +48,12 @@
 //! Loading is fully checked: a wrong magic word, a future version, a
 //! malformed line, truncated chains, structurally invalid chains, or
 //! duplicate classes all produce a precise [`StoreFileError`] instead
-//! of a silently corrupt store.
+//! of a silently corrupt store. [`Store::load`] also simulates every
+//! solved entry against its class and drops (and counts, in
+//! [`Store::invalid_entries`]) one whose chains do not realize it;
+//! [`Store::parse`] publishes what it reads unchecked.
 
+use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 use std::path::Path;
@@ -249,8 +253,21 @@ impl Store {
     /// [`StoreFileError::MissingHeader`] / [`StoreFileError::VersionMismatch`]
     /// for bad headers, [`StoreFileError::Corrupt`] (with a line number)
     /// for everything structurally wrong below them.
+    ///
+    /// Records are published unchecked, like [`Store::insert`]: whether
+    /// a chain realizes its class is checked by the file entry points
+    /// ([`Store::load`], [`Store::open`], [`Store::merge_files`]).
     pub fn parse(text: &str) -> Result<Store, StoreFileError> {
         let store = Store::new();
+        Store::parse_into(text, &store, None)?;
+        Ok(store)
+    }
+
+    /// Parses `text` into `store`. With an `origin` (the file the text came
+    /// from), each record must pass [`Store::admit`] to be published;
+    /// without one, records are published unchecked.
+    fn parse_into(text: &str, store: &Store, origin: Option<&str>) -> Result<(), StoreFileError> {
+        let mut seen = HashSet::new();
         // Numbered, non-blank, non-comment lines.
         let mut lines = text
             .lines()
@@ -319,7 +336,7 @@ impl Store {
                 );
             }
             let key = ClassKey::multi(reps);
-            if store.get_class(&key).is_some() {
+            if !seen.insert(key.clone()) {
                 return Err(corrupt(
                     no,
                     format!("duplicate class {} over {nvars} vars", key.label()),
@@ -358,22 +375,27 @@ impl Store {
                     return Err(corrupt(
                         no,
                         format!(
-                        "expected `solved <count>` or `exhausted <secs> <nanos>`, got `{state}`"
-                    ),
+                            "expected `solved <count>` or `exhausted <secs> <nanos>`, got `{state}`"
+                        ),
                     ))
                 }
             };
-            store.insert_class(key, entry);
-            migrated += 1;
+            if origin.is_none_or(|origin| store.admit(&key, &entry, origin)) {
+                store.insert_class(key, entry);
+                migrated += 1;
+            }
         }
         let _ = last_line;
         if legacy && migrated > 0 {
             store.note_legacy_load(migrated);
         }
-        Ok(store)
+        Ok(())
     }
 
-    /// Reads a store from `path` (see [`Store::parse`]).
+    /// Reads a store from `path` (see [`Store::parse`]), checking every
+    /// solved entry against its key: an entry whose chains do not
+    /// realize it is dropped with a warning and counted in
+    /// [`Store::invalid_entries`].
     ///
     /// # Errors
     ///
@@ -381,9 +403,15 @@ impl Store {
     /// parse error of [`Store::parse`].
     pub fn load(path: impl AsRef<Path>) -> Result<Store, StoreFileError> {
         let path = path.as_ref();
-        let text = std::fs::read_to_string(path).map_err(|e| io_error(path, e))?;
-        Store::parse(&text)
+        let store = Store::new();
+        Store::parse_into(&read(path)?, &store, Some(&path.display().to_string()))?;
+        Ok(store)
     }
+}
+
+/// The text of the store file at `path`.
+pub(crate) fn read(path: &Path) -> Result<String, StoreFileError> {
+    std::fs::read_to_string(path).map_err(|e| io_error(path, e))
 }
 
 /// Parses one `chain <ngates>` … `endchain` block; returns the chain
@@ -519,8 +547,8 @@ mod tests {
                 panic!("loaded class must not re-synthesize")
             })
             .unwrap();
-        let NpnOutcome::Solved(chains) = outcome else { panic!("expected solutions") };
-        assert_eq!(chains[0].simulate_outputs().unwrap()[0], xor);
+        let NpnOutcome::Solved(view) = outcome else { panic!("expected solutions") };
+        assert_eq!(view.first().unwrap().simulate_outputs().unwrap()[0], xor);
         assert_eq!(reloaded.misses(), 0);
     }
 

@@ -190,3 +190,23 @@ fn io_errors_name_the_offending_path() {
     assert!(!message.is_empty());
     assert!(err.to_string().contains("/nonexistent/stp-store.txt"));
 }
+
+#[test]
+fn replay_and_load_drop_entries_whose_chains_miss_their_class() {
+    let scratch = Scratch::new("invalid-entries");
+    let path = scratch.snapshot();
+    {
+        // `insert` is unchecked, so a wrong chain reaches both files: the
+        // snapshot holds a complemented XOR, the journal a complemented AND.
+        let store = Store::open(&path).unwrap();
+        store.insert(rep("6"), Entry::Solved(vec![one_gate_chain(0x9)]));
+        store.insert(rep("e"), Entry::Solved(vec![one_gate_chain(0xe)]));
+        store.save(&path).unwrap();
+        store.insert(rep("8"), Entry::Solved(vec![one_gate_chain(0x7)]));
+    }
+    let recovered = Store::open(&path).unwrap();
+    assert_eq!(recovered.invalid_entries(), 2, "one from the snapshot, one from the journal");
+    assert_eq!(recovered.get(&rep("6")), None);
+    assert_eq!(recovered.get(&rep("8")), None);
+    assert!(matches!(recovered.get(&rep("e")), Some(Entry::Solved(_))), "valid entries stay");
+}

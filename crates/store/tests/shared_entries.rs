@@ -90,8 +90,8 @@ fn save_open_save_is_byte_identical_with_shared_entries() {
                     )]))
                 })
                 .unwrap();
-            let NpnOutcome::Solved(chains) = outcome else { panic!("expected solutions") };
-            assert_eq!(chains[0].simulate_outputs().unwrap()[0], *spec);
+            let NpnOutcome::Solved(view) = outcome else { panic!("expected solutions") };
+            assert_eq!(view.first().unwrap().simulate_outputs().unwrap()[0], *spec);
         }
         store.save(&path).unwrap();
     }
