@@ -80,7 +80,7 @@ STP_JOBS="$(nproc)" cargo test -q -p stp-serve --offline --test serve_smoke --te
 echo "==> stpbench answer checks (every workload at tiny size, traced and untraced)"
 cargo test --release --offline --manifest-path stpbench/Cargo.toml
 
-echo "==> NPN canonicalization oracle (release: all 65 536 4-input functions vs the reference loops)"
+echo "==> NPN canonicalization oracle (release: every function of <= 4 inputs through the orbit walk, the memo fill and the memo hit, vs the reference loops)"
 cargo test --release -q -p stp-tt --offline
 
 echo "==> factorization engine at release sizes (split plans up to 12 support variables, fast/wide/naive fuzz)"

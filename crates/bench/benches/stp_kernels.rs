@@ -3,11 +3,13 @@
 //! AllSAT solver, alone and as the candidate check `verify_chain` — plus
 //! the three parts of an NPN store hit (`npn_kernels`): canonicalize,
 //! the store lookup, and the map-back of a warmed class's chains (all of
-//! them, or the one checked first chain) —
-//! plus one cold factorization round (`factor_kernels`), without and with
-//! verification of its candidates.
+//! them, or the one checked first chain) — plus a rewriting pass's cut
+//! functions (`network_kernels`) and one cold factorization round
+//! (`factor_kernels`), without and with verification of its candidates.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use std::hint::black_box;
 use std::sync::atomic::AtomicBool;
 use std::time::Duration;
@@ -15,6 +17,7 @@ use stp_bench::suites;
 use stp_chain::{Chain, ChainError, OutputRef};
 use stp_fence::{pruned_fences, shapes_for_fence};
 use stp_matrix::{solve_all, stp, swap_matrix, Expr, LogicMatrix, Mat};
+use stp_network::{enumerate_cuts, random_network, Cut, CutEvaluator};
 use stp_store::{Entry, NpnOutcome, RepOutcome, Store};
 use stp_synth::{
     solve_circuit, synthesize, verify_chain, FactorConfig, Factorizer, SynthesisConfig,
@@ -104,6 +107,8 @@ fn bench_npn_kernels(c: &mut Criterion) {
     // MAJ(x0, x1, x2) ^ x3·x4 = 0x17e8e8e8 (480 chains of 6 gates).
     for (n, hex) in [(4, "17e8"), (5, "17e8e8e8")] {
         let spec = TruthTable::from_hex(n, hex).unwrap();
+        // At 4 inputs every iteration after the first is a memo hit; the
+        // 5- and 8-input benches time the orbit walk.
         group.bench_function(BenchmarkId::new("canonicalize", n), |b| {
             b.iter(|| canonicalize(black_box(&spec)))
         });
@@ -138,6 +143,29 @@ fn bench_npn_kernels(c: &mut Criterion) {
             .unwrap();
     group.bench_function(BenchmarkId::new("canonicalize", 8), |b| {
         b.iter(|| canonicalize(black_box(&f8)))
+    });
+    group.finish();
+}
+
+fn bench_network_kernels(c: &mut Criterion) {
+    let mut group = c.benchmark_group("network_kernels");
+    // Every rewriting cut function of one pass over a seeded 8-input,
+    // 40-gate random network (the stpbench request shape), through one
+    // reused evaluator as `rewrite_pass` runs them.
+    let mut rng = SmallRng::seed_from_u64(7);
+    let net = random_network(8, 40, 4, &mut rng).unwrap();
+    let cuts = enumerate_cuts(&net, 4, 8);
+    let work: Vec<(usize, &Cut)> = (0..net.num_signals())
+        .filter(|&s| net.is_gate(s))
+        .flat_map(|s| cuts.cuts[s].iter().filter(|c| c.leaves.len() >= 2).map(move |c| (s, c)))
+        .collect();
+    let mut evaluator = CutEvaluator::new();
+    group.bench_function("cut_function", |b| {
+        b.iter(|| {
+            work.iter()
+                .map(|&(s, cut)| evaluator.eval(black_box(&net), s, cut).unwrap().count_ones())
+                .sum::<usize>()
+        })
     });
     group.finish();
 }
@@ -199,6 +227,7 @@ criterion_group!(
     bench_canonical_allsat,
     bench_circuit_solver,
     bench_npn_kernels,
+    bench_network_kernels,
     bench_factor_kernels
 );
 criterion_main!(kernels);

@@ -7,6 +7,7 @@
 //! to two inputs — buffers, inverters, constants, and 2-LUTs — which is
 //! exactly what the writer produces and what 2-LUT flows exchange.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -136,32 +137,34 @@ impl Network {
     ///
     /// Returns a [`ParseBlifError`] describing the first problem found.
     pub fn from_blif(text: &str) -> Result<Network, ParseBlifError> {
-        // Join continuation lines and strip comments.
-        let mut lines: Vec<String> = Vec::new();
+        // Join continuation lines and strip comments. A line is borrowed
+        // from `text` unless it continues onto the next one.
+        let mut lines: Vec<Cow<'_, str>> = Vec::new();
         let mut pending = String::new();
         for raw in text.lines() {
-            let raw = raw.split('#').next().unwrap_or("");
-            let mut piece = raw.trim_end().to_string();
-            let continued = piece.ends_with('\\');
-            if continued {
-                piece.pop();
-            }
-            pending.push_str(&piece);
-            if continued {
+            let piece = raw.split('#').next().unwrap_or("").trim_end();
+            if let Some(head) = piece.strip_suffix('\\') {
+                pending.push_str(head);
                 pending.push(' ');
                 continue;
             }
-            let line = pending.trim().to_string();
-            pending.clear();
+            let line = if pending.is_empty() {
+                Cow::Borrowed(piece.trim())
+            } else {
+                pending.push_str(piece);
+                let joined = Cow::Owned(pending.trim().to_string());
+                pending.clear();
+                joined
+            };
             if !line.is_empty() {
                 lines.push(line);
             }
         }
-        let mut inputs: Vec<String> = Vec::new();
-        let mut outputs: Vec<String> = Vec::new();
-        // (inputs, output, cubes)
-        type Table = (Vec<String>, String, Vec<(String, char)>);
-        let mut tables: Vec<Table> = Vec::new();
+        let mut inputs: Vec<&str> = Vec::new();
+        let mut outputs: Vec<&str> = Vec::new();
+        // Every table's cubes, (mask, output value), in one list.
+        let mut cubes: Vec<(&str, char)> = Vec::new();
+        let mut tables: Vec<Table<'_>> = Vec::new();
         let mut i = 0usize;
         let mut saw_model = false;
         while i < lines.len() {
@@ -170,35 +173,52 @@ impl Network {
             let head = parts.next().unwrap_or("");
             match head {
                 ".model" => saw_model = true,
-                ".inputs" => inputs.extend(parts.map(str::to_string)),
-                ".outputs" => outputs.extend(parts.map(str::to_string)),
+                ".inputs" => inputs.extend(parts),
+                ".outputs" => outputs.extend(parts),
                 ".names" => {
-                    let names: Vec<String> = parts.map(str::to_string).collect();
-                    if names.is_empty() {
-                        return Err(ParseBlifError::BadCube { line: line.clone() });
+                    let mut names = [""; 3];
+                    let mut count = 0usize;
+                    for name in parts {
+                        if count < names.len() {
+                            names[count] = name;
+                        }
+                        count += 1;
                     }
-                    let output = names.last().expect("non-empty").clone();
-                    let ins = names[..names.len() - 1].to_vec();
-                    if ins.len() > 2 {
-                        return Err(ParseBlifError::TooManyInputs { output, inputs: ins.len() });
+                    if count == 0 {
+                        return Err(ParseBlifError::BadCube { line: line.to_string() });
                     }
-                    let mut cubes = Vec::new();
+                    let ins = count - 1;
+                    if ins > 2 {
+                        let output = line.split_whitespace().last().expect("non-empty");
+                        return Err(ParseBlifError::TooManyInputs {
+                            output: output.to_string(),
+                            inputs: ins,
+                        });
+                    }
+                    let first_cube = cubes.len();
                     while i + 1 < lines.len() && !lines[i + 1].starts_with('.') {
                         i += 1;
                         let cube_line = &lines[i];
                         let mut cp = cube_line.split_whitespace();
                         let (mask, val) = match (cp.next(), cp.next()) {
-                            (Some(v), None) if ins.is_empty() => (String::new(), v),
-                            (Some(m), Some(v)) => (m.to_string(), v),
-                            _ => return Err(ParseBlifError::BadCube { line: cube_line.clone() }),
+                            (Some(v), None) if ins == 0 => ("", v),
+                            (Some(m), Some(v)) => (m, v),
+                            _ => {
+                                return Err(ParseBlifError::BadCube { line: cube_line.to_string() })
+                            }
                         };
                         let value = val.chars().next().unwrap_or('1');
-                        if mask.len() != ins.len() {
-                            return Err(ParseBlifError::BadCube { line: cube_line.clone() });
+                        if mask.len() != ins {
+                            return Err(ParseBlifError::BadCube { line: cube_line.to_string() });
                         }
                         cubes.push((mask, value));
                     }
-                    tables.push((ins, output, cubes));
+                    tables.push(Table {
+                        inputs: [names[0], names[1]],
+                        arity: ins,
+                        output: names[ins],
+                        cubes: first_cube..cubes.len(),
+                    });
                 }
                 ".end" => break,
                 other => {
@@ -213,52 +233,52 @@ impl Network {
             return Err(ParseBlifError::MissingStructure);
         }
         let mut net = Network::new(inputs.len());
-        let mut env: HashMap<String, Sig> = HashMap::new();
-        for (k, name) in inputs.iter().enumerate() {
-            env.insert(name.clone(), net.input(k));
+        let mut env: HashMap<&str, Sig> = HashMap::with_capacity(inputs.len() + tables.len());
+        for (k, &name) in inputs.iter().enumerate() {
+            env.insert(name, net.input(k));
         }
-        for (ins, output, cubes) in &tables {
-            let sig = match ins.len() {
+        let lookup = |env: &HashMap<&str, Sig>, name: &str| {
+            env.get(name)
+                .copied()
+                .ok_or_else(|| ParseBlifError::UndefinedSignal { name: name.to_string() })
+        };
+        for table in &tables {
+            let cubes = &cubes[table.cubes.clone()];
+            let sig = match table.arity {
                 0 => {
                     // Constant: true iff some cube outputs 1.
-                    if cubes.iter().any(|(_, v)| *v == '1') {
+                    if cubes.iter().any(|&(_, v)| v == '1') {
                         Sig::TRUE
                     } else {
                         Sig::FALSE
                     }
                 }
                 1 => {
-                    let src = *env
-                        .get(&ins[0])
-                        .ok_or_else(|| ParseBlifError::UndefinedSignal { name: ins[0].clone() })?;
+                    let src = lookup(&env, table.inputs[0])?;
                     // Evaluate the single-input cover at 0 and 1.
-                    let eval = |bit: char| -> bool {
-                        cubes.iter().any(|(m, v)| {
-                            *v == '1' && (m.as_bytes()[0] as char == bit || m.starts_with('-'))
+                    let eval = |bit: u8| -> bool {
+                        cubes.iter().any(|&(m, v)| {
+                            v == '1' && (m.as_bytes()[0] == bit || m.starts_with('-'))
                         })
                     };
-                    match (eval('0'), eval('1')) {
+                    match (eval(b'0'), eval(b'1')) {
                         (false, false) => Sig::FALSE,
                         (true, true) => Sig::TRUE,
                         (false, true) => src,
                         (true, false) => src.not(),
                     }
                 }
-                2 => {
-                    let a = *env
-                        .get(&ins[0])
-                        .ok_or_else(|| ParseBlifError::UndefinedSignal { name: ins[0].clone() })?;
-                    let b = *env
-                        .get(&ins[1])
-                        .ok_or_else(|| ParseBlifError::UndefinedSignal { name: ins[1].clone() })?;
+                _ => {
+                    let a = lookup(&env, table.inputs[0])?;
+                    let b = lookup(&env, table.inputs[1])?;
                     // Build the 4-bit table from the cover.
                     let mut tt2 = 0u8;
                     for (av, bv) in [(0u8, 0u8), (1, 0), (0, 1), (1, 1)] {
-                        let covered = cubes.iter().any(|(m, v)| {
-                            *v == '1' && {
+                        let covered = cubes.iter().any(|&(m, v)| {
+                            v == '1' && {
                                 let mb = m.as_bytes();
-                                (mb[0] == b'-' || mb[0] - b'0' == av)
-                                    && (mb[1] == b'-' || mb[1] - b'0' == bv)
+                                (mb[0] == b'-' || mb[0].wrapping_sub(b'0') == av)
+                                    && (mb[1] == b'-' || mb[1].wrapping_sub(b'0') == bv)
                             }
                         });
                         if covered {
@@ -267,18 +287,24 @@ impl Network {
                     }
                     net.add_gate(a, b, tt2)?
                 }
-                _ => unreachable!("checked above"),
             };
-            env.insert(output.clone(), sig);
+            env.insert(table.output, sig);
         }
-        for name in &outputs {
-            let sig = *env
-                .get(name)
-                .ok_or_else(|| ParseBlifError::UndefinedSignal { name: name.clone() })?;
-            net.add_output(sig);
+        for &name in &outputs {
+            net.add_output(lookup(&env, name)?);
         }
         Ok(net)
     }
+}
+
+/// One `.names` table, borrowing its names from the BLIF text.
+struct Table<'a> {
+    /// The input names; the first `arity` are used.
+    inputs: [&'a str; 2],
+    arity: usize,
+    output: &'a str,
+    /// The table's range in the shared cube list.
+    cubes: std::ops::Range<usize>,
 }
 
 #[cfg(test)]

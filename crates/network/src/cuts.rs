@@ -7,7 +7,7 @@
 //! dominated ones), computes each cut's local function, and asks exact
 //! synthesis for a cheaper implementation.
 
-use stp_tt::TruthTable;
+use stp_tt::{kernel, TruthTable};
 
 use crate::error::NetworkError;
 use crate::network::Network;
@@ -116,7 +116,9 @@ pub fn enumerate_cuts(net: &Network, k: usize, limit: usize) -> CutSet {
     CutSet { cuts }
 }
 
-/// Computes the function of `root` in terms of a cut's leaves.
+/// Computes the function of `root` in terms of a cut's leaves, with a
+/// fresh [`CutEvaluator`]. Callers evaluating many cuts of one network
+/// should keep one evaluator and call [`CutEvaluator::eval`].
 ///
 /// # Errors
 ///
@@ -129,36 +131,106 @@ pub fn enumerate_cuts(net: &Network, k: usize, limit: usize) -> CutSet {
 /// Panics when `root` is not actually covered by the cut (some path
 /// reaches an input without crossing a leaf).
 pub fn cut_function(net: &Network, root: usize, cut: &Cut) -> Result<TruthTable, NetworkError> {
-    let k = cut.leaves.len();
-    if k > stp_tt::MAX_VARS {
-        return Err(NetworkError::TooManyInputsForSimulation { inputs: k });
+    CutEvaluator::new().eval(net, root, cut)
+}
+
+/// Evaluates cut functions word by word in one arena reused across
+/// cuts: a cut of `k` leaves gets `words_len(k)` words per visited
+/// signal (the leaves, the constant, then the cone's gates in
+/// topological order), and nothing else is allocated per cut but the
+/// returned table.
+#[derive(Debug, Default)]
+pub struct CutEvaluator {
+    /// The current cut's tables, `words_len(k)` words each.
+    words: Vec<u64>,
+    /// `table[s]` is signal `s`'s table in `words` when `stamp[s]` is
+    /// the current `epoch`.
+    table: Vec<u32>,
+    stamp: Vec<u32>,
+    epoch: u32,
+    /// Post-order walk of the cone: (signal, fanins already pushed).
+    stack: Vec<(usize, bool)>,
+}
+
+impl CutEvaluator {
+    /// An evaluator with an empty arena.
+    pub fn new() -> Self {
+        Self::default()
     }
-    let mut memo: Vec<Option<TruthTable>> = vec![None; net.num_signals()];
-    for (i, &leaf) in cut.leaves.iter().enumerate() {
-        memo[leaf] = Some(TruthTable::variable(k, i)?);
-    }
-    // Constant leaf semantics: signal 0 is always false unless it is a
-    // declared leaf.
-    if memo[0].is_none() {
-        memo[0] = Some(TruthTable::constant(k, false)?);
-    }
-    fn eval(
+
+    /// Computes the function of `root` in terms of `cut`'s leaves, as
+    /// [`cut_function`] does. Signal 0 (constant false) reads false
+    /// unless it is a leaf.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`cut_function`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `root` is not covered by the cut.
+    pub fn eval(
+        &mut self,
         net: &Network,
-        s: usize,
-        memo: &mut Vec<Option<TruthTable>>,
+        root: usize,
+        cut: &Cut,
     ) -> Result<TruthTable, NetworkError> {
-        if let Some(tt) = &memo[s] {
-            return Ok(tt.clone());
+        let k = cut.leaves.len();
+        if k > stp_tt::MAX_VARS {
+            return Err(NetworkError::TooManyInputsForSimulation { inputs: k });
         }
-        assert!(net.is_gate(s), "cut does not cover signal {s}");
-        let gate = net.gate(s);
-        let a = eval(net, gate.fanin[0], memo)?;
-        let b = eval(net, gate.fanin[1], memo)?;
-        let tt = a.binary_op(gate.tt2, &b)?;
-        memo[s] = Some(tt.clone());
-        Ok(tt)
+        let len = kernel::words_len(k);
+        let used = kernel::low_mask(1 << k);
+        if self.stamp.len() < net.num_signals() {
+            self.stamp.resize(net.num_signals(), 0);
+            self.table.resize(net.num_signals(), 0);
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+        let epoch = self.epoch;
+        self.words.clear();
+        for (i, &leaf) in cut.leaves.iter().enumerate() {
+            self.stamp[leaf] = epoch;
+            self.table[leaf] = i as u32;
+            self.words.extend((0..len).map(|w| kernel::var_word(i, w) & used));
+        }
+        if self.stamp[0] != epoch {
+            self.stamp[0] = epoch;
+            self.table[0] = k as u32;
+            self.words.resize(self.words.len() + len, 0);
+        }
+        self.stack.clear();
+        self.stack.push((root, false));
+        while let Some((s, expanded)) = self.stack.pop() {
+            if self.stamp[s] == epoch {
+                continue;
+            }
+            assert!(net.is_gate(s), "cut does not cover signal {s}");
+            let gate = net.gate(s);
+            if !expanded {
+                self.stack.push((s, true));
+                for f in gate.fanin {
+                    if self.stamp[f] != epoch {
+                        self.stack.push((f, false));
+                    }
+                }
+                continue;
+            }
+            let t = self.words.len() / len;
+            let [a, b] = gate.fanin.map(|f| self.table[f] as usize * len);
+            for w in 0..len {
+                let v = kernel::lut2(gate.tt2, self.words[a + w], self.words[b + w]) & used;
+                self.words.push(v);
+            }
+            self.stamp[s] = epoch;
+            self.table[s] = t as u32;
+        }
+        let t = self.table[root] as usize * len;
+        Ok(TruthTable::from_words(k, self.words[t..t + len].to_vec())?)
     }
-    eval(net, root, &mut memo)
 }
 
 #[cfg(test)]
@@ -231,6 +303,62 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The recursive per-node `TruthTable` evaluator the word arena
+    /// replaced, kept as the reference.
+    fn reference_cut_function(net: &Network, root: usize, cut: &Cut) -> TruthTable {
+        let k = cut.leaves.len();
+        let mut memo: Vec<Option<TruthTable>> = vec![None; net.num_signals()];
+        for (i, &leaf) in cut.leaves.iter().enumerate() {
+            memo[leaf] = Some(TruthTable::variable(k, i).unwrap());
+        }
+        if memo[0].is_none() {
+            memo[0] = Some(TruthTable::constant(k, false).unwrap());
+        }
+        fn eval(net: &Network, s: usize, memo: &mut [Option<TruthTable>]) -> TruthTable {
+            if let Some(tt) = &memo[s] {
+                return tt.clone();
+            }
+            let gate = net.gate(s);
+            let a = eval(net, gate.fanin[0], memo);
+            let b = eval(net, gate.fanin[1], memo);
+            let tt = a.binary_op(gate.tt2, &b).unwrap();
+            memo[s] = Some(tt.clone());
+            tt
+        }
+        eval(net, root, &mut memo)
+    }
+
+    #[test]
+    fn word_arena_matches_the_recursive_evaluator() {
+        use rand::rngs::SmallRng;
+        use rand::SeedableRng;
+        // One evaluator for every cut of every network, as a rewriting
+        // pass uses it, so stale arena state would show.
+        let mut evaluator = CutEvaluator::new();
+        let mut checked = [0usize; 9];
+        for seed in 0..12u64 {
+            let mut rng = SmallRng::seed_from_u64(0xc0f3 + seed);
+            let net = crate::circuits::random_network(10, 40, 4, &mut rng).unwrap();
+            for k in 2..=8 {
+                let cuts = enumerate_cuts(&net, k, 24);
+                for (root, root_cuts) in cuts.cuts.iter().enumerate() {
+                    for cut in root_cuts {
+                        let fast = evaluator.eval(&net, root, cut).unwrap();
+                        assert_eq!(
+                            fast,
+                            reference_cut_function(&net, root, cut),
+                            "seed {seed}, root {root}, leaves {:?}",
+                            cut.leaves
+                        );
+                        checked[cut.leaves.len()] += 1;
+                    }
+                }
+            }
+        }
+        // Every cut size up to 8 leaves was exercised.
+        assert!(checked[2..=8].iter().all(|&c| c > 0), "{checked:?}");
     }
 
     #[test]

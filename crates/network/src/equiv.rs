@@ -14,6 +14,7 @@
 //! other.
 
 use stp_sat::{Lit, SolveResult, Solver, Var};
+use stp_tt::kernel;
 
 use crate::error::NetworkError;
 use crate::network::Network;
@@ -29,17 +30,33 @@ pub enum EquivResult {
     Unknown,
 }
 
-/// Exhaustive equivalence check by full simulation.
+/// Exhaustive equivalence check by full simulation, 64 input
+/// assignments at a time, so memory stays one word per signal.
 ///
 /// # Errors
 ///
 /// Returns [`NetworkError::TooManyInputsForSimulation`] past the
-/// truth-table limit, and propagates simulation failures.
+/// truth-table limit.
 pub fn equivalent_exhaustive(a: &Network, b: &Network) -> Result<bool, NetworkError> {
     if a.num_inputs() != b.num_inputs() || a.outputs().len() != b.outputs().len() {
         return Ok(false);
     }
-    Ok(a.simulate_outputs()? == b.simulate_outputs()?)
+    let n = a.num_inputs();
+    if n > stp_tt::MAX_VARS {
+        return Err(NetworkError::TooManyInputsForSimulation { inputs: n });
+    }
+    let used = kernel::low_mask(1 << n);
+    let mut patterns = vec![0; n];
+    for word in 0..kernel::words_len(n) {
+        for (var, p) in patterns.iter_mut().enumerate() {
+            *p = kernel::var_word(var, word);
+        }
+        let (x, y) = (a.simulate_patterns(&patterns), b.simulate_patterns(&patterns));
+        if x.iter().zip(&y).any(|(x, y)| (x ^ y) & used != 0) {
+            return Ok(false);
+        }
+    }
+    Ok(true)
 }
 
 /// Encodes a network into the solver with Tseitin clauses per 2-LUT

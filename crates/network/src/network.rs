@@ -16,7 +16,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use stp_chain::{Chain, OutputRef};
-use stp_tt::TruthTable;
+use stp_tt::{kernel, TruthTable};
 
 use crate::error::NetworkError;
 
@@ -459,22 +459,7 @@ impl Network {
         values.push(0u64);
         values.extend_from_slice(patterns);
         for gate in &self.gates {
-            let a = values[gate.fanin[0]];
-            let b = values[gate.fanin[1]];
-            let mut w = 0u64;
-            if gate.tt2 & 0b0001 != 0 {
-                w |= !a & !b;
-            }
-            if gate.tt2 & 0b0010 != 0 {
-                w |= a & !b;
-            }
-            if gate.tt2 & 0b0100 != 0 {
-                w |= !a & b;
-            }
-            if gate.tt2 & 0b1000 != 0 {
-                w |= a & b;
-            }
-            values.push(w);
+            values.push(kernel::lut2(gate.tt2, values[gate.fanin[0]], values[gate.fanin[1]]));
         }
         self.outputs
             .iter()

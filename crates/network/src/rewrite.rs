@@ -19,7 +19,7 @@ use stp_synth::{
 };
 use stp_tt::TruthTable;
 
-use crate::cuts::{cut_function, enumerate_cuts, Cut};
+use crate::cuts::{enumerate_cuts, Cut, CutEvaluator, CutSet};
 use crate::error::NetworkError;
 use crate::network::{Network, Sig};
 
@@ -403,17 +403,104 @@ pub fn rewrite(
     })
 }
 
+/// One joint cut cone: roots sharing one leaf set, and their cut
+/// functions in root order.
+struct JointGroup {
+    cut: Cut,
+    /// Ascending, at most [`MAX_GROUP_OUTPUTS`].
+    roots: Vec<usize>,
+    specs: Vec<TruthTable>,
+}
+
+/// The joint cut cones of one pass: output-driving gates sharing an
+/// identical leaf set, ordered by leaves then roots. Groups whose
+/// functions are all trivial are dropped.
+///
+/// Joint candidates are restricted to output roots: interior nodes
+/// already compete through the per-cone path, and admitting them here
+/// would fold a cone's own sub-cones into its group, diluting the joint
+/// gain.
+fn joint_groups(
+    net: &Network,
+    cuts: &CutSet,
+    refs: &[usize],
+    evaluator: &mut CutEvaluator,
+) -> Result<Vec<JointGroup>, NetworkError> {
+    let mut output_roots: Vec<usize> =
+        net.outputs().iter().map(|s| s.index()).filter(|&s| net.is_gate(s)).collect();
+    output_roots.sort_unstable();
+    output_roots.dedup();
+    let mut by_leaves: HashMap<&[usize], Vec<usize>> = HashMap::new();
+    for &s in &output_roots {
+        if refs[s] == 0 {
+            continue;
+        }
+        for cut in &cuts.cuts[s] {
+            if cut.leaves.len() < 2 || cut.leaves == [s] {
+                continue;
+            }
+            let roots = by_leaves.entry(cut.leaves.as_slice()).or_default();
+            if !roots.contains(&s) {
+                roots.push(s);
+            }
+        }
+    }
+    // HashMap order is not deterministic; the transcript contract is.
+    let mut groups: Vec<(&[usize], Vec<usize>)> =
+        by_leaves.into_iter().filter(|(_, roots)| roots.len() >= 2).collect();
+    groups.sort();
+    let mut out = Vec::with_capacity(groups.len());
+    for (leaves, mut roots) in groups {
+        roots.sort_unstable();
+        roots.truncate(MAX_GROUP_OUTPUTS);
+        let cut = Cut { leaves: leaves.to_vec() };
+        let specs = roots
+            .iter()
+            .map(|&root| evaluator.eval(net, root, &cut))
+            .collect::<Result<Vec<_>, _>>()?;
+        if !specs.iter().all(TruthTable::is_trivial) {
+            out.push(JointGroup { cut, roots, specs });
+        }
+    }
+    Ok(out)
+}
+
 fn rewrite_pass(
     net: &Network,
     config: &RewriteConfig,
     cache: &SynthesisCache,
 ) -> Result<(Network, Vec<Replacement>), NetworkError> {
     let _pass = stp_telemetry::span!("rewrite.pass");
-    let cuts = {
-        let _enum = stp_telemetry::span!("rewrite.cut_enum");
-        enumerate_cuts(net, config.cut_size, config.cut_limit)
-    };
     let refs = net.reference_counts();
+    // Enumerate the cuts and evaluate every cut function the pass asks
+    // the cache about, in query order: (root, cut index, function) per
+    // non-trivial single-root cut, then the joint groups.
+    let (cuts, functions, groups) = {
+        let _enum = stp_telemetry::span!("rewrite.cut_enum");
+        let cuts = enumerate_cuts(net, config.cut_size, config.cut_limit);
+        let mut evaluator = CutEvaluator::new();
+        let mut functions = Vec::new();
+        for (s, &r) in refs.iter().enumerate() {
+            if !net.is_gate(s) || r == 0 {
+                continue;
+            }
+            for (i, cut) in cuts.cuts[s].iter().enumerate() {
+                if cut.leaves.len() < 2 || cut.leaves == [s] {
+                    continue;
+                }
+                let f = evaluator.eval(net, s, cut)?;
+                if !f.is_trivial() {
+                    functions.push((s, i, f));
+                }
+            }
+        }
+        let groups = if config.multi_output {
+            joint_groups(net, &cuts, &refs, &mut evaluator)?
+        } else {
+            Vec::new()
+        };
+        (cuts, functions, groups)
+    };
 
     // Collect candidate replacements. A candidate replaces one or more
     // roots over one cut: single-root candidates come from the classic
@@ -427,34 +514,23 @@ fn rewrite_pass(
         gain: usize,
     }
     let mut candidates: Vec<Candidate> = Vec::new();
-    for s in 0..net.num_signals() {
-        if !net.is_gate(s) || refs[s] == 0 {
+    for (s, i, f) in &functions {
+        let Some(chain) = cache.optimum_chain(f, config.synthesis_budget, config.jobs)? else {
             continue;
-        }
-        for cut in &cuts.cuts[s] {
-            if cut.leaves.len() < 2 || cut.leaves == [s] {
-                continue;
-            }
-            let f = cut_function(net, s, cut)?;
-            if f.is_trivial() {
-                continue;
-            }
-            let Some(chain) = cache.optimum_chain(&f, config.synthesis_budget, config.jobs)? else {
-                continue;
-            };
-            let old_cost = mffc_size(net, s, cut, &refs);
-            let new_cost = chain.num_gates();
-            if new_cost < old_cost {
-                candidates.push(Candidate {
-                    roots: vec![s],
-                    cut: cut.clone(),
-                    chain,
-                    gain: old_cost - new_cost,
-                });
-            }
+        };
+        let cut = &cuts.cuts[*s][*i];
+        let old_cost = mffc_size(net, *s, cut, &refs);
+        let new_cost = chain.num_gates();
+        if new_cost < old_cost {
+            candidates.push(Candidate {
+                roots: vec![*s],
+                cut: cut.clone(),
+                chain,
+                gain: old_cost - new_cost,
+            });
         }
     }
-    if config.multi_output {
+    if !groups.is_empty() {
         // Best single-root gain per root: a joint replacement must beat
         // the per-root replacements it displaces combined.
         let mut single_gain: HashMap<usize, usize> = HashMap::new();
@@ -462,45 +538,7 @@ fn rewrite_pass(
             let best = single_gain.entry(cand.roots[0]).or_insert(0);
             *best = (*best).max(cand.gain);
         }
-        // Output-driving gates sharing an identical leaf set form one
-        // joint cut cone. Joint candidates are restricted to output
-        // roots: interior nodes already compete through the per-cone
-        // path, and admitting them here would fold a cone's own
-        // sub-cones into its group, diluting the joint gain.
-        let mut output_roots: Vec<usize> =
-            net.outputs().iter().map(|s| s.index()).filter(|&s| net.is_gate(s)).collect();
-        output_roots.sort_unstable();
-        output_roots.dedup();
-        let mut by_leaves: HashMap<&[usize], Vec<usize>> = HashMap::new();
-        for &s in &output_roots {
-            if refs[s] == 0 {
-                continue;
-            }
-            for cut in &cuts.cuts[s] {
-                if cut.leaves.len() < 2 || cut.leaves == [s] {
-                    continue;
-                }
-                let roots = by_leaves.entry(cut.leaves.as_slice()).or_default();
-                if !roots.contains(&s) {
-                    roots.push(s);
-                }
-            }
-        }
-        // HashMap order is not deterministic; the transcript contract is.
-        let mut groups: Vec<(&[usize], Vec<usize>)> =
-            by_leaves.into_iter().filter(|(_, roots)| roots.len() >= 2).collect();
-        groups.sort();
-        for (leaves, mut roots) in groups {
-            roots.sort_unstable();
-            roots.truncate(MAX_GROUP_OUTPUTS);
-            let cut = Cut { leaves: leaves.to_vec() };
-            let mut specs = Vec::with_capacity(roots.len());
-            for &root in &roots {
-                specs.push(cut_function(net, root, &cut)?);
-            }
-            if specs.iter().all(TruthTable::is_trivial) {
-                continue;
-            }
+        for JointGroup { cut, roots, specs } in groups {
             let Some(chain) =
                 cache.optimum_shared_chain(&specs, config.synthesis_budget, config.jobs)?
             else {

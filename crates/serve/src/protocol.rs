@@ -347,6 +347,8 @@ pub enum Frame {
 pub struct FrameReader {
     stream: TcpStream,
     buf: Vec<u8>,
+    /// Leading bytes of `buf` already searched for a newline.
+    scanned: usize,
     max_frame: usize,
     idle_timeout: Duration,
     frame_timeout: Duration,
@@ -364,7 +366,14 @@ impl FrameReader {
         frame_timeout: Duration,
     ) -> std::io::Result<FrameReader> {
         stream.set_read_timeout(Some(POLL_INTERVAL))?;
-        Ok(FrameReader { stream, buf: Vec::new(), max_frame, idle_timeout, frame_timeout })
+        Ok(FrameReader {
+            stream,
+            buf: Vec::new(),
+            scanned: 0,
+            max_frame,
+            idle_timeout,
+            frame_timeout,
+        })
     }
 
     /// Reads until one of the [`Frame`] conditions holds. `shutting_down`
@@ -376,8 +385,12 @@ impl FrameReader {
         let mut frame_started: Option<Instant> =
             if self.buf.is_empty() { None } else { Some(entered) };
         loop {
-            if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-                let mut line: Vec<u8> = self.buf.drain(..=pos).collect();
+            // Bytes searched before the last read hold no newline.
+            let from = self.scanned;
+            self.scanned = self.buf.len();
+            if let Some(pos) = self.buf[from..].iter().position(|&b| b == b'\n') {
+                let mut line: Vec<u8> = self.buf.drain(..=from + pos).collect();
+                self.scanned = 0;
                 line.pop();
                 if line.last() == Some(&b'\r') {
                     line.pop();
@@ -466,6 +479,34 @@ mod tests {
         let Request::Synth { timeout_ms, .. } = req else { panic!("expected synth") };
         assert_eq!(timeout_ms, Some(250));
         assert!(parse_request("{\"op\":\"synth\",\"tables\":[\"e8\"],\"timeout_ms\":0}").is_err());
+    }
+
+    #[test]
+    fn frames_split_across_reads_and_pipelined_frames_are_delimited() {
+        use std::io::Write as _;
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        let second = Duration::from_secs(5);
+        let mut reader = FrameReader::new(server, 1 << 20, second, second).unwrap();
+        let never = || false;
+        // One 10 KB frame in three writes (so several reads), with a
+        // second frame pipelined behind it and a third after a pause.
+        let big = "x".repeat(10_000);
+        client.write_all(&big.as_bytes()[..3000]).unwrap();
+        client.flush().unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+        client.write_all(&big.as_bytes()[3000..]).unwrap();
+        client.write_all(b"\r\nsecond\n").unwrap();
+        let Frame::Line(line) = reader.next_frame(&never).unwrap() else { panic!("big frame") };
+        assert_eq!(line, big);
+        let Frame::Line(line) = reader.next_frame(&never).unwrap() else { panic!("2nd frame") };
+        assert_eq!(line, "second");
+        client.write_all("thïrd\n".as_bytes()).unwrap();
+        let Frame::Line(line) = reader.next_frame(&never).unwrap() else { panic!("3rd frame") };
+        assert_eq!(line, "thïrd");
+        drop(client);
+        assert!(matches!(reader.next_frame(&never).unwrap(), Frame::Eof));
     }
 
     #[test]

@@ -38,7 +38,8 @@
 //! With the `faultsim` feature the daemon carries kill-window probes
 //! for the chaos suite: `serve.accept`, `serve.request.admitted`,
 //! `serve.request.pre_solve`, `serve.request.pre_respond`,
-//! `serve.shutdown.pre_save`. An `abort` action at any of them is an
+//! `serve.shutdown.pre_save`, and `serve.rewrite.wrong_answer`, which
+//! plants a wrong rewrite for the answer check to refuse. An `abort` action at any of them is an
 //! honest `kill -9`: the journal (fsynced on every publish) is all
 //! that survives, and [`stp_store::Store::open`] replays it.
 
@@ -50,7 +51,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use stp_network::{rewrite, Network, RewriteConfig, SynthesisCache};
+use stp_network::{equivalent_exhaustive, rewrite, Network, RewriteConfig, SynthesisCache};
 use stp_store::Store;
 use stp_synth::{
     synthesize_multi_npn_answer, synthesize_npn_answer, MultiSpec, SynthesisConfig, SynthesisError,
@@ -621,17 +622,49 @@ fn run_rewrite(blif: &str, shared: &Shared, deadline: Instant) -> WorkOutcome {
             if Instant::now() >= deadline {
                 return WorkOutcome::TimedOut;
             }
+            let rewritten = served_network(result.network);
+            // Up to the simulation limit every answer is checked against
+            // its input; wider networks are served unchecked.
+            if network.num_inputs() <= stp_tt::MAX_VARS
+                && !equivalent_exhaustive(&network, &rewritten).unwrap_or(false)
+            {
+                stp_telemetry::counter!("serve.rewrite_rejects").inc();
+                stp_telemetry::warn!("rewrite: refused a network that differs from its input");
+                return WorkOutcome::Done(resp_error(
+                    None,
+                    "rewritten network is not equivalent to its input",
+                ));
+            }
             let report = work_report("rewrite", Vec::new(), "ok", wall_s, counters);
             WorkOutcome::Done(resp_rewrite(
                 None,
                 result.gates_before,
                 result.gates_after,
                 result.passes,
-                result.network.to_blif("stpd"),
+                rewritten.to_blif("stpd"),
                 wall_s * 1e3,
                 report,
             ))
         }
         Err(e) => WorkOutcome::Done(resp_error(None, &e.to_string())),
     }
+}
+
+/// The network a rewrite answers with. Under the `faultsim` feature the
+/// `serve.rewrite.wrong_answer` failpoint swaps in a wrong one, so tests
+/// can watch the equivalence check refuse it.
+fn served_network(network: Network) -> Network {
+    stp_faultsim::fail_point!("serve.rewrite.wrong_answer", err = wrong_answer(&network));
+    network
+}
+
+/// Every output of `network` tied to constant false: wrong for any
+/// network with a non-constant-false output.
+#[cfg(feature = "faultsim")]
+fn wrong_answer(network: &Network) -> Network {
+    let mut wrong = Network::new(network.num_inputs());
+    for _ in network.outputs() {
+        wrong.add_output(stp_network::Sig::FALSE);
+    }
+    wrong
 }

@@ -167,26 +167,47 @@ fn eight_input_synth_answers_within_its_deadline() {
     assert!(elapsed < Duration::from_secs(3), "answered after {elapsed:?}");
 }
 
+/// A `rewrite` frame for xor3 spelled wastefully: y^z twice (once as a
+/// LUT, once as OR-of-ANDs, which structural hashing cannot merge),
+/// then x^(y^z) expanded as (x|g4) & !(x&g1) — 7 gates, optimum 2.
+const WASTEFUL_XOR3_REWRITE: &str = "{\"op\":\"rewrite\",\"id\":\"rw\",\"blif\":\"\
+    .model waste\\n.inputs x y z\\n.outputs f\\n\
+    .names y z g1\\n10 1\\n01 1\\n\
+    .names y z g2\\n10 1\\n.names y z g3\\n01 1\\n\
+    .names g2 g3 g4\\n1- 1\\n-1 1\\n\
+    .names x g4 h1\\n1- 1\\n-1 1\\n.names x g1 h2\\n11 1\\n\
+    .names h1 h2 f\\n10 1\\n.end\"}";
+
 #[test]
 fn rewrite_round_trip_shrinks_a_redundant_network() {
     let daemon = spawn_stpd(&[], None);
     let mut conn = Conn::open(&daemon.addr);
-    // xor3 spelled wastefully: y^z twice (once as a LUT, once as
-    // OR-of-ANDs, which structural hashing cannot merge), then
-    // x^(y^z) expanded as (x|g4) & !(x&g1) — 7 gates, optimum 2.
-    let blif = ".model waste\\n.inputs x y z\\n.outputs f\\n\
-                .names y z g1\\n10 1\\n01 1\\n\
-                .names y z g2\\n10 1\\n.names y z g3\\n01 1\\n\
-                .names g2 g3 g4\\n1- 1\\n-1 1\\n\
-                .names x g4 h1\\n1- 1\\n-1 1\\n.names x g1 h2\\n11 1\\n\
-                .names h1 h2 f\\n10 1\\n.end";
-    let resp = conn
-        .roundtrip(&format!("{{\"op\":\"rewrite\",\"id\":\"rw\",\"blif\":\"{blif}\"}}"), WINDOW);
+    let resp = conn.roundtrip(WASTEFUL_XOR3_REWRITE, WINDOW);
     assert_eq!(status(&resp), "ok", "{resp}");
     let before = resp.get("gates_before").and_then(Json::as_u64).unwrap();
     let after = resp.get("gates_after").and_then(Json::as_u64).unwrap();
     assert!(after < before, "rewriting must shrink {before} -> {after}");
     assert!(resp.get("blif").and_then(Json::as_str).is_some_and(|b| b.contains(".model")));
+    let stats = conn.roundtrip("{\"op\":\"stats\"}", WINDOW);
+    assert_eq!(counter(&stats, "serve.rewrite_rejects"), 0, "{stats}");
+}
+
+/// A wrong rewrite planted by the `serve.rewrite.wrong_answer`
+/// failpoint is refused by the equivalence check and counted; the next
+/// request, with the failpoint spent, is served.
+#[cfg(feature = "faultsim")]
+#[test]
+fn a_wrong_rewrite_is_refused_and_counted() {
+    let daemon = spawn_stpd(&[], Some("serve.rewrite.wrong_answer=1:err"));
+    let mut conn = Conn::open(&daemon.addr);
+    let resp = conn.roundtrip(WASTEFUL_XOR3_REWRITE, WINDOW);
+    assert_eq!(status(&resp), "error", "{resp}");
+    assert!(resp.to_string().contains("not equivalent"), "{resp}");
+    assert!(resp.get("blif").is_none(), "a refused network is never served: {resp}");
+    let resp = conn.roundtrip(WASTEFUL_XOR3_REWRITE, WINDOW);
+    assert_eq!(status(&resp), "ok", "{resp}");
+    let stats = conn.roundtrip("{\"op\":\"stats\"}", WINDOW);
+    assert_eq!(counter(&stats, "serve.rewrite_rejects"), 1, "{stats}");
 }
 
 #[test]

@@ -95,7 +95,7 @@ mod journal;
 mod persist;
 mod view;
 
-use std::collections::hash_map::{DefaultHasher, Entry as MapEntry};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -746,11 +746,12 @@ impl Store {
     ) -> Result<(Resolution, Arc<Slot>), E> {
         let (slot, created) = {
             let mut map = self.shard(key).map.lock().expect("shard lock poisoned");
-            match map.entry(key.clone()) {
-                MapEntry::Occupied(e) => (Arc::clone(e.get()), false),
-                MapEntry::Vacant(v) => {
+            // Probe by reference: the key is cloned only for a new slot.
+            match map.get(key) {
+                Some(slot) => (Arc::clone(slot), false),
+                None => {
                     let slot = Arc::new(Slot::pending());
-                    v.insert(Arc::clone(&slot));
+                    map.insert(key.clone(), Arc::clone(&slot));
                     (slot, true)
                 }
             }

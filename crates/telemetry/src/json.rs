@@ -147,17 +147,25 @@ impl fmt::Display for Json {
 
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+    // Unescaped runs are written whole; every escaped character is ASCII,
+    // so byte offsets between them are character boundaries.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
+        f.write_str(&s[run..i])?;
+        match b {
+            b'"' => f.write_str("\\\"")?,
+            b'\\' => f.write_str("\\\\")?,
+            b'\n' => f.write_str("\\n")?,
+            b'\r' => f.write_str("\\r")?,
+            b'\t' => f.write_str("\\t")?,
+            _ => write!(f, "\\u{b:04x}")?,
+        }
+        run = i + 1;
     }
+    f.write_str(&s[run..])?;
     f.write_str("\"")
 }
 
@@ -322,13 +330,18 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
+                    // Copy the whole unescaped run at once: it ends at an
+                    // ASCII quote or backslash (or the input's end), so
+                    // it never splits a UTF-8 sequence.
+                    let start = self.pos;
+                    let run = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - start);
+                    let text = std::str::from_utf8(&self.bytes[start..start + run])
                         .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().expect("non-empty by peek");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(text);
+                    self.pos += run;
                 }
             }
         }
@@ -400,6 +413,29 @@ mod tests {
         let s = Json::Str("a\"b\\c\nd\te\u{1}".into()).to_string();
         assert_eq!(s, "\"a\\\"b\\\\c\\nd\\te\\u0001\"");
         assert_eq!(Json::parse(&s).unwrap(), Json::Str("a\"b\\c\nd\te\u{1}".into()));
+    }
+
+    #[test]
+    fn multibyte_escapes_and_control_characters_round_trip() {
+        let text = "ü→𝔽 \"q\" \\ /\n\r\t\u{0}\u{1f}\u{7f} é\u{8}\u{c}end";
+        let doc = Json::obj(vec![(text, Json::Str(text.into()))]);
+        let wire = doc.to_string();
+        assert!(wire.contains("\\u0000") && wire.contains("\\u001f") && wire.contains("𝔽"));
+        assert_eq!(Json::parse(&wire).unwrap(), doc);
+        assert_eq!(Json::parse(r#""aüb\/\b\f""#).unwrap(), Json::Str("a\u{fc}b/\u{8}\u{c}".into()));
+    }
+
+    #[test]
+    fn a_one_mebibyte_string_parses() {
+        let body = "é".repeat(1 << 19) + "x\\\"y";
+        let back = Json::parse(&format!("\"{body}\"")).unwrap();
+        assert_eq!(back.as_str().map(str::len), Some((1 << 20) + 3));
+    }
+
+    #[test]
+    fn invalid_utf8_in_a_string_is_rejected() {
+        let mut p = Parser { bytes: b"\"ok \xff\xfe\"", pos: 0 };
+        assert_eq!(p.string().unwrap_err().message, "invalid UTF-8 in string");
     }
 
     #[test]

@@ -60,6 +60,16 @@ impl Counter {
         }
     }
 
+    /// Adds one to the process-wide value only, never to an open
+    /// [`CounterScope`](crate::scope::CounterScope): for counts of
+    /// process-wide state, such as hits on a memo that earlier work
+    /// filled, whose per-window delta depends on what ran before in the
+    /// process rather than on the window's own work.
+    #[inline]
+    pub fn inc_unscoped(&self) {
+        self.value.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Raises the value to at least `n` (for high-water marks). Not
     /// scoped: a maximum is not an additive delta.
     #[inline]

@@ -30,7 +30,8 @@
 //!
 //! High-water-mark updates (`Counter::record_max`) are **not** scoped:
 //! a maximum is not additive, so attributing it to a window is not
-//! meaningful. Histograms (span timings) are likewise out of scope —
+//! meaningful. Nor are `Counter::inc_unscoped` increments, which count
+//! process-wide state (memo hits) that depends on earlier windows. Histograms (span timings) are likewise out of scope —
 //! only counters feed drift gates and per-instance reports.
 
 use std::cell::RefCell;
@@ -222,6 +223,16 @@ mod tests {
         let scope = CounterScope::enter();
         c.record_max(100);
         assert!(scope.finish().is_empty(), "high-water marks are not additive deltas");
+    }
+
+    #[test]
+    fn unscoped_increments_reach_only_the_global_value() {
+        let m = Metrics::new();
+        let c = m.counter("scope.test.unscoped");
+        let scope = CounterScope::enter();
+        c.inc_unscoped();
+        assert!(scope.finish().is_empty(), "process-wide state is not a window's work");
+        assert_eq!(c.get(), 1);
     }
 
     #[test]

@@ -161,6 +161,39 @@ pub const fn words_len(num_vars: usize) -> usize {
     }
 }
 
+/// Word `word` of the projection table of input `var`, for tables of
+/// at least `var + 1` inputs (tables of fewer than 6 inputs keep only
+/// its low `2^n` bits).
+pub const fn var_word(var: usize, word: usize) -> u64 {
+    if var < 6 {
+        VAR_MASK[var]
+    } else if (word >> (var - 6)) & 1 == 1 {
+        u64::MAX
+    } else {
+        0
+    }
+}
+
+/// A 2-input operator given as a 4-bit truth table (`tt2` bit `a + 2b`
+/// is `σ(a, b)`), applied bitwise to two table words.
+#[inline]
+pub const fn lut2(tt2: u8, a: u64, b: u64) -> u64 {
+    let mut v = 0;
+    if tt2 & 0b0001 != 0 {
+        v |= !a & !b;
+    }
+    if tt2 & 0b0010 != 0 {
+        v |= a & !b;
+    }
+    if tt2 & 0b0100 != 0 {
+        v |= !a & b;
+    }
+    if tt2 & 0b1000 != 0 {
+        v |= a & b;
+    }
+    v
+}
+
 /// A mask of the `count` lowest bits (`count ≤ 64`).
 pub const fn low_mask(count: usize) -> u64 {
     if count >= 64 {

@@ -8,8 +8,11 @@
 //!
 //! [`canonicalize`] performs exhaustive canonization — all `n! · 2^n · 2`
 //! transforms — with word-level table operations on one reused buffer,
-//! which serves every arity up to 8 inputs.
+//! which serves every arity up to 8 inputs. Functions of at most four
+//! inputs walk their orbit once per process and are answered from a
+//! per-function memo afterwards.
 
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::OnceLock;
 
 use crate::error::TruthTableError;
@@ -254,6 +257,11 @@ fn xor_less(a: &[u64], flip: u64, b: &[u64]) -> bool {
 /// 4 inputs, 70 µs at 5 and 0.2 s at 8 (EXPERIMENTS.md). Cost still
 /// grows as `n! · 2^n`, so 9 or more inputs are impractical.
 ///
+/// Functions of at most four inputs are walked once per process: the
+/// answer is packed into a lock-free memo entry per function and every
+/// later call unpacks it (`tt.npn_memo_hits`). The memo only stores
+/// what the walk returned, so answers, ties included, are the walk's.
+///
 /// # Examples
 ///
 /// ```
@@ -270,6 +278,83 @@ fn xor_less(a: &[u64], flip: u64, b: &[u64]) -> bool {
 /// ```
 pub fn canonicalize(tt: &TruthTable) -> NpnCanonical {
     stp_telemetry::counter!("tt.npn_canonicalizations").inc();
+    let n = tt.num_vars();
+    if n > MEMO_MAX_VARS {
+        return walk_canonical(tt);
+    }
+    // Relaxed suffices: an entry publishes no other data, its one word
+    // is the whole answer.
+    let slot = &small_memo(n)[tt.words()[0] as usize];
+    let packed = slot.load(Ordering::Relaxed);
+    if packed & MEMO_VALID != 0 {
+        // Unscoped: whether a call hits depends on what the process
+        // canonicalized before, so per-request counter maps leave it out.
+        stp_telemetry::counter!("tt.npn_memo_hits").inc_unscoped();
+        return unpack(n, packed);
+    }
+    let canon = walk_canonical(tt);
+    slot.store(pack(&canon), Ordering::Relaxed);
+    canon
+}
+
+/// Functions of at most this many inputs are answered from the memo.
+const MEMO_MAX_VARS: usize = 4;
+
+/// Set in every filled memo entry; an entry without it is unfilled.
+const MEMO_VALID: u32 = 1 << 31;
+
+/// The canonicalization memo for `n ≤ 4` inputs: one entry per
+/// function, indexed by its table word (`2^(2^n)` entries, 65 536 at
+/// `n = 4`, about 257 KiB over all five arities). Allocated on the
+/// first canonicalization of that arity, zero (unfilled) until a
+/// function's first walk stores its answer.
+///
+/// An entry packs the walk's whole answer into one word, so a reader
+/// sees either nothing or a complete answer and racing fillers store
+/// the same value: bits 0–15 hold the representative's table, bits
+/// 16–23 the permutation (bits `16 + 2i..` hold `perm[i]`), bits 24–27
+/// the input-negation mask, bit 28 the output phase and bit 31
+/// [`MEMO_VALID`].
+fn small_memo(n: usize) -> &'static [AtomicU32] {
+    static MEMOS: [OnceLock<Box<[AtomicU32]>>; MEMO_MAX_VARS + 1] =
+        [const { OnceLock::new() }; MEMO_MAX_VARS + 1];
+    MEMOS[n].get_or_init(|| (0..1usize << (1 << n)).map(|_| AtomicU32::new(0)).collect())
+}
+
+/// Whether the memo holds an answer for `tt` (at most four inputs).
+#[cfg(test)]
+pub(crate) fn memo_filled(tt: &TruthTable) -> bool {
+    small_memo(tt.num_vars())[tt.words()[0] as usize].load(Ordering::Relaxed) & MEMO_VALID != 0
+}
+
+/// Packs a walk's answer on at most [`MEMO_MAX_VARS`] inputs into a
+/// memo entry (layout on [`small_memo`]).
+fn pack(canon: &NpnCanonical) -> u32 {
+    let t = &canon.transform;
+    let perm = t.perm.iter().enumerate().fold(0, |acc, (i, &p)| acc | (p as u32) << (2 * i));
+    canon.representative.words()[0] as u32
+        | perm << 16
+        | t.input_negations << 24
+        | u32::from(t.output_negated) << 28
+        | MEMO_VALID
+}
+
+/// The answer a memo entry of an `n`-input function packs.
+fn unpack(n: usize, packed: u32) -> NpnCanonical {
+    NpnCanonical {
+        representative: TruthTable::from_u64(n, u64::from(packed & 0xffff))
+            .expect("a memo entry holds an n-input table"),
+        transform: NpnTransform {
+            perm: (0..n).map(|i| (packed >> (16 + 2 * i) & 3) as usize).collect(),
+            input_negations: packed >> 24 & 0xf,
+            output_negated: packed >> 28 & 1 == 1,
+        },
+    }
+}
+
+/// The orbit walk behind [`canonicalize`]: every transform visited,
+/// the first strict minimum kept.
+pub(crate) fn walk_canonical(tt: &TruthTable) -> NpnCanonical {
     let n = tt.num_vars();
     let used = kernel::low_mask(tt.num_bits());
     // The walk's first candidate is the identity transform, so starting
@@ -571,6 +656,35 @@ mod tests {
             output_negations: vec![false, false],
         };
         assert!(bad.apply(&[tt.clone(), tt]).is_err());
+    }
+
+    #[test]
+    fn concurrent_callers_get_identical_answers() {
+        // Four threads canonicalize the same 4-input functions, each in
+        // its own order, so entries are filled and read concurrently.
+        let functions: Vec<u64> = (0..4096u64).map(|i| i.wrapping_mul(40_503) & 0xffff).collect();
+        let barrier = std::sync::Barrier::new(4);
+        let answers: Vec<Vec<(u64, NpnCanonical)>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|t| {
+                    let (functions, barrier) = (&functions, &barrier);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        let order = functions.iter().cycle().skip(t * 1024).take(functions.len());
+                        order
+                            .map(|&f| (f, canonicalize(&TruthTable::from_u64(4, f).unwrap())))
+                            .collect()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for thread in &answers {
+            for (f, canon) in thread {
+                let tt = TruthTable::from_u64(4, *f).unwrap();
+                assert_eq!(*canon, walk_canonical(&tt), "function {f:04x}");
+            }
+        }
     }
 
     #[test]

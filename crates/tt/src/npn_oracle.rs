@@ -1,5 +1,6 @@
 //! Reference NPN canonicalizers and the differential tests that pin the
-//! word-level orbit walker in [`crate::npn`] to them.
+//! word-level orbit walker in [`crate::npn`], and the memo that answers
+//! functions of at most four inputs from it, to them.
 //!
 //! The references are the straightforward exhaustive loops: for every
 //! permutation and negation mask they build the transformed table
@@ -10,6 +11,7 @@
 //! output phase false before true — so the fast path must match them on
 //! the representative *and* the transform, field by field.
 
+use crate::npn::{memo_filled, walk_canonical};
 use crate::{
     canonicalize, canonicalize_multi, npn_classes, MultiNpnCanonical, MultiNpnTransform,
     NpnCanonical, NpnTransform, TruthTable,
@@ -140,19 +142,28 @@ impl Lcg {
     }
 }
 
+/// Checks the orbit walk and both `canonicalize` paths against the
+/// reference: the first call walks and fills the memo (unless an earlier
+/// test already filled that entry), the second is answered from the
+/// memo on at most four inputs.
 fn assert_single_matches(tt: &TruthTable) {
-    let fast = canonicalize(tt);
     let reference = canonicalize_reference(tt);
-    assert_eq!(fast.representative, reference.representative, "representative of {tt:?}");
-    assert_eq!(fast.transform.perm, reference.transform.perm, "perm of {tt:?}");
-    assert_eq!(
-        fast.transform.input_negations, reference.transform.input_negations,
-        "input negations of {tt:?}"
-    );
-    assert_eq!(
-        fast.transform.output_negated, reference.transform.output_negated,
-        "output negation of {tt:?}"
-    );
+    let fill = canonicalize(tt);
+    if tt.num_vars() <= 4 {
+        assert!(memo_filled(tt), "the first call must fill the memo for {tt:?}");
+    }
+    for (path, fast) in [("walk", walk_canonical(tt)), ("fill", fill), ("hit", canonicalize(tt))] {
+        assert_eq!(fast.representative, reference.representative, "{path}: rep of {tt:?}");
+        assert_eq!(fast.transform.perm, reference.transform.perm, "{path}: perm of {tt:?}");
+        assert_eq!(
+            fast.transform.input_negations, reference.transform.input_negations,
+            "{path}: input negations of {tt:?}"
+        );
+        assert_eq!(
+            fast.transform.output_negated, reference.transform.output_negated,
+            "{path}: output negation of {tt:?}"
+        );
+    }
 }
 
 fn assert_multi_matches(tts: &[TruthTable]) {

@@ -91,21 +91,8 @@ impl TruthTable {
             return Err(TruthTableError::VariableOutOfRange { var, num_vars });
         }
         let mut tt = Self::constant(num_vars, false)?;
-        if var < 6 {
-            let pattern = VAR_MASK[var] & used_mask(num_vars);
-            for w in &mut tt.words {
-                *w = pattern;
-            }
-            if num_vars < 6 {
-                tt.words[0] = VAR_MASK[var] & used_mask(num_vars);
-            }
-        } else {
-            let stride = 1usize << (var - 6);
-            for (i, w) in tt.words.iter_mut().enumerate() {
-                if (i / stride) % 2 == 1 {
-                    *w = u64::MAX;
-                }
-            }
+        for (i, w) in tt.words.iter_mut().enumerate() {
+            *w = kernel::var_word(var, i) & used_mask(num_vars);
         }
         Ok(tt)
     }
@@ -522,20 +509,7 @@ impl TruthTable {
         }
         let mut out = self.clone();
         for (w, (&a, &b)) in out.words.iter_mut().zip(self.words.iter().zip(&rhs.words)) {
-            let mut v = 0u64;
-            if tt2 & 0b0001 != 0 {
-                v |= !a & !b;
-            }
-            if tt2 & 0b0010 != 0 {
-                v |= a & !b;
-            }
-            if tt2 & 0b0100 != 0 {
-                v |= !a & b;
-            }
-            if tt2 & 0b1000 != 0 {
-                v |= a & b;
-            }
-            *w = v;
+            *w = kernel::lut2(tt2, a, b);
         }
         out.mask_tail();
         Ok(out)
