@@ -83,7 +83,7 @@ cargo test --release --offline --manifest-path stpbench/Cargo.toml
 echo "==> NPN canonicalization oracle (release: every function of <= 4 inputs through the orbit walk, the memo fill and the memo hit, vs the reference loops)"
 cargo test --release -q -p stp-tt --offline
 
-echo "==> factorization engine at release sizes (split plans up to 12 support variables, fast/wide/naive fuzz)"
+echo "==> factorization engine at release sizes (split plans up to 12 support variables; the split kernel at u64 and W4 lanes against the naive reference and each other)"
 cargo test --release -q -p stp-synth --offline
 
 echo "==> cargo test (STP_JOBS=1, sequential default)"

@@ -51,28 +51,33 @@
 //!
 //! # Word-level kernels
 //!
-//! The inner loops run on three paths (see `DESIGN.md`, *Word-level
-//! factorization kernels*), chosen per split:
+//! The inner loops run one word-level kernel,
+//! `Factorizer::factor_split_words`, at two lane widths (see `DESIGN.md`,
+//! *Word-level factorization kernels*), chosen per split:
 //!
-//! * the **fast path** — spec of at most [`FAST_MAX_VARS`] inputs,
-//!   `|A| + |B| ≤ 6` and `|S| ≤ 6` — compacts the spec onto the split's
-//!   variable order with the `stp-tt` kernel primitives, so every
-//!   decomposition chart is a contiguous power-of-two-aligned bit slice,
-//!   patterns and labellings are `u64` masks, the two-pattern test and
-//!   the consistency check are mask algebra, and candidate operands are
-//!   scattered word-level into stack buffers: the split/combination
-//!   loops never allocate;
-//! * the **wide path** — spec of at most [`WIDE_MAX_VARS`] inputs,
-//!   `|A| + |B| ≤ 8` and `|S| ≤ 8` — runs the same algorithm one [`W4`]
-//!   lane wider: the compact spec spans up to [`WIDE_WORDS`] words, a
-//!   chart cell block is one `[u64; 4]`, and at most [`WIDE_SHARED`]
-//!   shared assignments are enumerated;
+//! * **`u64` lanes** — spec of at most [`FAST_MAX_VARS`] inputs,
+//!   `|A| + |B| ≤ 6` and `|S| ≤ 6`: the spec is compacted onto the
+//!   split's variable order with the `stp-tt` kernel primitives, so
+//!   every decomposition chart is a contiguous power-of-two-aligned bit
+//!   slice of one word, patterns and labellings are `u64` masks, the
+//!   two-pattern test and the consistency check are mask algebra, and
+//!   candidate operands are scattered word-level into stack buffers: the
+//!   split/combination loops never allocate;
+//! * **[`W4`] lanes** — spec of at most [`WIDE_MAX_VARS`] inputs,
+//!   `|A| + |B| ≤ 8` and `|S| ≤ 8`: the same source monomorphized one
+//!   lane wider; the compact spec spans up to [`WIDE_WORDS`] words, a
+//!   chart is one `[u64; 4]`, and at most [`WIDE_SHARED`] shared
+//!   assignments are enumerated;
 //! * any larger split falls back to the original scalar implementation
 //!   ([`Factorizer::factor_split_naive`], also the reference the fuzz
-//!   tests pin both kernels against).
+//!   tests pin both instantiations against).
 //!
-//! All three paths enumerate candidates in the same order, so the
-//! produced chains, their order, and the counters are identical.
+//! The lane type carries the few operations whose best form differs by
+//! width (field extraction, the cell scatter, the axis-coverage test);
+//! the buffer sizes are const parameters, since stable Rust cannot size
+//! an array by an expression of the lane type. All three paths
+//! enumerate candidates in the same order, so the produced chains,
+//! their order, and the counters are identical.
 //!
 //! # Uniqueness without dedup sets
 //!
@@ -99,6 +104,7 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::{BitAnd, BitOr, Not};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -111,21 +117,28 @@ use stp_tt::TruthTable;
 use crate::circuit_solver::{NodeView, Propagator, Signal};
 use crate::error::SynthesisError;
 
-/// Specs up to this arity use the single-word fast path (all suite
-/// workloads top out at 8 variables; a table then spans ≤ 4 words and a
-/// chart cell block fits one `u64`).
+/// Specs up to this arity use the `u64` split kernel when the split
+/// fits `|A| + |B| ≤ 6` and `|S| ≤ 6`: the spec spans at most
+/// [`FAST_WORDS`] words, a chart fits one `u64`, and the
+/// shared-assignment loop stays ≤ [`FAST_SHARED`] entries.
 const FAST_MAX_VARS: usize = 8;
 
-/// Specs up to this arity use the multi-word wide path when the split
+/// Packed words of a [`FAST_MAX_VARS`]-input table (`2^8 / 64`).
+const FAST_WORDS: usize = 4;
+
+/// Maximum shared assignments of the `u64` kernel (`2^6`).
+const FAST_SHARED: usize = 64;
+
+/// Specs up to this arity use the [`W4`] split kernel when the split
 /// fits `|A| + |B| ≤ 8` and `|S| ≤ 8`: the compact spec spans at most
-/// [`WIDE_WORDS`] words, a chart cell block fits one [`W4`], and the
+/// [`WIDE_WORDS`] words, a chart fits one [`W4`], and the
 /// shared-assignment loop stays ≤ [`WIDE_SHARED`] entries.
 const WIDE_MAX_VARS: usize = 12;
 
 /// Packed words of a [`WIDE_MAX_VARS`]-input table (`2^12 / 64`).
 const WIDE_WORDS: usize = 64;
 
-/// Maximum shared assignments on the wide path (`2^8`).
+/// Maximum shared assignments of the [`W4`] kernel (`2^8`).
 const WIDE_SHARED: usize = 256;
 
 /// One deadline poll (`Instant::now()`) per this many checkpoint calls;
@@ -165,7 +178,7 @@ pub struct FactorConfig {
     pub abort: Option<Arc<AtomicBool>>,
     /// Differential-test knob: route every split through the scalar
     /// reference implementation ([`Factorizer::factor_split_naive`])
-    /// instead of the word-level fast/wide paths. The differential
+    /// instead of the word-level `u64`/`W4` kernels. The differential
     /// suites compare a forced-naive engine against the default one;
     /// production callers leave this `false`.
     pub force_naive: bool,
@@ -832,19 +845,23 @@ impl Factorizer {
                     ns += 1;
                 }
             }
-            // The fast path needs the whole spec in 4 words, chart cell
-            // blocks in one word, and ≤ 64 shared assignments. The wide
-            // path relaxes all three by one W4: spec in 64 words, cell
-            // blocks in one `[u64; 4]`, ≤ 256 shared assignments.
-            // Anything larger falls back to the scalar reference.
+            // The `u64` kernel needs the whole spec in 4 words, a chart
+            // in one word, and ≤ 64 shared assignments. The `W4` kernel
+            // relaxes all three: spec in 64 words, a chart in one
+            // `[u64; 4]`, ≤ 256 shared assignments. Anything larger
+            // falls back to the scalar reference.
             let force = self.config.force_naive;
             let fast = !force && n <= FAST_MAX_VARS && na + nb <= 6 && ns <= 6;
             let wide = !force && !fast && n <= WIDE_MAX_VARS && na + nb <= 8 && ns <= 8;
             let (a, b, s) = (&a_vars[..na], &b_vars[..nb], &s_vars[..ns]);
             if fast {
-                self.factor_split_fast(h, a, b, s, s1, s2, symmetric, out_start)?;
+                self.factor_split_words::<u64, FAST_WORDS, FAST_SHARED>(
+                    h, a, b, s, s1, s2, symmetric, out_start,
+                )?;
             } else if wide {
-                self.factor_split_wide(h, a, b, s, s1, s2, symmetric, out_start)?;
+                self.factor_split_words::<W4, WIDE_WORDS, WIDE_SHARED>(
+                    h, a, b, s, s1, s2, symmetric, out_start,
+                )?;
             } else {
                 self.factor_split_naive(h, a, b, s, s1, s2, symmetric, out_start)?;
             }
@@ -859,18 +876,22 @@ impl Factorizer {
     /// for one fixed split, pushing every realization onto `scratch`
     /// (the subproblem's realizations start at `out_start`).
     ///
-    /// Requires `h.num_vars() ≤ 8`, `|A| + |B| ≤ 6` and `|S| ≤ 6` (the
-    /// caller gates on this). Charts, patterns and labellings live in
-    /// `u64` masks and fixed stack buffers, and candidate operands are
-    /// probed in the memo straight from those buffers — the split and
-    /// combination loops perform no heap allocation; memory is touched
-    /// only when a memo miss recurses or the arena grows.
+    /// One source at two lane widths (see [`Lane`]): `L = u64` with
+    /// `WORDS = 4`, `SHARED = 64` serves specs of at most
+    /// [`FAST_MAX_VARS`] inputs with `|A| + |B| ≤ 6` and `|S| ≤ 6`;
+    /// `L = W4` with [`WIDE_WORDS`], [`WIDE_SHARED`] serves specs of at
+    /// most [`WIDE_MAX_VARS`] inputs with `|A| + |B| ≤ 8` and `|S| ≤ 8`
+    /// (the caller gates on this). The compact spec and the operand
+    /// accumulators are `WORDS`-word stack buffers, a chart is one lane,
+    /// and the per-shared-assignment tables hold `SHARED` entries, so the
+    /// split and combination loops perform no heap allocation; memory is
+    /// touched only when a memo miss recurses or the arena grows.
     ///
     /// Byte-equal to [`Factorizer::factor_split_naive`] in output,
     /// order, and counter increments (pinned by the differential fuzz
     /// tests below).
     #[allow(clippy::too_many_arguments)]
-    fn factor_split_fast(
+    fn factor_split_words<L: Lane, const WORDS: usize, const SHARED: usize>(
         &mut self,
         h: &TruthTable,
         a_vars: &[usize],
@@ -888,45 +909,38 @@ impl Factorizer {
         let cols = 1usize << rb;
         let shared = 1usize << rs;
         let cells = rows * cols;
-        let cell_mask = kernel::low_mask(cells);
-        let rows_mask = kernel::low_mask(rows);
-        let cols_mask = kernel::low_mask(cols);
+        let cell_mask = L::low_mask(cells);
+        let rows_mask = L::low_mask(rows);
+        let cols_mask = L::low_mask(cols);
 
         // Compact the spec onto `B ++ A ++ S` (row-major charts: cell
         // (r, c) of shared assignment s is bit `c + r·cols + s·cells`)
         // and onto `A ++ B ++ S` (the transposed charts, for column
-        // patterns). Every chart is then a contiguous bit slice that
-        // never straddles a word (cells is a power of two ≤ 64).
+        // patterns). Every chart is then an aligned power-of-two bit
+        // slice of at most one lane.
         let mut order = [0usize; 16];
         order[..rb].copy_from_slice(b_vars);
         order[rb..rb + ra].copy_from_slice(a_vars);
         order[rb + ra..d].copy_from_slice(s_vars);
-        let mut compact_rc = [0u64; 4];
+        let mut compact_rc = [0u64; WORDS];
         compact_into_words(h, &order[..d], &mut compact_rc);
         order[..ra].copy_from_slice(a_vars);
         order[ra..ra + rb].copy_from_slice(b_vars);
-        let mut compact_cr = [0u64; 4];
+        let mut compact_cr = [0u64; WORDS];
         compact_into_words(h, &order[..d], &mut compact_cr);
 
         // Per shared assignment: the chart, the first row/column
         // labelling option (bit i ⇔ axis element i carries the second
         // distinct pattern; the other option is its complement), and
         // the labellings expanded to cell masks.
-        let rep = {
-            let mut rep = 0u64;
-            for r in 0..rows {
-                rep |= 1u64 << (r * cols);
-            }
-            rep
-        };
-        let mut charts = [0u64; 64];
-        let mut row0 = [0u64; 64];
-        let mut col0 = [0u64; 64];
-        let mut rcell0 = [0u64; 64];
-        let mut ccell0 = [0u64; 64];
+        let mut charts = [L::ZERO; SHARED];
+        let mut row0 = [L::ZERO; SHARED];
+        let mut col0 = [L::ZERO; SHARED];
+        let mut rcell0 = [L::ZERO; SHARED];
+        let mut ccell0 = [L::ZERO; SHARED];
         for s in 0..shared {
-            let chart = slice64(&compact_rc, s * cells, cell_mask);
-            let chart_t = slice64(&compact_cr, s * cells, cell_mask);
+            let chart = L::slice(&compact_rc, s * cells, cells);
+            let chart_t = L::slice(&compact_cr, s * cells, cells);
             self.charts_built += 1;
             // Two unique quartering parts per axis (Examples 5–6).
             let Some(r0) = two_pattern_mask(chart, rows, cols) else {
@@ -938,14 +952,7 @@ impl Factorizer {
             charts[s] = chart;
             row0[s] = r0;
             col0[s] = c0;
-            let mut rc = 0u64;
-            for r in 0..rows {
-                rc |= ((r0 >> r) & 1).wrapping_mul(cols_mask << (r * cols));
-            }
-            rcell0[s] = rc;
-            // Column labels replicate across rows: the shifts of c0 by
-            // r·cols are disjoint, so one multiply scatters them all.
-            ccell0[s] = c0.wrapping_mul(rep);
+            (rcell0[s], ccell0[s]) = L::label_cells(r0, c0, rows, cols);
         }
 
         // Split-level support filter: the A-part of the left operand's
@@ -953,9 +960,7 @@ impl Factorizer {
         // assignments (complementing a labelling never changes its
         // support), so a split whose row classes do not jointly cover A
         // can never pass the canonical-split check — likewise for B.
-        if !covers_axis_mask(&row0[..shared], ra, rows)
-            || !covers_axis_mask(&col0[..shared], rb, cols)
-        {
+        if !L::covers_axis(&row0[..shared], ra) || !L::covers_axis(&col0[..shared], rb) {
             return Ok(());
         }
 
@@ -983,8 +988,8 @@ impl Factorizer {
         'ops: for &g in &stp_tt::NONTRIVIAL_OPS {
             // Valid (row label, col label) option pairs per shared
             // assignment; option 0 is the stored mask, 1 its complement.
-            let mut pairs = [[(0u8, 0u8); 4]; 64];
-            let mut plen = [0usize; 64];
+            let mut pairs = [[(0u8, 0u8); 4]; SHARED];
+            let mut plen = [0usize; SHARED];
             for s in 0..shared {
                 let rc = rcell0[s];
                 let cc = ccell0[s];
@@ -993,203 +998,9 @@ impl Factorizer {
                     let r = if ri == 0 { rc } else { !rc & cell_mask };
                     for ci in 0..2u8 {
                         let c = if ci == 0 { cc } else { !cc & cell_mask };
-                        let mut expected = 0u64;
+                        let mut expected = L::ZERO;
                         if g & 1 != 0 {
-                            expected |= !r & !c & cell_mask;
-                        }
-                        if g & 2 != 0 {
-                            expected |= r & !c;
-                        }
-                        if g & 4 != 0 {
-                            expected |= !r & c;
-                        }
-                        if g & 8 != 0 {
-                            expected |= r & c;
-                        }
-                        if expected == charts[s] {
-                            pairs[s][np] = (ri, ci);
-                            np += 1;
-                        }
-                    }
-                }
-                if np == 0 {
-                    continue 'ops;
-                }
-                plen[s] = np;
-            }
-            // Depth-first combination over shared assignments.
-            let mut choice = [0usize; 64];
-            'combos: loop {
-                self.check_deadline()?;
-                let mut cbuf1 = [0u64; 4];
-                let mut cbuf2 = [0u64; 4];
-                for s in 0..shared {
-                    let (ri, ci) = pairs[s][choice[s]];
-                    let rl = if ri == 0 { row0[s] } else { !row0[s] & rows_mask };
-                    let cl = if ci == 0 { col0[s] } else { !col0[s] & cols_mask };
-                    let off1 = s * rows;
-                    cbuf1[off1 >> 6] |= rl << (off1 & 63);
-                    let off2 = s * cols;
-                    cbuf2[off2 >> 6] |= cl << (off2 & 63);
-                }
-                // Canonical split: the operands must depend on exactly
-                // their assigned variables (otherwise the same triple is
-                // found under a smaller split). On the compact tables
-                // that is simply "full support".
-                let canonical = kernel::support_mask(&cbuf1[..kernel::words_len(k1)], k1) == full1
-                    && kernel::support_mask(&cbuf2[..kernel::words_len(k2)], k2) == full2;
-                if canonical {
-                    let mut f1 = [0u64; 4];
-                    expand_with_plan_words(&cbuf1, k1, n, &plan1[..plan1_len], &mut f1);
-                    let mut f2 = [0u64; 4];
-                    expand_with_plan_words(&cbuf2, k2, n, &plan2[..plan2_len], &mut f2);
-                    // Mirror dedup for symmetric shapes.
-                    if !symmetric || f1 <= f2 {
-                        #[cfg(test)]
-                        self.triples.push((g, f1[..nw].to_vec(), f2[..nw].to_vec()));
-                        let r1 = self.realize(n, &f1[..nw], s1)?;
-                        if r1.len > 0 {
-                            let r2 = self.realize(n, &f2[..nw], s2)?;
-                            if self.emit_pairs(g, r1, r2, out_start) {
-                                return Ok(());
-                            }
-                        }
-                    }
-                }
-                // Advance.
-                let mut i = 0;
-                loop {
-                    if i == shared {
-                        break 'combos;
-                    }
-                    choice[i] += 1;
-                    if choice[i] < plen[i] {
-                        break;
-                    }
-                    choice[i] = 0;
-                    i += 1;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Multi-word `factor_split`: the wide twin of
-    /// [`Factorizer::factor_split_fast`] for specs of 9–12 inputs (and
-    /// any split with `|A| + |B| ≤ 8`, `|S| ≤ 8` on a ≤ 12-input
-    /// spec). Charts, labellings and their cell expansions live in
-    /// [`W4`] blocks — one aligned 256-bit slice per shared assignment
-    /// — and the compact spec and operand accumulators are fixed
-    /// 64-word stack buffers, so the split and combination loops still
-    /// perform no heap allocation.
-    ///
-    /// Byte-equal to [`Factorizer::factor_split_naive`] in output,
-    /// order, and counter increments (pinned by the differential fuzz
-    /// tests below and the wide-spec bench differential).
-    #[allow(clippy::too_many_arguments)]
-    fn factor_split_wide(
-        &mut self,
-        h: &TruthTable,
-        a_vars: &[usize],
-        b_vars: &[usize],
-        s_vars: &[usize],
-        s1: u32,
-        s2: u32,
-        symmetric: bool,
-        out_start: usize,
-    ) -> Result<(), SynthesisError> {
-        let n = h.num_vars();
-        let (ra, rb, rs) = (a_vars.len(), b_vars.len(), s_vars.len());
-        let d = ra + rb + rs;
-        let rows = 1usize << ra;
-        let cols = 1usize << rb;
-        let shared = 1usize << rs;
-        let cells = rows * cols;
-        let cells_mask = w4_low_mask(cells);
-        let rows_mask = w4_low_mask(rows);
-        let cols_mask = w4_low_mask(cols);
-
-        // Compact the spec onto `B ++ A ++ S` (row-major charts) and
-        // `A ++ B ++ S` (transposed charts); every chart is then an
-        // aligned 256-bit slice (cells is a power of two ≤ 256).
-        let mut order = [0usize; 16];
-        order[..rb].copy_from_slice(b_vars);
-        order[rb..rb + ra].copy_from_slice(a_vars);
-        order[rb + ra..d].copy_from_slice(s_vars);
-        let mut compact_rc = [0u64; WIDE_WORDS];
-        compact_into_words(h, &order[..d], &mut compact_rc);
-        order[..ra].copy_from_slice(a_vars);
-        order[ra..ra + rb].copy_from_slice(b_vars);
-        let mut compact_cr = [0u64; WIDE_WORDS];
-        compact_into_words(h, &order[..d], &mut compact_cr);
-
-        // Per shared assignment: the chart, the first row/column
-        // labelling option (the other option is its complement), and
-        // the labellings expanded to cell masks.
-        let mut charts = [W4::ZERO; WIDE_SHARED];
-        let mut row0 = [W4::ZERO; WIDE_SHARED];
-        let mut col0 = [W4::ZERO; WIDE_SHARED];
-        let mut rcell0 = [W4::ZERO; WIDE_SHARED];
-        let mut ccell0 = [W4::ZERO; WIDE_SHARED];
-        for s in 0..shared {
-            let chart = slice_w4(&compact_rc, s * cells, cells);
-            let chart_t = slice_w4(&compact_cr, s * cells, cells);
-            self.charts_built += 1;
-            // Two unique quartering parts per axis (Examples 5–6).
-            let Some(r0) = two_pattern_mask_w4(&chart, rows, cols) else {
-                return Ok(());
-            };
-            let Some(c0) = two_pattern_mask_w4(&chart_t, cols, rows) else {
-                return Ok(());
-            };
-            charts[s] = chart;
-            row0[s] = r0;
-            col0[s] = c0;
-            rcell0[s] = rows_to_cells_w4(&r0, rows, cols);
-            ccell0[s] = cols_to_cells_w4(&c0, rows, cols);
-        }
-
-        // Split-level support filter (see the fast path).
-        if !covers_axis_w4(&row0[..shared], ra) || !covers_axis_w4(&col0[..shared], rb) {
-            return Ok(());
-        }
-
-        // Operand layout: compact over `own ++ S`, one labelling mask
-        // per shared assignment at an aligned offset.
-        let k1 = ra + rs;
-        let k2 = rb + rs;
-        let mut vars1 = [0usize; 16];
-        vars1[..ra].copy_from_slice(a_vars);
-        vars1[ra..k1].copy_from_slice(s_vars);
-        let mut vars2 = [0usize; 16];
-        vars2[..rb].copy_from_slice(b_vars);
-        vars2[rb..k2].copy_from_slice(s_vars);
-        let mut plan1 = [(0u8, 0u8); 16];
-        let plan1_len = kernel::front_swap_plan(n, &vars1[..k1], &mut plan1);
-        let mut plan2 = [(0u8, 0u8); 16];
-        let plan2_len = kernel::front_swap_plan(n, &vars2[..k2], &mut plan2);
-        let full1 = kernel::low_mask(k1);
-        let full2 = kernel::low_mask(k2);
-        let nw = kernel::words_len(n);
-
-        // For each candidate operator g, pick one row/column labelling
-        // per shared assignment, consistently.
-        'ops: for &g in &stp_tt::NONTRIVIAL_OPS {
-            // Valid (row label, col label) option pairs per shared
-            // assignment; option 0 is the stored mask, 1 its complement.
-            let mut pairs = [[(0u8, 0u8); 4]; WIDE_SHARED];
-            let mut plen = [0usize; WIDE_SHARED];
-            for s in 0..shared {
-                let rc = rcell0[s];
-                let cc = ccell0[s];
-                let mut np = 0usize;
-                for ri in 0..2u8 {
-                    let r = if ri == 0 { rc } else { !rc & cells_mask };
-                    for ci in 0..2u8 {
-                        let c = if ci == 0 { cc } else { !cc & cells_mask };
-                        let mut expected = W4::ZERO;
-                        if g & 1 != 0 {
-                            expected = expected | (!r & !c & cells_mask);
+                            expected = expected | (!r & !c & cell_mask);
                         }
                         if g & 2 != 0 {
                             expected = expected | (r & !c);
@@ -1212,26 +1023,28 @@ impl Factorizer {
                 plen[s] = np;
             }
             // Depth-first combination over shared assignments.
-            let mut choice = [0usize; WIDE_SHARED];
+            let mut choice = [0usize; SHARED];
             'combos: loop {
                 self.check_deadline()?;
-                let mut cbuf1 = [0u64; WIDE_WORDS];
-                let mut cbuf2 = [0u64; WIDE_WORDS];
+                let mut cbuf1 = [0u64; WORDS];
+                let mut cbuf2 = [0u64; WORDS];
                 for s in 0..shared {
                     let (ri, ci) = pairs[s][choice[s]];
                     let rl = if ri == 0 { row0[s] } else { !row0[s] & rows_mask };
                     let cl = if ci == 0 { col0[s] } else { !col0[s] & cols_mask };
-                    or_labels_at(&mut cbuf1, s * rows, &rl, rows);
-                    or_labels_at(&mut cbuf2, s * cols, &cl, cols);
+                    rl.or_into(&mut cbuf1, s * rows, rows);
+                    cl.or_into(&mut cbuf2, s * cols, cols);
                 }
-                // Canonical split: full support on the compact tables
-                // (see the fast path).
+                // Canonical split: the operands must depend on exactly
+                // their assigned variables (otherwise the same triple is
+                // found under a smaller split). On the compact tables
+                // that is simply "full support".
                 let canonical = kernel::support_mask(&cbuf1[..kernel::words_len(k1)], k1) == full1
                     && kernel::support_mask(&cbuf2[..kernel::words_len(k2)], k2) == full2;
                 if canonical {
-                    let mut f1 = [0u64; WIDE_WORDS];
+                    let mut f1 = [0u64; WORDS];
                     expand_with_plan_words(&cbuf1, k1, n, &plan1[..plan1_len], &mut f1);
-                    let mut f2 = [0u64; WIDE_WORDS];
+                    let mut f2 = [0u64; WORDS];
                     expand_with_plan_words(&cbuf2, k2, n, &plan2[..plan2_len], &mut f2);
                     // Mirror dedup for symmetric shapes.
                     if !symmetric || f1[..nw] <= f2[..nw] {
@@ -1264,9 +1077,11 @@ impl Factorizer {
         Ok(())
     }
 
-    /// Scalar reference `factor_split`, retained as the multi-word
-    /// fallback (arities or splits beyond the fast-path bounds) and as
-    /// the ground truth for the differential fuzz tests.
+    /// Scalar reference `factor_split`: the fallback for splits beyond
+    /// both word-level instantiations (more than [`WIDE_MAX_VARS`]
+    /// inputs, `|A| + |B| > 8` or `|S| > 8`), the whole engine under
+    /// `force_naive`, and the ground truth for the differential fuzz
+    /// tests.
     #[allow(clippy::too_many_arguments)]
     fn factor_split_naive(
         &mut self,
@@ -1323,7 +1138,7 @@ impl Factorizer {
             charts.push(chart);
         }
 
-        // Split-level support filter (see the fast path).
+        // Split-level support filter (see `factor_split_words`).
         if !covers_axis(&row_options, a_vars.len()) || !covers_axis(&col_options, b_vars.len()) {
             return Ok(());
         }
@@ -1433,7 +1248,7 @@ impl Factorizer {
 /// of the result is `h` at the assignment where input `vars[k]` takes
 /// bit `k` of `m` and every other input is 0. Word-level (cofactor
 /// masks + a front-swap plan), no allocation; `buf` must hold at least
-/// `h`'s words (4 on the fast path, 64 on the wide path).
+/// `h`'s words ([`FAST_WORDS`] or [`WIDE_WORDS`]).
 fn compact_into_words(h: &TruthTable, vars: &[usize], buf: &mut [u64]) {
     let n = h.num_vars();
     let nw = h.words().len();
@@ -1482,207 +1297,210 @@ fn expand_with_plan_words(compact: &[u64], k: usize, n: usize, plan: &[(u8, u8)]
     }
 }
 
-/// 256-bit variant of [`kernel::low_mask`] (`count ≤ 256`).
-fn w4_low_mask(count: usize) -> W4 {
-    let mut out = [0u64; 4];
-    for (i, w) in out.iter_mut().enumerate() {
-        let lo = i * 64;
-        *w = if count >= lo + 64 {
-            u64::MAX
-        } else if count > lo {
-            kernel::low_mask(count - lo)
-        } else {
-            0
-        };
-    }
-    W4(out)
+/// One lane of [`Factorizer::factor_split_words`]: a decomposition chart,
+/// a row or column labelling, or a labelling expanded to cells. `u64`
+/// holds charts of up to 64 cells (`|A| + |B| ≤ 6`), [`W4`] charts of
+/// up to 256 (`|A| + |B| ≤ 8`).
+///
+/// Buffers are only ever asked for power-of-two-sized fields at
+/// multiples of their size, so a field of at most 64 bits never
+/// straddles a word and a larger one is word-aligned.
+trait Lane:
+    Copy + PartialEq + Not<Output = Self> + BitAnd<Output = Self> + BitOr<Output = Self>
+{
+    const ZERO: Self;
+
+    /// The low `count` bits set.
+    fn low_mask(count: usize) -> Self;
+
+    /// The `cells`-bit field at `bit_off` of a packed buffer.
+    fn slice(buf: &[u64], bit_off: usize, cells: usize) -> Self;
+
+    /// The `i`-th `width`-bit field of this lane.
+    fn field(self, i: usize, width: usize) -> Self;
+
+    /// Sets bit `i`.
+    fn set_bit(&mut self, i: usize);
+
+    /// ORs this lane into the `count`-bit field at `bit_off` of a packed
+    /// buffer; no bit at or above `count` may be set.
+    fn or_into(self, buf: &mut [u64], bit_off: usize, count: usize);
+
+    /// Expands a row labelling (bit `r` over `rows`) and a column
+    /// labelling (bit `c` over `cols`) to cell masks: cell `r·cols + c`
+    /// is set when row `r` (column `c`) is labelled.
+    fn label_cells(row: Self, col: Self, rows: usize, cols: usize) -> (Self, Self);
+
+    /// `true` when the labellings (one per shared assignment, each over
+    /// `2^k` axis elements) jointly depend on every one of the `k` axis
+    /// variables.
+    fn covers_axis(labels: &[Self], k: usize) -> bool;
 }
 
-/// Reads the `cells`-bit field at `bit_off` from a packed buffer into
-/// the low lanes of a [`W4`]. The wide path only asks for
-/// power-of-two-sized fields at multiples of their size, so a field
-/// ≤ 64 bits never straddles a word and a larger field is
-/// word-aligned.
-fn slice_w4(buf: &[u64], bit_off: usize, cells: usize) -> W4 {
-    if cells <= 64 {
-        W4([(buf[bit_off >> 6] >> (bit_off & 63)) & kernel::low_mask(cells), 0, 0, 0])
-    } else {
-        let base = bit_off >> 6;
-        let nw = cells / 64;
-        let mut out = [0u64; 4];
-        out[..nw].copy_from_slice(&buf[base..base + nw]);
-        W4(out)
-    }
-}
+impl Lane for u64 {
+    const ZERO: u64 = 0;
 
-/// The `i`-th `width`-bit field of a ≤ 256-bit chart (`width` a power
-/// of two).
-fn field_w4(chart: &W4, i: usize, width: usize) -> W4 {
-    if width <= 64 {
-        let off = i * width;
-        W4([(chart.0[off >> 6] >> (off & 63)) & kernel::low_mask(width), 0, 0, 0])
-    } else if width == 128 {
-        W4([chart.0[2 * i], chart.0[2 * i + 1], 0, 0])
-    } else {
-        *chart
+    #[inline]
+    fn low_mask(count: usize) -> u64 {
+        kernel::low_mask(count)
     }
-}
 
-/// [`W4`] twin of [`two_pattern_mask`]: first labelling option over
-/// `count` axis elements of `width`-bit patterns, or `None` when more
-/// than two distinct patterns exist.
-fn two_pattern_mask_w4(chart: &W4, count: usize, width: usize) -> Option<W4> {
-    let first = field_w4(chart, 0, width);
-    let mut second: Option<W4> = None;
-    let mut labels = W4::ZERO;
-    for i in 1..count {
-        let p = field_w4(chart, i, width);
-        if p == first {
-            continue;
+    #[inline]
+    fn slice(buf: &[u64], bit_off: usize, cells: usize) -> u64 {
+        (buf[bit_off >> 6] >> (bit_off & 63)) & kernel::low_mask(cells)
+    }
+
+    #[inline]
+    fn field(self, i: usize, width: usize) -> u64 {
+        (self >> (i * width)) & kernel::low_mask(width)
+    }
+
+    #[inline]
+    fn set_bit(&mut self, i: usize) {
+        *self |= 1u64 << i;
+    }
+
+    #[inline]
+    fn or_into(self, buf: &mut [u64], bit_off: usize, _count: usize) {
+        buf[bit_off >> 6] |= self << (bit_off & 63);
+    }
+
+    fn label_cells(row: u64, col: u64, rows: usize, cols: usize) -> (u64, u64) {
+        let cols_mask = kernel::low_mask(cols);
+        let mut row_cells = 0u64;
+        let mut rep = 0u64;
+        for r in 0..rows {
+            row_cells |= ((row >> r) & 1).wrapping_mul(cols_mask << (r * cols));
+            rep |= 1u64 << (r * cols);
         }
-        match second {
-            None => {
-                second = Some(p);
-                labels.0[i >> 6] |= 1u64 << (i & 63);
-            }
-            Some(sp) if p == sp => labels.0[i >> 6] |= 1u64 << (i & 63),
-            Some(_) => return None,
-        }
+        // Column labels replicate across rows: the shifts of `col` by
+        // r·cols are disjoint, so one multiply scatters them all.
+        (row_cells, col.wrapping_mul(rep))
     }
-    Some(labels)
-}
 
-/// ORs `val`'s low `width` bits into field `i` of `buf` (`width` a
-/// power of two ≤ 256).
-fn or_field_w4(buf: &mut W4, i: usize, width: usize, val: &W4) {
-    if width <= 64 {
-        let off = i * width;
-        buf.0[off >> 6] |= (val.0[0] & kernel::low_mask(width)) << (off & 63);
-    } else {
-        let nw = width / 64;
-        for (dst, src) in buf.0[i * nw..(i + 1) * nw].iter_mut().zip(val.0.iter()) {
-            *dst |= src;
-        }
-    }
-}
-
-/// ORs the low `count` bits of `labels` into `buf` at `bit_off`. The
-/// wide path's operand buffers place `count`-bit fields at multiples
-/// of `count`, so the same alignment argument as [`slice_w4`] applies.
-fn or_labels_at(buf: &mut [u64], bit_off: usize, labels: &W4, count: usize) {
-    if count <= 64 {
-        buf[bit_off >> 6] |= (labels.0[0] & kernel::low_mask(count)) << (bit_off & 63);
-    } else {
-        let base = bit_off >> 6;
-        for (dst, src) in buf[base..base + count / 64].iter_mut().zip(labels.0.iter()) {
-            *dst |= src;
-        }
-    }
-}
-
-/// Expands a row labelling (bit `r` over `rows`) to a cell mask (bit
-/// `r·cols + c` set for every `c` when row `r` is labelled).
-fn rows_to_cells_w4(labels: &W4, rows: usize, cols: usize) -> W4 {
-    let full = w4_low_mask(cols);
-    let mut out = W4::ZERO;
-    for r in 0..rows {
-        if labels.0[r >> 6] >> (r & 63) & 1 == 1 {
-            or_field_w4(&mut out, r, cols, &full);
-        }
-    }
-    out
-}
-
-/// Expands a column labelling (bit `c` over `cols`) to a cell mask by
-/// replicating it across all `rows` rows.
-fn cols_to_cells_w4(labels: &W4, rows: usize, cols: usize) -> W4 {
-    let mut out = W4::ZERO;
-    for r in 0..rows {
-        or_field_w4(&mut out, r, cols, labels);
-    }
-    out
-}
-
-/// [`W4`] twin of [`covers_axis_mask`]: `labels[s]` is the first
-/// labelling option for shared assignment `s` over `2^k` axis
-/// elements.
-fn covers_axis_w4(labels: &[W4], k: usize) -> bool {
-    let count = 1usize << k;
-    let full = (1u32 << k) - 1;
-    let bit = |l: &W4, m: usize| l.0[m >> 6] >> (m & 63) & 1;
-    let mut covered = 0u32;
-    for l in labels {
-        for b in 0..k {
-            if covered >> b & 1 == 1 {
-                continue;
-            }
-            let stride = 1usize << b;
-            for m in 0..count {
-                if m & stride == 0 && bit(l, m) != bit(l, m | stride) {
-                    covered |= 1 << b;
-                    break;
+    fn covers_axis(labels: &[u64], k: usize) -> bool {
+        let count = 1usize << k;
+        let full = (1u32 << k) - 1;
+        let mut covered = 0u32;
+        for &l in labels {
+            for bit in 0..k {
+                let zeros = !kernel::VAR_MASK[bit] & kernel::low_mask(count);
+                if ((l >> (1usize << bit)) ^ l) & zeros != 0 {
+                    covered |= 1 << bit;
                 }
             }
+            if covered == full {
+                return true;
+            }
         }
-        if covered == full {
-            return true;
+        covered == full
+    }
+}
+
+impl Lane for W4 {
+    const ZERO: W4 = W4::ZERO;
+
+    fn low_mask(count: usize) -> W4 {
+        let mut out = [0u64; 4];
+        for (i, w) in out.iter_mut().enumerate() {
+            *w = kernel::low_mask(count.saturating_sub(i * 64));
+        }
+        W4(out)
+    }
+
+    fn slice(buf: &[u64], bit_off: usize, cells: usize) -> W4 {
+        if cells <= 64 {
+            W4([(buf[bit_off >> 6] >> (bit_off & 63)) & kernel::low_mask(cells), 0, 0, 0])
+        } else {
+            let base = bit_off >> 6;
+            let nw = cells / 64;
+            let mut out = [0u64; 4];
+            out[..nw].copy_from_slice(&buf[base..base + nw]);
+            W4(out)
         }
     }
-    covered == full
+
+    fn field(self, i: usize, width: usize) -> W4 {
+        W4::slice(&self.0, i * width, width)
+    }
+
+    fn set_bit(&mut self, i: usize) {
+        self.0[i >> 6] |= 1u64 << (i & 63);
+    }
+
+    fn or_into(self, buf: &mut [u64], bit_off: usize, count: usize) {
+        if count <= 64 {
+            buf[bit_off >> 6] |= self.0[0] << (bit_off & 63);
+        } else {
+            let base = bit_off >> 6;
+            for (dst, src) in buf[base..base + count / 64].iter_mut().zip(self.0.iter()) {
+                *dst |= src;
+            }
+        }
+    }
+
+    fn label_cells(row: W4, col: W4, rows: usize, cols: usize) -> (W4, W4) {
+        let full = W4::low_mask(cols);
+        let (mut row_cells, mut col_cells) = (W4::ZERO, W4::ZERO);
+        for r in 0..rows {
+            if row.0[r >> 6] >> (r & 63) & 1 == 1 {
+                full.or_into(&mut row_cells.0, r * cols, cols);
+            }
+            col.or_into(&mut col_cells.0, r * cols, cols);
+        }
+        (row_cells, col_cells)
+    }
+
+    fn covers_axis(labels: &[W4], k: usize) -> bool {
+        let count = 1usize << k;
+        let full = (1u32 << k) - 1;
+        let bit = |l: &W4, m: usize| l.0[m >> 6] >> (m & 63) & 1;
+        let mut covered = 0u32;
+        for l in labels {
+            for b in 0..k {
+                if covered >> b & 1 == 1 {
+                    continue;
+                }
+                let stride = 1usize << b;
+                for m in 0..count {
+                    if m & stride == 0 && bit(l, m) != bit(l, m | stride) {
+                        covered |= 1 << b;
+                        break;
+                    }
+                }
+            }
+            if covered == full {
+                return true;
+            }
+        }
+        covered == full
+    }
 }
 
-/// Reads `width ≤ 64` bits at `bit_off` from a packed buffer. The fast
-/// path only asks for power-of-two-sized slices at multiples of their
-/// size, so a slice never straddles a word.
-#[inline]
-fn slice64(buf: &[u64; 4], bit_off: usize, width_mask: u64) -> u64 {
-    (buf[bit_off >> 6] >> (bit_off & 63)) & width_mask
-}
-
-/// Mask twin of [`two_pattern_labels`]: returns the first labelling
+/// Mask form of [`two_pattern_labels`]: returns the first labelling
 /// option (bit `i` set ⇔ axis element `i` carries the second distinct
 /// pattern; all zeros for a degenerate single-pattern axis), or `None`
 /// when more than two distinct patterns exist. `chart` holds `count`
 /// fields of `width` bits each.
-fn two_pattern_mask(chart: u64, count: usize, width: usize) -> Option<u64> {
-    let m = kernel::low_mask(width);
-    let first = chart & m;
-    let mut second: Option<u64> = None;
-    let mut labels = 0u64;
+fn two_pattern_mask<L: Lane>(chart: L, count: usize, width: usize) -> Option<L> {
+    let first = chart.field(0, width);
+    let mut second: Option<L> = None;
+    let mut labels = L::ZERO;
     for i in 1..count {
-        let p = (chart >> (i * width)) & m;
+        let p = chart.field(i, width);
         if p == first {
             continue;
         }
         match second {
             None => {
                 second = Some(p);
-                labels |= 1u64 << i;
+                labels.set_bit(i);
             }
-            Some(sp) if p == sp => labels |= 1u64 << i,
+            Some(sp) if p == sp => labels.set_bit(i),
             Some(_) => return None,
         }
     }
     Some(labels)
-}
-
-/// Mask twin of [`covers_axis`]: `labels[s]` is the first labelling
-/// option for shared assignment `s` over `count = 2^k` axis elements.
-fn covers_axis_mask(labels: &[u64], k: usize, count: usize) -> bool {
-    let full = (1u32 << k) - 1;
-    let mut covered = 0u32;
-    for &l in labels {
-        for bit in 0..k {
-            let zeros = !kernel::VAR_MASK[bit] & kernel::low_mask(count);
-            if ((l >> (1usize << bit)) ^ l) & zeros != 0 {
-                covered |= 1 << bit;
-            }
-        }
-        if covered == full {
-            return true;
-        }
-    }
-    covered == full
 }
 
 /// Returns `true` when the per-shared-assignment labellings jointly
@@ -2178,7 +1996,10 @@ mod tests {
             let symmetric = rng.next() & 1 == 1;
             let mut fast = Factorizer::new(FactorConfig::default());
             let mut naive = Factorizer::new(FactorConfig::default());
-            fast.factor_split_fast(&h, &a, &b, &s, LEAF_SHAPE, LEAF_SHAPE, symmetric, 0).unwrap();
+            fast.factor_split_words::<u64, FAST_WORDS, FAST_SHARED>(
+                &h, &a, &b, &s, LEAF_SHAPE, LEAF_SHAPE, symmetric, 0,
+            )
+            .unwrap();
             naive.factor_split_naive(&h, &a, &b, &s, LEAF_SHAPE, LEAF_SHAPE, symmetric, 0).unwrap();
             let ctx = format!("n={n} a={a:?} b={b:?} s={s:?} spec={}", h.to_hex());
             assert_eq!(scratch_trees(&fast), scratch_trees(&naive), "candidates differ: {ctx}");
@@ -2282,7 +2103,10 @@ mod tests {
             let symmetric = rng.next() & 1 == 1;
             let mut wide = Factorizer::new(FactorConfig::default());
             let mut naive = Factorizer::new(FactorConfig::default());
-            wide.factor_split_wide(&h, &a, &b, &s, LEAF_SHAPE, LEAF_SHAPE, symmetric, 0).unwrap();
+            wide.factor_split_words::<W4, WIDE_WORDS, WIDE_SHARED>(
+                &h, &a, &b, &s, LEAF_SHAPE, LEAF_SHAPE, symmetric, 0,
+            )
+            .unwrap();
             naive.factor_split_naive(&h, &a, &b, &s, LEAF_SHAPE, LEAF_SHAPE, symmetric, 0).unwrap();
             let ctx = format!("n={n} a={a:?} b={b:?} s={s:?} spec={}", h.to_hex());
             assert_eq!(scratch_trees(&wide), scratch_trees(&naive), "candidates differ: {ctx}");
@@ -2292,6 +2116,55 @@ mod tests {
             assert_eq!(wide.nodes_explored, naive.nodes_explored, "node counts differ: {ctx}");
         }
         assert!(multiword_axes >= 20, "too few multi-lane cases: {multiword_axes}");
+    }
+
+    #[test]
+    fn fuzz_w4_lanes_match_u64_lanes_within_fast_bounds() {
+        // The engine only runs the `W4` instantiation past the `u64`
+        // bounds, so this drives both on the same splits within them
+        // (n ≤ 8, |A| + |B| ≤ 6, |S| ≤ 3, single- and multi-word specs):
+        // the lane type must not change a candidate, a triple, or a
+        // counter.
+        let mut rng = Lcg(0xfac7_0123_5eed_0003);
+        let mut tested = 0usize;
+        let mut attempts = 0usize;
+        while tested < 150 {
+            attempts += 1;
+            assert!(attempts < 20_000, "fuzz split sampling starved");
+            let n = 2 + (rng.next() % 7) as usize;
+            let h = random_table(&mut rng, n);
+            let (mut a, mut b, mut s) = (Vec::new(), Vec::new(), Vec::new());
+            for v in h.support() {
+                match rng.next() % 3 {
+                    0 => a.push(v),
+                    1 => b.push(v),
+                    _ => s.push(v),
+                }
+            }
+            if a.len() + s.len() == 0 || b.len() + s.len() == 0 {
+                continue;
+            }
+            if a.len() + b.len() > 6 || s.len() > 3 {
+                continue;
+            }
+            tested += 1;
+            let symmetric = rng.next() & 1 == 1;
+            let mut wide = Factorizer::new(FactorConfig::default());
+            let mut fast = Factorizer::new(FactorConfig::default());
+            wide.factor_split_words::<W4, WIDE_WORDS, WIDE_SHARED>(
+                &h, &a, &b, &s, LEAF_SHAPE, LEAF_SHAPE, symmetric, 0,
+            )
+            .unwrap();
+            fast.factor_split_words::<u64, FAST_WORDS, FAST_SHARED>(
+                &h, &a, &b, &s, LEAF_SHAPE, LEAF_SHAPE, symmetric, 0,
+            )
+            .unwrap();
+            let ctx = format!("n={n} a={a:?} b={b:?} s={s:?} spec={}", h.to_hex());
+            assert_eq!(scratch_trees(&wide), scratch_trees(&fast), "candidates differ: {ctx}");
+            assert_eq!(wide.triples, fast.triples, "candidate triples differ: {ctx}");
+            assert_eq!(wide.charts_built, fast.charts_built, "chart counts differ: {ctx}");
+            assert_eq!(wide.nodes_explored, fast.nodes_explored, "node counts differ: {ctx}");
+        }
     }
 
     fn balanced_shape(leaves: usize) -> TreeShape {
@@ -2307,7 +2180,7 @@ mod tests {
         // End-to-end differential for the 9+-input wide path: structured
         // (factorization-friendly) specs on fixed shapes whose leaf
         // excess admits shared variables, so the top-level splits with
-        // |A| + |B| ≤ 8 actually route through `factor_split_wide` while
+        // |A| + |B| ≤ 8 actually route through the `W4` kernel while
         // the `force_naive` engine replays everything through the scalar
         // reference. Chains, counters, and chart counts must agree.
         let mut specs: Vec<TruthTable> = Vec::new();

@@ -316,45 +316,63 @@ pub struct RewriteResult {
     pub passes: usize,
 }
 
-/// Size of the maximum fanout-free cone of `root` above the cut: the
-/// gates that die if `root` is replaced by new logic over the cut
-/// leaves.
-fn mffc_size(net: &Network, root: usize, cut: &Cut, refs: &[usize]) -> usize {
-    joint_mffc_size(net, &[root], cut, refs)
+/// Maximum fanout-free cone (MFFC) sizes over one network. The counter
+/// keeps one working copy of the reference counts and one dead-flag per
+/// signal; a query dereferences into them and then restores only the
+/// entries it touched, so it costs its cone, not the network.
+struct MffcCounter {
+    /// The network's reference counts (equal to
+    /// [`Network::reference_counts`] between queries).
+    refs: Vec<usize>,
+    dead: Vec<bool>,
+    /// Every count a query decremented, once per decrement.
+    decremented: Vec<usize>,
+    /// Every signal a query marked dead.
+    killed: Vec<usize>,
 }
 
-/// Joint MFFC of several roots above one shared cut: the gates that die
-/// if *all* roots are re-sourced from new logic over the cut leaves.
-/// Shared interior gates are counted once; a root inside another root's
-/// cone is counted once too.
-fn joint_mffc_size(net: &Network, roots: &[usize], cut: &Cut, refs: &[usize]) -> usize {
-    fn deref(
-        net: &Network,
-        s: usize,
-        cut: &Cut,
-        refs: &mut [usize],
-        dead: &mut [bool],
-        count: &mut usize,
-    ) {
-        if cut.leaves.binary_search(&s).is_ok() || !net.is_gate(s) || dead[s] {
+impl MffcCounter {
+    fn new(net: &Network) -> Self {
+        MffcCounter {
+            refs: net.reference_counts(),
+            dead: vec![false; net.num_signals()],
+            decremented: Vec::new(),
+            killed: Vec::new(),
+        }
+    }
+
+    /// Joint MFFC of `roots` above one shared cut: the gates that die
+    /// if *all* roots are re-sourced from new logic over the cut leaves.
+    /// Shared interior gates are counted once; a root inside another
+    /// root's cone is counted once too.
+    fn size(&mut self, net: &Network, roots: &[usize], cut: &Cut) -> usize {
+        for &root in roots {
+            self.deref(net, root, cut);
+        }
+        let count = self.killed.len();
+        for f in self.decremented.drain(..) {
+            self.refs[f] += 1;
+        }
+        for s in self.killed.drain(..) {
+            self.dead[s] = false;
+        }
+        count
+    }
+
+    fn deref(&mut self, net: &Network, s: usize, cut: &Cut) {
+        if cut.leaves.binary_search(&s).is_ok() || !net.is_gate(s) || self.dead[s] {
             return;
         }
-        dead[s] = true;
-        *count += 1;
+        self.dead[s] = true;
+        self.killed.push(s);
         for f in net.gate(s).fanin {
-            refs[f] -= 1;
-            if refs[f] == 0 {
-                deref(net, f, cut, refs, dead, count);
+            self.refs[f] -= 1;
+            self.decremented.push(f);
+            if self.refs[f] == 0 {
+                self.deref(net, f, cut);
             }
         }
     }
-    let mut refs = refs.to_vec();
-    let mut dead = vec![false; net.num_signals()];
-    let mut count = 0;
-    for &root in roots {
-        deref(net, root, cut, &mut refs, &mut dead, &mut count);
-    }
-    count
 }
 
 /// Rewrites the network: for every gate, tries to replace some 4-cut
@@ -471,7 +489,7 @@ fn rewrite_pass(
     cache: &SynthesisCache,
 ) -> Result<(Network, Vec<Replacement>), NetworkError> {
     let _pass = stp_telemetry::span!("rewrite.pass");
-    let refs = net.reference_counts();
+    let mut mffc = MffcCounter::new(net);
     // Enumerate the cuts and evaluate every cut function the pass asks
     // the cache about, in query order: (root, cut index, function) per
     // non-trivial single-root cut, then the joint groups.
@@ -480,7 +498,7 @@ fn rewrite_pass(
         let cuts = enumerate_cuts(net, config.cut_size, config.cut_limit);
         let mut evaluator = CutEvaluator::new();
         let mut functions = Vec::new();
-        for (s, &r) in refs.iter().enumerate() {
+        for (s, &r) in mffc.refs.iter().enumerate() {
             if !net.is_gate(s) || r == 0 {
                 continue;
             }
@@ -495,7 +513,7 @@ fn rewrite_pass(
             }
         }
         let groups = if config.multi_output {
-            joint_groups(net, &cuts, &refs, &mut evaluator)?
+            joint_groups(net, &cuts, &mffc.refs, &mut evaluator)?
         } else {
             Vec::new()
         };
@@ -519,7 +537,7 @@ fn rewrite_pass(
             continue;
         };
         let cut = &cuts.cuts[*s][*i];
-        let old_cost = mffc_size(net, *s, cut, &refs);
+        let old_cost = mffc.size(net, &[*s], cut);
         let new_cost = chain.num_gates();
         if new_cost < old_cost {
             candidates.push(Candidate {
@@ -544,7 +562,7 @@ fn rewrite_pass(
             else {
                 continue;
             };
-            let old_cost = joint_mffc_size(net, &roots, &cut, &refs);
+            let old_cost = mffc.size(net, &roots, &cut);
             let new_cost = chain.num_gates();
             if new_cost >= old_cost {
                 continue;
@@ -655,6 +673,9 @@ fn rewrite_pass(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::circuits::random_network;
+    use rand::rngs::SmallRng;
+    use rand::{RngExt, SeedableRng};
 
     #[test]
     fn exact_network_realizes_all_outputs() {
@@ -798,17 +819,65 @@ mod tests {
         let f = net.or(ab, c).unwrap();
         net.add_output(f);
         net.add_output(ab);
-        let refs = net.reference_counts();
         let cut = Cut { leaves: vec![1, 2, 3] };
-        assert_eq!(mffc_size(&net, f.index(), &cut, &refs), 1);
+        assert_eq!(MffcCounter::new(&net).size(&net, &[f.index()], &cut), 1);
         // Without the external output the whole cone dies.
         let mut net2 = Network::new(3);
         let (a, b, c) = (net2.input(0), net2.input(1), net2.input(2));
         let ab2 = net2.and(a, b).unwrap();
         let f2 = net2.or(ab2, c).unwrap();
         net2.add_output(f2);
-        let refs2 = net2.reference_counts();
-        assert_eq!(mffc_size(&net2, f2.index(), &cut, &refs2), 2);
+        assert_eq!(MffcCounter::new(&net2).size(&net2, &[f2.index()], &cut), 2);
+    }
+
+    /// The MFFC count as first written: a fresh copy of the reference
+    /// counts and a fresh dead-set per query.
+    fn cloned_mffc_size(net: &Network, roots: &[usize], cut: &Cut) -> usize {
+        fn deref(net: &Network, s: usize, cut: &Cut, refs: &mut [usize], dead: &mut [bool]) {
+            if cut.leaves.binary_search(&s).is_ok() || !net.is_gate(s) || dead[s] {
+                return;
+            }
+            dead[s] = true;
+            for f in net.gate(s).fanin {
+                refs[f] -= 1;
+                if refs[f] == 0 {
+                    deref(net, f, cut, refs, dead);
+                }
+            }
+        }
+        let mut refs = net.reference_counts();
+        let mut dead = vec![false; net.num_signals()];
+        for &root in roots {
+            deref(net, root, cut, &mut refs, &mut dead);
+        }
+        dead.iter().filter(|&&d| d).count()
+    }
+
+    #[test]
+    fn mffc_counter_matches_cloned_reference_counts() {
+        // One counter answers every query of a network in turn, so a
+        // query that failed to restore its entries would skew the next.
+        let mut rng = SmallRng::seed_from_u64(0x3ffc);
+        let mut queries = 0usize;
+        for _ in 0..20 {
+            let net = random_network(6, 40, 3, &mut rng).unwrap();
+            let cuts = enumerate_cuts(&net, 4, 8);
+            let gates: Vec<usize> = (0..net.num_signals()).filter(|&s| net.is_gate(s)).collect();
+            let mut counter = MffcCounter::new(&net);
+            for &root in &gates {
+                for cut in &cuts.cuts[root] {
+                    let other = gates[rng.random_range(0..gates.len())];
+                    for roots in [vec![root], vec![root, other]] {
+                        let want = cloned_mffc_size(&net, &roots, cut);
+                        assert_eq!(counter.size(&net, &roots, cut), want, "{roots:?} {cut:?}");
+                        queries += 1;
+                    }
+                }
+            }
+            assert_eq!(counter.refs, net.reference_counts());
+            assert!(counter.dead.iter().all(|&d| !d));
+        }
+        assert!(queries > 1000, "too few queries: {queries}");
     }
 
     /// A full adder whose cones are individually optimal but unshared:

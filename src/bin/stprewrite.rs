@@ -10,8 +10,9 @@
 //!
 //! Reads a 2-LUT BLIF network, rewrites it by replacing 4-cut cones
 //! with STP-exact-synthesis optima (cached per NPN class), verifies
-//! functional equivalence by exhaustive simulation when the input count
-//! allows it, and writes the optimized BLIF.
+//! functional equivalence (by exhaustive simulation up to 16 inputs,
+//! by a SAT miter beyond), and writes the optimized BLIF only when it
+//! holds.
 //!
 //! `--store <path>` loads the persistent NPN solution store from
 //! `<path>` (when it exists) and saves it back afterwards, so every
@@ -29,9 +30,13 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
-use stp_repro::network::{rewrite, Network, RewriteConfig, SynthesisCache};
+use stp_repro::network::{
+    equivalent_exhaustive, equivalent_sat, rewrite, EquivResult, Network, RewriteConfig,
+    SynthesisCache,
+};
 use stp_repro::store::Store;
 use stp_repro::synth::{warm_npn4, SynthesisConfig};
+use stp_repro::tt::MAX_VARS;
 use stp_telemetry::{Json, RunReport};
 
 // With --features alloc-profile, heap traffic is attributed to the
@@ -252,8 +257,6 @@ fn main() -> ExitCode {
             }
         }
     }
-    let checkable = net.num_inputs() <= 16;
-    let before = if checkable { net.simulate_outputs().ok() } else { None };
     let cache = SynthesisCache::with_store(Arc::clone(&store));
     let result = match rewrite(&net, &config, &cache) {
         Ok(r) => r,
@@ -263,25 +266,22 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if let Some(before) = before {
-        match result.network.simulate_outputs() {
-            Ok(after) if after == before => eprintln!("equivalence: verified exhaustively"),
-            Ok(_) => {
-                eprintln!("equivalence check FAILED — refusing to write output");
-                finish(
-                    stats,
-                    &args,
-                    "equivalence check failed",
-                    start,
-                    Vec::new(),
-                    folded.as_deref(),
-                );
-                return ExitCode::FAILURE;
-            }
-            Err(e) => eprintln!("equivalence check skipped: {e}"),
-        }
+    // Every output is checked against the input before it is written:
+    // by simulation up to the truth-table limit, by a SAT miter past it.
+    let check = if net.num_inputs() <= MAX_VARS {
+        equivalent_exhaustive(&net, &result.network).map(|same| (same, "exhaustively"))
     } else {
-        eprintln!("equivalence check skipped: more than 16 inputs");
+        equivalent_sat(&net, &result.network, None)
+            .map(|verdict| (verdict == EquivResult::Equivalent, "by SAT"))
+    };
+    match check {
+        Ok((true, how)) => eprintln!("equivalence: verified {how}"),
+        failed => {
+            let why = failed.err().map(|e| format!(" ({e})")).unwrap_or_default();
+            eprintln!("equivalence check FAILED{why} — refusing to write output");
+            finish(stats, &args, "equivalence check failed", start, Vec::new(), folded.as_deref());
+            return ExitCode::FAILURE;
+        }
     }
     eprintln!(
         "gates: {} -> {} ({} replacements, {} passes; {} classes synthesized, {} cache hits)",

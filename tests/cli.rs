@@ -447,3 +447,30 @@ fn stprewrite_optimizes_blif() {
     assert_eq!(reparsed.simulate_outputs().expect("simulable")[0].to_hex(), "6");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn stprewrite_checks_wide_networks_by_sat() {
+    // A 19-input adder is past exhaustive simulation, so the rewritten
+    // network must be proved equivalent by the SAT miter before it is
+    // written.
+    let dir = std::env::temp_dir().join(format!("stprewrite_sat_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let input = dir.join("in.blif");
+    let output = dir.join("out.blif");
+    let net = stp_repro::network::ripple_carry_adder_sop(9).expect("adder");
+    assert_eq!(net.num_inputs(), 19);
+    std::fs::write(&input, net.to_blif("adder9")).expect("write input");
+    let out = Command::new(env!("CARGO_BIN_EXE_stprewrite"))
+        .args([input.to_str().expect("utf8 path"), "-o", output.to_str().expect("utf8 path")])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr: {stderr}");
+    assert!(stderr.contains("equivalence: verified by SAT"), "stderr: {stderr}");
+    let written = std::fs::read_to_string(&output).expect("output exists");
+    let reparsed = stp_repro::network::Network::from_blif(&written).expect("valid blif");
+    let verdict =
+        stp_repro::network::equivalent_sat(&net, &reparsed, None).expect("same interface");
+    assert_eq!(verdict, stp_repro::network::EquivResult::Equivalent);
+    let _ = std::fs::remove_dir_all(&dir);
+}
