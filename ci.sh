@@ -29,17 +29,14 @@ STP_JOBS=1 cargo test -q -p stp-bench --offline --test warm_store smoke_warm_sli
 echo "==> warm-store smoke (STP_JOBS=$(nproc))"
 STP_JOBS="$(nproc)" cargo test -q -p stp-bench --offline --test warm_store smoke_warm_slice
 
-echo "==> factor counter baseline (NPN4 slice, jobs=1, vs committed BENCH_factor.json)"
-cargo test -q -p stp-bench --offline --test factor_baseline
+echo "==> pinned baselines (Table I suite rows, multi-output and rewrite cases, STP_JOBS=1, vs committed BENCH_pins.json)"
+STP_JOBS=1 cargo test -q -p stp-bench --offline --test pins
 
-echo "==> suite scheduler baseline (NPN4 slice at jobs=1 and 4, vs committed BENCH_suite.json)"
-cargo test -q -p stp-bench --offline --test suite_baseline
+echo "==> pinned baselines (STP_JOBS=$(nproc))"
+STP_JOBS="$(nproc)" cargo test -q -p stp-bench --offline --test pins
 
-echo "==> wide-spec baseline (WIDE[9..12], STP_JOBS=1, vs committed BENCH_factor.json)"
-STP_JOBS=1 cargo test -q -p stp-bench --offline --test wide_baseline
-
-echo "==> wide-spec baseline (STP_JOBS=$(nproc))"
-STP_JOBS="$(nproc)" cargo test -q -p stp-bench --offline --test wide_baseline
+echo "==> wide-spec differential (WIDE[9..12] vs the forced-naive reference)"
+cargo test -q -p stp-bench --offline --test wide_baseline wide_specs_match_forced_naive_reference
 
 echo "==> warm farm baseline (sharded NPN5/6 sample, STP_JOBS=1, vs committed BENCH_warm.json)"
 STP_JOBS=1 cargo test -q -p stp-bench --offline --test warm_farm
@@ -47,11 +44,11 @@ STP_JOBS=1 cargo test -q -p stp-bench --offline --test warm_farm
 echo "==> warm farm baseline (STP_JOBS=$(nproc))"
 STP_JOBS="$(nproc)" cargo test -q -p stp-bench --offline --test warm_farm
 
-echo "==> multi-output baseline + differential (STP_JOBS=1, vs committed BENCH_mo.json)"
-STP_JOBS=1 cargo test -q -p stp-bench --offline --test mo_baseline --test mo_differential
+echo "==> multi-output differential (STP_JOBS=1)"
+STP_JOBS=1 cargo test -q -p stp-bench --offline --test mo_differential
 
-echo "==> multi-output baseline + differential (STP_JOBS=$(nproc))"
-STP_JOBS="$(nproc)" cargo test -q -p stp-bench --offline --test mo_baseline --test mo_differential
+echo "==> multi-output differential (STP_JOBS=$(nproc))"
+STP_JOBS="$(nproc)" cargo test -q -p stp-bench --offline --test mo_differential
 
 echo "==> suite determinism (two-level scheduler, STP_JOBS=1)"
 STP_JOBS=1 cargo test -q -p stp-bench --offline --test determinism

@@ -11,6 +11,7 @@
 //! to stderr after the census; `--profile-folded <path>` writes
 //! flamegraph-compatible folded stacks.
 
+use stp_bench::flags::flag_error;
 use stp_fence::{all_fences, dags_for_fence, pruned_fences};
 use stp_telemetry::report;
 
@@ -18,13 +19,6 @@ use stp_telemetry::report;
 // innermost open profile span (an extra bytes column under --profile).
 #[cfg(feature = "alloc-profile")]
 stp_telemetry::install_alloc_profiler!();
-
-/// A malformed or missing flag value: report it and exit 2, so scripts
-/// can tell usage errors from census failures (exit 1).
-fn flag_error(message: String) -> ! {
-    eprintln!("error: {message}");
-    std::process::exit(2);
-}
 
 fn main() {
     stp_telemetry::init_from_env();

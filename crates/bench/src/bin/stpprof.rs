@@ -5,16 +5,17 @@
 //!        stpprof <old> <new>              sorted profile diff (Δtotal)
 //!        stpprof --folded <run>           re-emit flamegraph folded stacks
 //!        stpprof --drift <baseline.json> <candidate.json>
-//!                                         factor_bench counter drift verdict
+//!                                         pinned counter drift verdict
 //! ```
 //!
 //! `<run>` is either a file containing a `--stats` RunReport line
 //! (produced under `--profile`, so the report embeds the profile tree)
 //! or a `--trace-json` span trace, which is reconstructed into the same
-//! aggregated tree. `--drift` compares the pinned `factor.*` counters
-//! of two `factor_bench` documents (both at `--jobs 1`, where the
-//! totals are exact and machine-independent) and exits 1 when they
-//! moved — the CLI form of the committed `BENCH_factor.json` contract.
+//! aggregated tree. `--drift` compares the pinned counters of the
+//! suite rows two `pins` documents share (both recorded at `jobs = 1`,
+//! where the totals are exact and machine-independent) and exits 1
+//! when they moved — the CLI form of the committed `BENCH_pins.json`
+//! contract.
 //!
 //! Exit codes: 0 clean, 1 drift detected or file/parse failure, 2
 //! usage error.

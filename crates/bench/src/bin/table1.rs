@@ -27,6 +27,7 @@
 
 use std::time::Duration;
 
+use stp_bench::flags::{flag_error, parse_flag_value};
 use stp_bench::{
     render_counters, render_headlines, render_table, run_suite_with_retry, Algorithm, RetryPolicy,
     Scale,
@@ -38,23 +39,6 @@ use stp_synth::{warm_npn4, SynthesisConfig};
 // innermost open profile span (an extra bytes column under --profile).
 #[cfg(feature = "alloc-profile")]
 stp_telemetry::install_alloc_profiler!();
-
-/// A malformed or missing flag value: report it and exit 2, so scripts
-/// can tell usage errors from bench failures (exit 1).
-fn flag_error(message: String) -> ! {
-    eprintln!("error: {message}");
-    std::process::exit(2);
-}
-
-/// Parses the value of a `--flag <value>` pair, failing loudly: a
-/// missing or unparsable value is an error, never a silent fallback to
-/// the default.
-fn parse_flag_value<T: std::str::FromStr>(flag: &str, value: Option<&String>, expects: &str) -> T {
-    let Some(raw) = value else {
-        flag_error(format!("{flag} expects {expects}"));
-    };
-    raw.parse().unwrap_or_else(|_| flag_error(format!("{flag} expects {expects}, got `{raw}`")))
-}
 
 fn main() {
     stp_telemetry::init_from_env();

@@ -15,12 +15,10 @@
 //! * `table1` — regenerates Table I (`--full` for paper-scale counts);
 //! * `fence_census` — prints the fence families of Fig. 2 and the DAG
 //!   families of Fig. 3;
-//! * `factor_bench` — the factorization perf baseline
-//!   (`BENCH_factor.json`);
-//! * `mo_bench` — the multi-output shared-synthesis baseline
-//!   (`BENCH_mo.json`, see [`mo`]);
-//! * `stpprof` — profile rendering/diffing and the baseline drift
-//!   verdict (see [`profdiff`]).
+//! * `pins` — the pinned counters and answers of the Table I suites
+//!   and the multi-output cases (`BENCH_pins.json`, see [`pins`]);
+//! * `stpprof` — profile rendering/diffing and the pin drift verdict
+//!   (see [`profdiff`]).
 //!
 //! Criterion benches cover the Table I suites, fence enumeration, the
 //! STP kernels, and the two design-choice ablations from `DESIGN.md`.
@@ -28,8 +26,9 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod flags;
 pub mod harness;
-pub mod mo;
+pub mod pins;
 pub mod profdiff;
 pub mod report;
 pub mod suites;
@@ -41,4 +40,4 @@ pub use harness::{
 };
 pub use profdiff::{bench_drift, diff, load_profile, render_diff, DiffRow, DriftReport, DriftRow};
 pub use report::{render_counters, render_headlines, render_table};
-pub use suites::{fdsd, npn4, pdsd, standard_suites, wide, Scale, Suite};
+pub use suites::{fdsd, npn4, npn4_slice, pdsd, standard_suites, wide, Scale, Suite};

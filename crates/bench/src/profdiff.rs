@@ -11,40 +11,18 @@
 //! * [`diff`] flattens two trees to label paths and reports per-path
 //!   deltas (calls, total, self), sorted by absolute total-time change
 //!   — "what got slower between these two runs" as one table.
-//! * [`bench_drift`] compares a candidate `factor_bench` document
-//!   against a committed `BENCH_factor.json`: the pinned `factor.*`
+//! * [`bench_drift`] compares the suite rows of a candidate `pins`
+//!   document against a committed `BENCH_pins.json`: the pinned
 //!   counters are exact and machine-independent at `jobs = 1`, so any
 //!   difference is an algorithmic change, not noise. This is the same
-//!   contract the `factor_baseline` integration test enforces, exposed
-//!   as a CLI verdict for CI and for humans bisecting a regression.
+//!   contract the `pins` integration test enforces, exposed as a CLI
+//!   verdict for CI and for humans bisecting a regression.
 
 use std::collections::BTreeMap;
 
 use stp_telemetry::{Json, ProfileNode, RunReport};
 
-/// Counters whose totals are deterministic at `jobs = 1` and therefore
-/// part of the committed `BENCH_factor.json` baseline contract. (At
-/// `jobs > 1` the worker-local memo tables make `factor.*` totals
-/// legitimately worker-count-dependent, so drift checks must pin the
-/// candidate to one job.)
-pub const PINNED_COUNTERS: [&str; 3] =
-    ["factor.subproblems", "factor.memo_hits", "factor.charts_built"];
-
-/// Counters pinned by the committed `BENCH_suite.json` baseline — the
-/// suite-scheduler analogue of [`PINNED_COUNTERS`]. These totals are
-/// exact and machine-independent whenever every instance runs with one
-/// shape worker, which the two-level scheduler's static budget split
-/// guarantees for any `jobs ≤` suite size; the `suite_baseline`
-/// integration test therefore asserts them equal at jobs = 1 *and*
-/// jobs = 4, pinning the scheduler's jobs-invariance, not just a single
-/// configuration.
-pub const SUITE_PINNED_COUNTERS: [&str; 5] = [
-    "factor.subproblems",
-    "factor.memo_hits",
-    "factor.charts_built",
-    "synth.candidates",
-    "solver.queries",
-];
+use crate::pins::{PINNED_COUNTERS, SCHEMA};
 
 // ---------------------------------------------------------------------
 // Loading
@@ -82,7 +60,7 @@ pub fn parse_profile(text: &str) -> Result<ProfileNode, String> {
             });
         }
         // Any other JSON document with an embedded "profile" field — the
-        // factor_bench output, for one — works the same way.
+        // pins output, for one — works the same way.
         if let Ok(doc) = Json::parse(line) {
             if let Some(embedded) = doc.get("profile") {
                 return ProfileNode::from_json(embedded);
@@ -338,7 +316,7 @@ impl DriftReport {
 fn suites_by_name(doc: &Json) -> Result<BTreeMap<String, &Json>, String> {
     doc.get("suites")
         .and_then(Json::as_arr)
-        .ok_or("missing 'suites' array (not a factor_bench document?)")?
+        .ok_or("missing 'suites' array (not a pins document?)")?
         .iter()
         .map(|s| {
             s.get("suite")
@@ -349,18 +327,18 @@ fn suites_by_name(doc: &Json) -> Result<BTreeMap<String, &Json>, String> {
         .collect()
 }
 
-/// Compares the pinned counters of a candidate `factor_bench` document
-/// against a baseline document, over the suites both contain.
+/// Compares the pinned counters of a candidate `pins` document against
+/// a baseline document, over the suites both contain.
 ///
 /// # Errors
 ///
-/// Rejects documents that are not `factor_bench` output, and candidates
+/// Rejects documents that are not `pins` output, and documents
 /// measured at `jobs != 1` (their `factor.*` totals are worker-count
 /// dependent, so a comparison would report false drift).
 pub fn bench_drift(baseline: &Json, candidate: &Json) -> Result<DriftReport, String> {
     for (role, doc) in [("baseline", baseline), ("candidate", candidate)] {
         let schema = doc.get("schema").and_then(Json::as_str).unwrap_or("");
-        if schema != "stp-bench-factor v1" {
+        if schema != SCHEMA {
             return Err(format!("{role}: unexpected schema `{schema}`"));
         }
         let jobs = doc.get("jobs").and_then(Json::as_u64);
@@ -470,10 +448,8 @@ mod tests {
     #[test]
     fn parse_profile_reads_embedded_bench_documents() {
         let tree = tree(vec![leaf("phase.verify", 3, 2_000)]);
-        let doc = Json::obj(vec![
-            ("schema", Json::Str("stp-bench-factor v1".to_string())),
-            ("profile", tree.to_json()),
-        ]);
+        let doc =
+            Json::obj(vec![("schema", Json::Str(SCHEMA.to_string())), ("profile", tree.to_json())]);
         assert_eq!(parse_profile(&format!("{doc}\n")).unwrap(), tree);
     }
 
@@ -511,7 +487,7 @@ mod tests {
 
     fn bench_doc(jobs: u64, suites: &[(&str, u64, u64, u64)]) -> Json {
         Json::obj(vec![
-            ("schema", Json::Str("stp-bench-factor v1".to_string())),
+            ("schema", Json::Str(SCHEMA.to_string())),
             ("jobs", Json::UInt(jobs)),
             (
                 "suites",
@@ -523,11 +499,13 @@ mod tests {
                                 ("suite", Json::Str(name.to_string())),
                                 (
                                     "counters",
-                                    Json::obj(vec![
-                                        ("factor.subproblems", Json::UInt(*sub)),
-                                        ("factor.memo_hits", Json::UInt(*hits)),
-                                        ("factor.charts_built", Json::UInt(*charts)),
-                                    ]),
+                                    Json::Obj(
+                                        PINNED_COUNTERS
+                                            .iter()
+                                            .zip([*sub, *hits, *charts, 0, 0])
+                                            .map(|(name, v)| (name.to_string(), Json::UInt(v)))
+                                            .collect(),
+                                    ),
                                 ),
                             ])
                         })
@@ -543,7 +521,7 @@ mod tests {
         let clean = bench_doc(1, &[("NPN4[0..24]", 100, 200, 300)]);
         let report = bench_drift(&baseline, &clean).unwrap();
         assert!(!report.drifted());
-        assert_eq!(report.rows.len(), 3, "three pinned counters over the one common suite");
+        assert_eq!(report.rows.len(), PINNED_COUNTERS.len(), "every pinned counter of one suite");
         assert_eq!(report.unmatched_suites, vec!["FDSD6".to_string()]);
         assert!(report.render().contains("no drift"));
 

@@ -42,6 +42,14 @@ pub fn npn4() -> Suite {
     Suite { name: "NPN4", functions: npn_classes(4) }
 }
 
+/// The deterministic NPN4 prefix of 24 classes: fast enough for
+/// debug-build CI, pinned in `BENCH_pins.json`.
+pub fn npn4_slice() -> Suite {
+    let mut functions = npn_classes(4);
+    functions.truncate(24);
+    Suite { name: "NPN4[0..24]", functions }
+}
+
 /// A fully-DSD suite of `count` functions over `num_vars` inputs.
 pub fn fdsd(num_vars: usize, count: usize, seed_offset: u64) -> Suite {
     let mut rng = SmallRng::seed_from_u64(SEED ^ seed_offset);
@@ -67,7 +75,7 @@ pub fn pdsd(num_vars: usize, count: usize, seed_offset: u64) -> Suite {
 /// arity. Their decomposition charts span 8–64 words, so factoring
 /// routes through the split kernel's `W4` instantiation for every
 /// split with `|A| + |B| ≤ 8` and `|S| ≤ 8` — the workload the
-/// `BENCH_factor.json` wide row pins.
+/// `BENCH_pins.json` wide row pins.
 pub fn wide() -> Suite {
     let mut rng = SmallRng::seed_from_u64(SEED ^ 0x7769_6465); // "wide"
     let functions =

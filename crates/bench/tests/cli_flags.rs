@@ -33,14 +33,15 @@ fn table1_rejects_malformed_flag_values() {
 }
 
 #[test]
-fn factor_bench_rejects_malformed_flag_values() {
-    let bin = env!("CARGO_BIN_EXE_factor_bench");
+fn pins_rejects_malformed_flag_values() {
+    // Every flag appears: the two that take a path without one, and the
+    // two switches ahead of a defect (a switch cannot be malformed).
+    let bin = env!("CARGO_BIN_EXE_pins");
     for args in [
-        &["--jobs", "x"][..],
-        &["--timeout", "abc"],
-        &["--jobs"],
-        &["--out"],
+        &["--out"][..],
         &["--profile-folded"],
+        &["--slice", "--out"],
+        &["--profile", "--unknown-flag"],
         &["--unknown-flag"],
     ] {
         assert_usage_error(bin, args);
@@ -103,9 +104,8 @@ fn bench_bins_reject_malformed_stp_jobs_at_startup() {
     // name the variable so the fix is obvious.
     for bin in [
         env!("CARGO_BIN_EXE_table1"),
-        env!("CARGO_BIN_EXE_factor_bench"),
+        env!("CARGO_BIN_EXE_pins"),
         env!("CARGO_BIN_EXE_fence_census"),
-        env!("CARGO_BIN_EXE_suite_bench"),
         env!("CARGO_BIN_EXE_warm"),
     ] {
         for value in ["abc", "-2", "1.5"] {
@@ -138,14 +138,6 @@ fn warm_rejects_malformed_flag_values() {
         // Unknown options.
         &["--store", "s.txt", "--frobnicate"],
     ] {
-        assert_usage_error(bin, args);
-    }
-}
-
-#[test]
-fn suite_bench_rejects_malformed_flag_values() {
-    let bin = env!("CARGO_BIN_EXE_suite_bench");
-    for args in [&["--timeout", "abc"][..], &["--timeout"], &["--out"], &["--unknown-flag"]] {
         assert_usage_error(bin, args);
     }
 }

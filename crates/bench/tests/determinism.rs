@@ -12,7 +12,7 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use stp_bench::{
-    npn4, pdsd, run_instance_with_retry, run_suite_outcomes, Algorithm, RetryPolicy, Suite,
+    npn4_slice, pdsd, run_instance_with_retry, run_suite_outcomes, Algorithm, RetryPolicy, Suite,
 };
 use stp_store::Store;
 use stp_synth::{synthesize, SynthesisConfig, SynthesisError};
@@ -36,8 +36,7 @@ fn transcript(spec: &TruthTable, jobs: usize) -> String {
 fn npn4_representatives_match_across_worker_counts() {
     // A slice keeps the suite fast in debug builds; the slice still
     // spans multiple gate counts and fence families.
-    let mut suite = npn4();
-    suite.functions.truncate(24);
+    let suite = npn4_slice();
     for spec in &suite.functions {
         let sequential = transcript(spec, 1);
         for jobs in [2, 4] {
@@ -107,14 +106,6 @@ fn capped_runs_match_across_worker_counts() {
         let sequential = run(1);
         assert_eq!(sequential, run(4), "cap={cap}");
     }
-}
-
-/// The NPN4 prefix used by the suite-level determinism checks — small
-/// enough for debug builds, wide enough to span several gate counts.
-fn npn4_slice() -> Suite {
-    let mut suite = npn4();
-    suite.functions.truncate(24);
-    Suite { name: "NPN4[0..24]", functions: suite.functions }
 }
 
 /// Renders a whole suite run as one comparable transcript: per

@@ -21,7 +21,7 @@
 //! fn: the profile tree is global process state, so no other test may
 //! collect spans in the same process while it runs.
 
-use stp_bench::npn4;
+use stp_bench::npn4_slice;
 use stp_synth::{synthesize, SynthesisConfig};
 use stp_telemetry::profile;
 
@@ -30,8 +30,7 @@ fn profile_tree_is_structurally_identical_across_worker_counts() {
     // The same 24-class slice the `determinism` transcript tests use:
     // fast in debug builds, but still spanning several gate counts and
     // fence families (and hence several `shape.*` subtrees).
-    let mut suite = npn4();
-    suite.functions.truncate(24);
+    let suite = npn4_slice();
 
     let run = |jobs: usize| {
         let ((), tree) = profile::profiled(|| {

@@ -8,7 +8,7 @@
 use std::process::Command;
 use std::time::Instant;
 
-use stp_bench::npn4;
+use stp_bench::npn4_slice;
 use stp_synth::{synthesize, SynthesisConfig};
 use stp_telemetry::{profile, Span};
 
@@ -19,8 +19,7 @@ stp_telemetry::install_alloc_profiler!();
 
 #[test]
 fn profile_accounts_for_wall_clock_and_exports_valid_folded_stacks() {
-    let mut suite = npn4();
-    suite.functions.truncate(24);
+    let suite = npn4_slice();
 
     // One explicit top-level span wraps the whole cold run, so the
     // root's total must track the measured wall clock of the region.
@@ -76,9 +75,9 @@ fn profile_accounts_for_wall_clock_and_exports_valid_folded_stacks() {
     }
 }
 
-/// Path of the committed `factor_bench` baseline at the repo root.
+/// Path of the committed `pins` document at the repo root.
 fn committed_baseline() -> &'static str {
-    concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_factor.json")
+    concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pins.json")
 }
 
 #[test]
@@ -88,11 +87,11 @@ fn stpprof_drift_gate_agrees_with_committed_baseline() {
     let candidate = dir.join("candidate.json");
     let candidate_str = candidate.to_str().expect("utf8 path");
 
-    // Produce a fresh --jobs 1 slice candidate the way CI does.
-    let out = Command::new(env!("CARGO_BIN_EXE_factor_bench"))
-        .args(["--slice", "--jobs", "1", "--out", candidate_str])
+    // Produce a fresh slice candidate (recorded at jobs = 1).
+    let out = Command::new(env!("CARGO_BIN_EXE_pins"))
+        .args(["--slice", "--out", candidate_str])
         .output()
-        .expect("factor_bench runs");
+        .expect("pins runs");
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
 
     // Clean candidate: verdict "no drift", exit 0.

@@ -1,67 +1,15 @@
-//! CI drift gate for the wide-spec (9–12-input) factor baseline row.
+//! Differential gate for the wide-spec (9–12-input) suite.
 //!
 //! The `WIDE[9..12]` suite routes decomposition charts of 8–64 words
 //! through the factorizer's multi-word wide path (splits with
-//! `|A| + |B| ≤ 8`, `|S| ≤ 8` past `FAST_MAX_VARS`). Its pinned
-//! counters live in the committed `BENCH_factor.json` next to the NPN4
-//! rows; this gate re-runs the suite and fails on any drift, and a
-//! differential test replays the same specs through the scalar
-//! `force_naive` reference engine, pinning chain-for-chain equality.
-//!
-//! Counters are deterministic for any worker count up to the static
-//! split bound (every instance gets one shape worker for
-//! `jobs ≤` suite size), so the gate honours `STP_JOBS` clamped to 4 —
-//! the same parallel envelope `suite_baseline` pins for NPN4.
+//! `|A| + |B| ≤ 8`, `|S| ≤ 8` past `FAST_MAX_VARS`). Its counters are
+//! pinned in `BENCH_pins.json` (the `pins` test); this test replays
+//! the same specs through the scalar `force_naive` reference engine,
+//! pinning chain-for-chain equality.
 
-use std::time::Duration;
-
-use stp_bench::profdiff::PINNED_COUNTERS;
-use stp_bench::{run_suite, wide, Algorithm};
+use stp_bench::wide;
 use stp_fence::TreeShape;
 use stp_synth::{FactorConfig, Factorizer};
-use stp_telemetry::Json;
-
-#[test]
-fn wide_suite_counters_match_committed_baseline() {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_factor.json");
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read committed baseline {path}: {e}"));
-    let doc = Json::parse(&text).expect("BENCH_factor.json must parse");
-    let committed = doc
-        .get("suites")
-        .and_then(Json::as_arr)
-        .and_then(|suites| {
-            suites.iter().find(|s| s.get("suite").and_then(Json::as_str) == Some("WIDE[9..12]"))
-        })
-        .expect("baseline must contain the WIDE[9..12] suite");
-
-    let jobs = stp_synth::resolve_jobs(stp_synth::jobs_from_env()).min(4);
-    let suite = wide();
-    let report = run_suite(Algorithm::Stp, &suite, Duration::from_secs(300), jobs);
-    assert_eq!(report.solved, suite.functions.len(), "every wide spec must solve");
-
-    // The multi-word path's workload is chart construction: a wide run
-    // that builds no charts fell back to something else entirely.
-    let charts = *report.counters.get("factor.charts_built").unwrap_or(&0);
-    assert!(charts > 0, "the wide suite must build decomposition charts");
-
-    for name in PINNED_COUNTERS {
-        let want = committed
-            .get("counters")
-            .and_then(|c| c.get(name))
-            .and_then(Json::as_u64)
-            .unwrap_or_else(|| panic!("baseline is missing counter '{name}'"));
-        let got = *report.counters.get(name).unwrap_or(&0);
-        assert_eq!(
-            got, want,
-            "counter '{name}' drifted from the committed BENCH_factor.json \
-             WIDE[9..12] row (jobs={jobs}): re-record it with `cargo run \
-             --release -p stp-bench --bin factor_bench -- --jobs 1 --out \
-             BENCH_factor.json` only if the change in search behaviour is \
-             intentional"
-        );
-    }
-}
 
 /// A balanced shape with `leaves` leaves: one leaf of slack over the
 /// support admits shared variables, so top-level splits can satisfy

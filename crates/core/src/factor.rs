@@ -1948,6 +1948,108 @@ mod tests {
         assert_eq!(distinct.len(), chains.len(), "a shape emitted a chain twice: {ctx}");
     }
 
+    /// Assigns each of `vars` to A, B or S uniformly at random.
+    fn random_split(rng: &mut Lcg, vars: &[usize]) -> (Vec<usize>, Vec<usize>, Vec<usize>) {
+        let (mut a, mut b, mut s) = (Vec::new(), Vec::new(), Vec::new());
+        for &v in vars {
+            match rng.next() % 3 {
+                0 => a.push(v),
+                1 => b.push(v),
+                _ => s.push(v),
+            }
+        }
+        (a, b, s)
+    }
+
+    /// A table over `n` variables that decomposes over the split by
+    /// construction: `h = g(h1(A ∪ S), h2(B ∪ S))` for random `h1`, `h2`
+    /// and a random operator `g` of both operands.
+    fn decomposable_table(
+        rng: &mut Lcg,
+        n: usize,
+        a: &[usize],
+        b: &[usize],
+        s: &[usize],
+    ) -> TruthTable {
+        let vars1: Vec<usize> = a.iter().chain(s).copied().collect();
+        let vars2: Vec<usize> = b.iter().chain(s).copied().collect();
+        let h1 = random_table(rng, vars1.len());
+        let h2 = random_table(rng, vars2.len());
+        let g = stp_tt::NONTRIVIAL_OPS[(rng.next() % 10) as usize];
+        let index = |vars: &[usize], x: &[bool]| -> usize {
+            vars.iter().enumerate().map(|(i, &v)| usize::from(x[v]) << i).sum()
+        };
+        TruthTable::from_fn(n, |x| {
+            let (p, q) = (h1.bit(index(&vars1, x)), h2.bit(index(&vars2, x)));
+            g >> (usize::from(p) | usize::from(q) << 1) & 1 == 1
+        })
+        .unwrap()
+    }
+
+    /// Runs one split through the `L` kernel and the scalar reference,
+    /// with leaf children, and asserts they agree: same emitted
+    /// candidates, same candidate triples in the same order (none of
+    /// them twice), same counter increments. Returns whether the kernel
+    /// emitted a candidate triple.
+    fn assert_split_matches_naive<L: Lane, const WORDS: usize, const SHARED: usize>(
+        h: &TruthTable,
+        a: &[usize],
+        b: &[usize],
+        s: &[usize],
+        symmetric: bool,
+    ) -> bool {
+        let mut words = Factorizer::new(FactorConfig::default());
+        let mut naive = Factorizer::new(FactorConfig::default());
+        words
+            .factor_split_words::<L, WORDS, SHARED>(
+                h, a, b, s, LEAF_SHAPE, LEAF_SHAPE, symmetric, 0,
+            )
+            .unwrap();
+        naive.factor_split_naive(h, a, b, s, LEAF_SHAPE, LEAF_SHAPE, symmetric, 0).unwrap();
+        let ctx = format!("n={} a={a:?} b={b:?} s={s:?} spec={}", h.num_vars(), h.to_hex());
+        assert_eq!(scratch_trees(&words), scratch_trees(&naive), "candidates differ: {ctx}");
+        assert_eq!(words.triples, naive.triples, "candidate triples differ: {ctx}");
+        assert_unique_triples(&words, &ctx);
+        assert_eq!(words.charts_built, naive.charts_built, "chart counts differ: {ctx}");
+        assert_eq!(words.nodes_explored, naive.nodes_explored, "node counts differ: {ctx}");
+        !words.triples.is_empty()
+    }
+
+    /// Draws `cases` tables built to decompose over a random split of
+    /// their variables (arity `min_n + rng % span`, `|A| + |B| ≤ max_ab`,
+    /// `|S| ≤ 3`) and checks each split through the `L` kernel. Returns
+    /// how many cases emitted a candidate triple.
+    fn fuzz_decomposable_splits<L: Lane, const WORDS: usize, const SHARED: usize>(
+        rng: &mut Lcg,
+        cases: usize,
+        (min_n, span, max_ab): (usize, u64, usize),
+    ) -> usize {
+        let (mut tested, mut emitted, mut attempts) = (0usize, 0usize, 0usize);
+        while tested < cases {
+            attempts += 1;
+            assert!(attempts < 40_000, "decomposable split sampling starved");
+            let n = min_n + (rng.next() % span) as usize;
+            let vars: Vec<usize> = (0..n).collect();
+            let (a, b, s) = random_split(rng, &vars);
+            if a.len() + s.len() == 0 || b.len() + s.len() == 0 {
+                continue;
+            }
+            if a.len() + b.len() > max_ab || s.len() > 3 {
+                continue;
+            }
+            let h = decomposable_table(rng, n, &a, &b, &s);
+            if h.support() != vars {
+                continue;
+            }
+            tested += 1;
+            let symmetric = rng.next() & 1 == 1;
+            emitted += usize::from(assert_split_matches_naive::<L, WORDS, SHARED>(
+                &h, &a, &b, &s, symmetric,
+            ));
+        }
+        emitted
+    }
+
     #[test]
     fn fuzz_fast_split_matches_naive_reference() {
         // For random tables over 2–8 variables and random (A, B, S)
@@ -1970,14 +2072,7 @@ mod tests {
             if support.len() < 2 {
                 continue;
             }
-            let (mut a, mut b, mut s) = (Vec::new(), Vec::new(), Vec::new());
-            for &v in &support {
-                match rng.next() % 3 {
-                    0 => a.push(v),
-                    1 => b.push(v),
-                    _ => s.push(v),
-                }
-            }
+            let (a, b, s) = random_split(&mut rng, &support);
             if a.len() + s.len() == 0 || b.len() + s.len() == 0 {
                 continue;
             }
@@ -1994,20 +2089,15 @@ mod tests {
             }
             tested += 1;
             let symmetric = rng.next() & 1 == 1;
-            let mut fast = Factorizer::new(FactorConfig::default());
-            let mut naive = Factorizer::new(FactorConfig::default());
-            fast.factor_split_words::<u64, FAST_WORDS, FAST_SHARED>(
-                &h, &a, &b, &s, LEAF_SHAPE, LEAF_SHAPE, symmetric, 0,
-            )
-            .unwrap();
-            naive.factor_split_naive(&h, &a, &b, &s, LEAF_SHAPE, LEAF_SHAPE, symmetric, 0).unwrap();
-            let ctx = format!("n={n} a={a:?} b={b:?} s={s:?} spec={}", h.to_hex());
-            assert_eq!(scratch_trees(&fast), scratch_trees(&naive), "candidates differ: {ctx}");
-            assert_eq!(fast.triples, naive.triples, "candidate triples differ: {ctx}");
-            assert_unique_triples(&fast, &ctx);
-            assert_eq!(fast.charts_built, naive.charts_built, "chart counts differ: {ctx}");
-            assert_eq!(fast.nodes_explored, naive.nodes_explored, "node counts differ: {ctx}");
+            assert_split_matches_naive::<u64, FAST_WORDS, FAST_SHARED>(&h, &a, &b, &s, symmetric);
         }
+        // Uniform tables almost never pass the two-pattern test; tables
+        // built to decompose over the split reach the labelling,
+        // combination and operand-scatter loops.
+        let mut rng = Lcg(0xfac7_0123_5eed_0004);
+        let emitted =
+            fuzz_decomposable_splits::<u64, FAST_WORDS, FAST_SHARED>(&mut rng, 150, (2, 7, 6));
+        assert!(emitted >= 130, "too few splits emitted a candidate: {emitted}");
     }
 
     #[test]
@@ -2081,14 +2171,7 @@ mod tests {
             if support.len() < 2 {
                 continue;
             }
-            let (mut a, mut b, mut s) = (Vec::new(), Vec::new(), Vec::new());
-            for &v in &support {
-                match rng.next() % 3 {
-                    0 => a.push(v),
-                    1 => b.push(v),
-                    _ => s.push(v),
-                }
-            }
+            let (a, b, s) = random_split(&mut rng, &support);
             if a.len() + s.len() == 0 || b.len() + s.len() == 0 {
                 continue;
             }
@@ -2101,21 +2184,14 @@ mod tests {
                 multiword_axes += 1;
             }
             let symmetric = rng.next() & 1 == 1;
-            let mut wide = Factorizer::new(FactorConfig::default());
-            let mut naive = Factorizer::new(FactorConfig::default());
-            wide.factor_split_words::<W4, WIDE_WORDS, WIDE_SHARED>(
-                &h, &a, &b, &s, LEAF_SHAPE, LEAF_SHAPE, symmetric, 0,
-            )
-            .unwrap();
-            naive.factor_split_naive(&h, &a, &b, &s, LEAF_SHAPE, LEAF_SHAPE, symmetric, 0).unwrap();
-            let ctx = format!("n={n} a={a:?} b={b:?} s={s:?} spec={}", h.to_hex());
-            assert_eq!(scratch_trees(&wide), scratch_trees(&naive), "candidates differ: {ctx}");
-            assert_eq!(wide.triples, naive.triples, "candidate triples differ: {ctx}");
-            assert_unique_triples(&wide, &ctx);
-            assert_eq!(wide.charts_built, naive.charts_built, "chart counts differ: {ctx}");
-            assert_eq!(wide.nodes_explored, naive.nodes_explored, "node counts differ: {ctx}");
+            assert_split_matches_naive::<W4, WIDE_WORDS, WIDE_SHARED>(&h, &a, &b, &s, symmetric);
         }
         assert!(multiword_axes >= 20, "too few multi-lane cases: {multiword_axes}");
+        // Decomposable tables, as in the fast twin.
+        let mut rng = Lcg(0xfac7_0123_5eed_0005);
+        let emitted =
+            fuzz_decomposable_splits::<W4, WIDE_WORDS, WIDE_SHARED>(&mut rng, 120, (7, 5, 8));
+        assert!(emitted >= 100, "too few splits emitted a candidate: {emitted}");
     }
 
     #[test]
@@ -2133,14 +2209,7 @@ mod tests {
             assert!(attempts < 20_000, "fuzz split sampling starved");
             let n = 2 + (rng.next() % 7) as usize;
             let h = random_table(&mut rng, n);
-            let (mut a, mut b, mut s) = (Vec::new(), Vec::new(), Vec::new());
-            for v in h.support() {
-                match rng.next() % 3 {
-                    0 => a.push(v),
-                    1 => b.push(v),
-                    _ => s.push(v),
-                }
-            }
+            let (a, b, s) = random_split(&mut rng, &h.support());
             if a.len() + s.len() == 0 || b.len() + s.len() == 0 {
                 continue;
             }

@@ -3,7 +3,7 @@
 //! The engine batches its tallies locally and flushes them to the
 //! global registry once per `chains_on_shape` call; this test pins that
 //! the flush actually reaches a registry snapshot delta — the contract
-//! the bench harness and the committed `BENCH_factor.json` baseline
+//! the bench harness and the committed `BENCH_pins.json` pins
 //! rely on. It lives in its own integration binary because it reads the
 //! global registry and must not race other tests' counter traffic.
 //! A second test pins the candidate and verification counters of two

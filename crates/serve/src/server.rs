@@ -51,7 +51,10 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use stp_network::{equivalent_exhaustive, rewrite, Network, RewriteConfig, SynthesisCache};
+use stp_network::{
+    equivalent_exhaustive, equivalent_sat, rewrite, EquivResult, Network, RewriteConfig,
+    SynthesisCache,
+};
 use stp_store::Store;
 use stp_synth::{
     synthesize_multi_npn_answer, synthesize_npn_answer, MultiSpec, SynthesisConfig, SynthesisError,
@@ -204,6 +207,10 @@ const DRAIN_POLL: Duration = Duration::from_millis(10);
 /// Grace period after raising the abort flag, for the engine's
 /// cooperative cancellation to take hold and responses to flush.
 const ABORT_GRACE: Duration = Duration::from_secs(2);
+
+/// Conflict budget of the SAT check on rewrites wider than the
+/// simulation limit. A check that spends it refuses the answer.
+const REWRITE_SAT_BUDGET: u64 = 100_000;
 
 /// A bound `stpd` instance.
 pub struct Server {
@@ -623,11 +630,16 @@ fn run_rewrite(blif: &str, shared: &Shared, deadline: Instant) -> WorkOutcome {
                 return WorkOutcome::TimedOut;
             }
             let rewritten = served_network(result.network);
-            // Up to the simulation limit every answer is checked against
-            // its input; wider networks are served unchecked.
-            if network.num_inputs() <= stp_tt::MAX_VARS
-                && !equivalent_exhaustive(&network, &rewritten).unwrap_or(false)
-            {
+            // Every answer is checked against its input: by simulation up
+            // to the truth-table limit, by a budgeted SAT miter past it. A
+            // counterexample and a spent budget both refuse the answer.
+            let equivalent = if network.num_inputs() <= stp_tt::MAX_VARS {
+                equivalent_exhaustive(&network, &rewritten).unwrap_or(false)
+            } else {
+                let verdict = equivalent_sat(&network, &rewritten, Some(REWRITE_SAT_BUDGET));
+                matches!(verdict, Ok(EquivResult::Equivalent))
+            };
+            if !equivalent {
                 stp_telemetry::counter!("serve.rewrite_rejects").inc();
                 stp_telemetry::warn!("rewrite: refused a network that differs from its input");
                 return WorkOutcome::Done(resp_error(

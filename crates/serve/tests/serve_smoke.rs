@@ -210,6 +210,41 @@ fn a_wrong_rewrite_is_refused_and_counted() {
     assert_eq!(counter(&stats, "serve.rewrite_rejects"), 1, "{stats}");
 }
 
+/// A `rewrite` frame for the 19-input SOP ripple-carry adder: past the
+/// simulation limit, so the answer is checked by the SAT miter.
+fn wide_adder_rewrite() -> String {
+    let net = stp_network::ripple_carry_adder_sop(9).expect("adder");
+    assert_eq!(net.num_inputs(), 19);
+    let blif = Json::Str(net.to_blif("adder9"));
+    format!("{{\"op\":\"rewrite\",\"id\":\"wide\",\"blif\":{blif},\"timeout_ms\":60000}}")
+}
+
+#[test]
+fn wide_rewrite_is_checked_by_sat_and_served() {
+    let daemon = spawn_stpd(&[], None);
+    let mut conn = Conn::open(&daemon.addr);
+    let resp = conn.roundtrip(&wide_adder_rewrite(), Duration::from_secs(90));
+    assert_eq!(status(&resp), "ok", "{resp}");
+    assert!(resp.get("blif").and_then(Json::as_str).is_some_and(|b| b.contains(".model")));
+    let stats = conn.roundtrip("{\"op\":\"stats\"}", WINDOW);
+    assert_eq!(counter(&stats, "serve.rewrite_rejects"), 0, "{stats}");
+}
+
+/// Past the simulation limit, a planted wrong rewrite is refused by the
+/// SAT miter and counted, like a narrow one.
+#[cfg(feature = "faultsim")]
+#[test]
+fn a_wrong_wide_rewrite_is_refused_and_counted() {
+    let daemon = spawn_stpd(&[], Some("serve.rewrite.wrong_answer=1:err"));
+    let mut conn = Conn::open(&daemon.addr);
+    let resp = conn.roundtrip(&wide_adder_rewrite(), Duration::from_secs(90));
+    assert_eq!(status(&resp), "error", "{resp}");
+    assert!(resp.to_string().contains("not equivalent"), "{resp}");
+    assert!(resp.get("blif").is_none(), "a refused network is never served: {resp}");
+    let stats = conn.roundtrip("{\"op\":\"stats\"}", WINDOW);
+    assert_eq!(counter(&stats, "serve.rewrite_rejects"), 1, "{stats}");
+}
+
 #[test]
 fn graceful_shutdown_saves_the_store_and_restart_replays_zero_miss() {
     let scratch = Scratch::new("graceful");
