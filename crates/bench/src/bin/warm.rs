@@ -14,7 +14,7 @@
 //! shard snapshots with [`Store::merge_files`], saves the single merged
 //! v2 snapshot at `--store`, re-answers every manifest class from it
 //! (asserting **zero** `store.misses`), and emits a `BENCH_warm.json`
-//! document with per-shard wall clock and retry counts.
+//! document with per-shard solved/cached split and retry counts.
 //!
 //! **Crash safety / resume.** The manifest is written once, atomically;
 //! re-running the same command after a crash (or a killed shard) reuses
@@ -30,7 +30,7 @@
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -176,7 +176,6 @@ struct ShardStats {
     exhausted: usize,
     attempts: usize,
     retries: usize,
-    wall_s: f64,
 }
 
 /// Child mode: warm this shard's manifest slice into a journaled shard
@@ -190,7 +189,6 @@ fn run_child(
     base_timeout: Duration,
     rungs: usize,
 ) -> ! {
-    let start = Instant::now();
     let classes = parse_manifest(manifest_path, params);
     let reps: Vec<TruthTable> =
         classes.into_iter().filter(|c| c.shard == shard).map(|c| c.rep).collect();
@@ -225,18 +223,16 @@ fn run_child(
     store
         .save(store_path)
         .unwrap_or_else(|e| fail(format!("shard {shard}: cannot save shard snapshot: {e}")));
-    stats.wall_s = (start.elapsed().as_secs_f64() * 1000.0).round() / 1000.0;
     println!(
         "warm-shard shard={} classes={} solved={} cached={} exhausted={} \
-         attempts={} retries={} wall_s={}",
+         attempts={} retries={}",
         stats.shard,
         stats.classes,
         stats.solved,
         stats.cached,
         stats.exhausted,
         stats.attempts,
-        stats.retries,
-        stats.wall_s
+        stats.retries
     );
     std::process::exit(0);
 }
@@ -263,7 +259,6 @@ fn parse_stats(stdout: &str, shard: usize) -> ShardStats {
             "exhausted" => stats.exhausted = field(shard, pair, value),
             "attempts" => stats.attempts = field(shard, pair, value),
             "retries" => stats.retries = field(shard, pair, value),
-            "wall_s" => stats.wall_s = field(shard, pair, value),
             other => fail(format!("shard {shard}: unknown stats field `{other}`")),
         }
     }
@@ -278,7 +273,6 @@ fn run_parent(
     rungs: usize,
     out: Option<&str>,
 ) -> ! {
-    let start = Instant::now();
     let manifest_path = PathBuf::from(format!("{store}.manifest"));
     let resumed = manifest_path.exists();
     let classes = if resumed {
@@ -396,7 +390,6 @@ fn run_parent(
                             ("exhausted", Json::UInt(s.exhausted as u64)),
                             ("attempts", Json::UInt(s.attempts as u64)),
                             ("retries", Json::UInt(s.retries as u64)),
-                            ("wall_s", Json::Num(s.wall_s)),
                         ])
                     })
                     .collect(),
@@ -416,7 +409,6 @@ fn run_parent(
                 ("misses", Json::UInt(misses)),
             ]),
         ),
-        ("wall_s", Json::Num((start.elapsed().as_secs_f64() * 1000.0).round() / 1000.0)),
     ]);
     let text = format!("{doc}\n");
     match out {

@@ -5,8 +5,8 @@
 //! its `BENCH_warm.json` document against the committed baseline: the
 //! class sample, shard assignment, and solved/cached/exhausted split
 //! are seed-deterministic, so any drift means the sample, the sharding,
-//! or the merge changed. Wall clock and retry counts are
-//! machine-dependent and stay informational.
+//! or the merge changed. Attempt and retry counts depend on the
+//! machine and stay informational; the document records no wall clock.
 //!
 //! With `--features faultsim`, a second test arms the
 //! `store.journal.pre_append` failpoint in the child processes'
@@ -78,7 +78,7 @@ fn warm_farm_matches_committed_baseline() {
     );
 
     // Seed-deterministic fields must match the committed baseline
-    // exactly; wall clock, attempts, retries, and the jobs budget are
+    // exactly; attempts, retries, and the jobs budget are
     // machine-dependent and informational.
     for key in ["shards", "seed", "sample5", "sample6", "classes", "solved", "cached", "exhausted"]
     {

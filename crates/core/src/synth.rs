@@ -212,8 +212,10 @@ fn sweep(
     } else {
         Box::new((min_gates..=config.max_gates).map(|r| (r, config.max_depth)))
     };
-    // Fence pruning preserves gate-count optima, not depth optima, so
-    // the depth-major plan walks every tree shape.
+    // Fence pruning preserves neither depth nor gate-count optima: it
+    // drops tree fences such as `(4,1,1,1)`, so the 7-gate
+    // `((x1x2 | x3x4) & (x5|x6)) | x7x8` comes back with 8 gates
+    // (ROADMAP item 1). The depth-major plan walks every tree shape.
     let pruned = config.fence_pruning && !depth_major;
     let jobs = parallel::resolve_jobs(config.jobs);
     let cancel = Arc::new(AtomicBool::new(false));

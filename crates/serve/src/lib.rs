@@ -1,4 +1,4 @@
-//! `stp-serve`: the `stpd` synthesis daemon and its load generator.
+//! `stp-serve`: the `stpd` synthesis daemon.
 //!
 //! The crate turns the workspace's exact-synthesis engine and
 //! persistent NPN store into a long-running network service with an
@@ -16,15 +16,12 @@
 //!   request coalescing through the store's pending slots, graceful
 //!   drain with a final journaled save, and `serve.*` failpoints for
 //!   kill-window chaos tests.
-//! - [`loadgen`] — a seeded, open-loop load generator producing the
-//!   deterministic request mixes behind `BENCH_serve.json`.
 //!
 //! See DESIGN.md, "Service layer & failure model", for the protocol
 //! and the admission/drain state machines.
 
 #![forbid(unsafe_code)]
 
-pub mod loadgen;
 pub mod protocol;
 pub mod server;
 

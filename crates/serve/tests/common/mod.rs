@@ -1,6 +1,6 @@
 //! Shared helpers for the stpd integration suites: scratch dirs, daemon
-//! spawning (parsing the `stpd listening on <addr>` line), and a tiny
-//! line-oriented client.
+//! spawning (parsing the `stpd listening on <addr>` line), a tiny
+//! line-oriented client, and the seeded table pool of the load test.
 
 // Each integration binary compiles its own copy and uses a subset.
 #![allow(dead_code)]
@@ -185,4 +185,41 @@ pub fn shutdown_and_wait(mut daemon: Daemon) {
             }
         }
     }
+}
+
+/// The multiplicative LCG used for the request mix (MMIX constants).
+#[derive(Debug, Clone)]
+pub struct Lcg(u64);
+
+impl Lcg {
+    /// Seeds the generator.
+    pub fn new(seed: u64) -> Lcg {
+        Lcg(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1))
+    }
+
+    /// Next raw 64-bit value.
+    pub fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        // The high bits of an LCG are the good ones.
+        self.0 >> 11
+    }
+}
+
+/// Builds the deduplicated table pool: `classes` distinct hex tables of
+/// the given arity, deterministically from `seed`.
+pub fn generate_tables(seed: u64, arity: usize, classes: usize) -> Vec<String> {
+    let digits = ((1usize << arity) / 4).max(1);
+    let mut lcg = Lcg::new(seed);
+    let mut pool: Vec<String> = Vec::with_capacity(classes);
+    while pool.len() < classes {
+        let mut hex = String::with_capacity(digits);
+        for _ in 0..digits {
+            let nibble = (lcg.next_u64() & 0xf) as u32;
+            hex.push(char::from_digit(nibble, 16).expect("nibble < 16"));
+        }
+        if !pool.contains(&hex) {
+            pool.push(hex);
+        }
+    }
+    pool
 }

@@ -1,13 +1,15 @@
 //! End-to-end protocol smoke tests for `stpd`: request/response round
-//! trips, structured error handling, deadlines, and graceful shutdown
-//! with store persistence. No fault injection here — see
+//! trips, structured error handling, deadlines, graceful shutdown with
+//! store persistence, and the seeded load mix whose counts are pinned
+//! (`seeded_load_mix_pins_every_count`). No fault injection here — see
 //! `serve_chaos.rs` for the kill-window suite.
 
 mod common;
 
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-use common::{counter, shutdown_and_wait, spawn_stpd, status, Conn, Scratch};
+use common::{counter, generate_tables, shutdown_and_wait, spawn_stpd, status, Conn, Lcg, Scratch};
 use stp_chain::{Chain, OutputRef};
 use stp_store::Store;
 use stp_synth::{synthesize_npn_with_store, SynthesisConfig};
@@ -332,32 +334,116 @@ fn stpd_cli_rejects_usage_errors_with_exit_2() {
     }
 }
 
-#[test]
-fn loadgen_cli_rejects_usage_errors_with_exit_2() {
-    for args in [
-        vec!["--addr", "127.0.0.1:1", "--connections", "0"],
-        vec!["--addr", "127.0.0.1:1", "--connections", "1,x"],
-        vec!["--addr", "127.0.0.1:1", "--requests", "0"],
-        vec!["--addr", "127.0.0.1:1", "--rate", "0"],
-        vec!["--addr", "127.0.0.1:1", "--rate", "nan"],
-        vec!["--addr", "127.0.0.1:1", "--arity", "9"],
-        vec!["--addr", "127.0.0.1:1", "--classes", "0"],
-        vec!["--addr", "127.0.0.1:1", "--timeout-ms", "0"],
-        vec!["--addr", "127.0.0.1:1", "--oversized-bytes", "0"],
-        vec!["--addr", "127.0.0.1:1", "--bogus"],
-        vec!["--connections", "1"],
-    ] {
-        let output = std::process::Command::new(env!("CARGO_BIN_EXE_loadgen"))
-            .args(&args)
-            .output()
-            .expect("run loadgen");
-        assert_eq!(
-            output.status.code(),
-            Some(2),
-            "loadgen {args:?} must exit 2, stderr: {}",
-            String::from_utf8_lossy(&output.stderr)
-        );
+/// Seed of the load mix: of its table pool and of each connection's
+/// picks from it.
+const LOAD_SEED: u64 = 42;
+/// `synth` requests each load connection sends.
+const LOAD_REQUESTS: u64 = 60;
+
+/// One closed-loop connection of the load mix. Connection `c` draws its
+/// tables from `pool` with `Lcg::new(LOAD_SEED ^ (c * 0xA5A5_A5A5))`.
+/// Returns how many requests it sent and how each was answered (`ok`,
+/// `timeout`, `overloaded`, `error`, or `lost` without an answer).
+fn load_connection(addr: &str, c: u64, pool: &[String]) -> BTreeMap<&'static str, u64> {
+    let mut counts = BTreeMap::new();
+    let mut conn = Conn::open(addr);
+    let mut lcg = Lcg::new(LOAD_SEED ^ (c * 0xA5A5_A5A5));
+    for i in 0..LOAD_REQUESTS {
+        let table = &pool[(lcg.next_u64() as usize) % pool.len()];
+        conn.send(&format!(
+            "{{\"op\":\"synth\",\"id\":\"c{c}-{i}\",\"tables\":[\"{table}\"],\"timeout_ms\":30000}}"
+        ));
+        *counts.entry("sent").or_default() += 1;
+        let Some(line) = conn.recv(WINDOW) else {
+            *counts.entry("lost").or_default() += 1;
+            break;
+        };
+        let answer = match status(&Json::parse(&line).unwrap_or(Json::Null)) {
+            "ok" => "ok",
+            "timeout" => "timeout",
+            "overloaded" => "overloaded",
+            _ => "error",
+        };
+        *counts.entry(answer).or_default() += 1;
     }
+    counts
+}
+
+/// Sends one junk frame on its own connection; `true` when the daemon
+/// answers it with a structured `malformed` response.
+fn probe_acked(addr: &str, payload: &[u8]) -> bool {
+    let mut conn = Conn::open(addr);
+    conn.send_raw(payload);
+    conn.recv(Duration::from_secs(5))
+        .and_then(|line| Json::parse(&line).ok())
+        .is_some_and(|resp| status(&resp) == "malformed")
+}
+
+/// The seeded load mix. One capacity-32, jobs-1 daemon serves rows of
+/// 1, 4 and 16 connections, each sending `LOAD_REQUESTS` synth requests
+/// over the 24 arity-3 tables of `generate_tables(LOAD_SEED, 3, 24)`.
+/// After each row come 6 malformed and 3 oversized probes, each on its
+/// own connection. The connections are closed-loop and the daemon
+/// answers each connection's frames in order, so at most 16 requests
+/// are in flight and the admission gate never engages: every count
+/// below is the same on any machine. Latencies and the coalesced split
+/// depend on timing and are not checked.
+#[test]
+fn seeded_load_mix_pins_every_count() {
+    let daemon =
+        spawn_stpd(&["--capacity", "32", "--jobs", "1", "--max-frame-bytes", "4096"], None);
+    let addr = daemon.addr.as_str();
+    let pool = generate_tables(LOAD_SEED, 3, 24);
+    let mut total_sent = 0;
+    for connections in [1u64, 4, 16] {
+        let mut row: BTreeMap<&str, u64> = BTreeMap::new();
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..connections)
+                .map(|c| {
+                    let pool = &pool;
+                    scope.spawn(move || load_connection(addr, c, pool))
+                })
+                .collect();
+            for worker in workers {
+                for (name, n) in worker.join().expect("load connection panicked") {
+                    *row.entry(name).or_default() += n;
+                }
+            }
+        });
+        let malformed = (0..6).filter(|_| probe_acked(addr, b"this is not json\n")).count();
+        let oversized = (0..3).filter(|_| probe_acked(addr, &[b'x'; 8192])).count();
+        let sent = connections * LOAD_REQUESTS;
+        for (name, want) in [
+            ("sent", sent),
+            ("ok", sent),
+            ("timeout", 0),
+            ("overloaded", 0),
+            ("error", 0),
+            ("lost", 0),
+        ] {
+            let got = row.get(name).copied().unwrap_or(0);
+            assert_eq!(got, want, "row of {connections} connection(s): `{name}` drifted");
+        }
+        assert_eq!(malformed, 6, "row of {connections} connection(s): malformed probes acked");
+        assert_eq!(oversized, 3, "row of {connections} connection(s): oversized probes acked");
+        total_sent += row.get("sent").copied().unwrap_or(0);
+    }
+
+    let stats = Conn::open(addr).roundtrip("{\"op\":\"stats\"}", WINDOW);
+    for (name, want) in [
+        ("serve.accepted", 1260),
+        ("serve.malformed", 27),
+        ("serve.rejected_overload", 0),
+        ("serve.timeouts", 0),
+        ("store.misses", 10),
+        ("store.hits", 1189),
+        ("store.trivial_hits", 61),
+    ] {
+        assert_eq!(counter(&stats, name), want, "server counter `{name}` drifted: {stats}");
+    }
+    // The admission ledger: everything sent was admitted, nothing shed.
+    assert_eq!(counter(&stats, "serve.accepted"), total_sent, "admitted != sent");
+    shutdown_and_wait(daemon);
 }
 
 /// Rebuilds a chain from its `Display` text (`x5 = 0x6(x3, x4)` gates,
