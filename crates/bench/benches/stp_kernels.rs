@@ -4,7 +4,8 @@
 //! the three parts of an NPN store hit (`npn_kernels`): canonicalize,
 //! the store lookup, and the map-back of a warmed class's chains (all of
 //! them, or the one checked first chain) — plus a rewriting pass's cut
-//! functions (`network_kernels`) and one cold factorization round
+//! enumeration, cut functions and warm per-cut store lookup
+//! (`network_kernels`) and one cold factorization round
 //! (`factor_kernels`), without and with verification of its candidates.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -154,10 +155,13 @@ fn bench_network_kernels(c: &mut Criterion) {
     // reused evaluator as `rewrite_pass` runs them.
     let mut rng = SmallRng::seed_from_u64(7);
     let net = random_network(8, 40, 4, &mut rng).unwrap();
+    group.bench_function("enumerate_cuts", |b| {
+        b.iter(|| enumerate_cuts(black_box(&net), 4, 8).len())
+    });
     let cuts = enumerate_cuts(&net, 4, 8);
     let work: Vec<(usize, &Cut)> = (0..net.num_signals())
         .filter(|&s| net.is_gate(s))
-        .flat_map(|s| cuts.cuts[s].iter().filter(|c| c.leaves.len() >= 2).map(move |c| (s, c)))
+        .flat_map(|s| cuts.of(s).iter().filter(|c| c.len() >= 2).map(move |c| (s, c)))
         .collect();
     let mut evaluator = CutEvaluator::new();
     group.bench_function("cut_function", |b| {
@@ -165,6 +169,23 @@ fn bench_network_kernels(c: &mut Criterion) {
             work.iter()
                 .map(|&(s, cut)| evaluator.eval(black_box(&net), s, cut).unwrap().count_ones())
                 .sum::<usize>()
+        })
+    });
+    // The lookup a rewriting pass makes per cut function on a warm
+    // store: canonicalize a 4-input spec that is not its class
+    // representative, probe the store, and read the answer's gate count
+    // without mapping a chain back.
+    let spec = !TruthTable::from_hex(4, "17e8").unwrap().flip_input(0);
+    let store = Store::new();
+    let solve = |rep: &TruthTable| -> Result<RepOutcome, ChainError> {
+        Ok(RepOutcome::Solved(synthesize(rep, &SynthesisConfig::default()).unwrap().chains))
+    };
+    store.solve_npn(&spec, Duration::MAX, solve).unwrap();
+    let never = |_: &TruthTable| -> Result<RepOutcome, ChainError> { unreachable!("warmed") };
+    group.bench_function("store_hit", |b| {
+        b.iter(|| match store.solve_npn(black_box(&spec), Duration::MAX, never).unwrap() {
+            NpnOutcome::Solved(view) => view.gates(),
+            _ => unreachable!("warmed"),
         })
     });
     group.finish();

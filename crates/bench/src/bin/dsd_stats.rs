@@ -30,8 +30,8 @@ fn census(name: &str, net: &Network) {
         if !net.is_gate(s) {
             continue;
         }
-        for cut in &cuts.cuts[s] {
-            if cut.leaves.len() < 2 {
+        for cut in cuts.of(s) {
+            if cut.len() < 2 {
                 continue;
             }
             let f = match cut_function(net, s, cut) {

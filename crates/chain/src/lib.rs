@@ -582,25 +582,18 @@ pub fn merge_chains(chains: &[&Chain]) -> Result<Chain, ChainError> {
 /// canonicalization or a solution-store round-trip, so trivial cut
 /// functions stay free on the hot rewriting path.
 pub fn trivial_chain(spec: &TruthTable) -> Option<Chain> {
-    let n = spec.num_vars();
     let ones = spec.count_ones();
-    let mut chain = Chain::new(n);
-    if ones == 0 || ones == spec.num_bits() {
-        chain.add_output(OutputRef::Constant(ones != 0));
-        return Some(chain);
-    }
-    for v in 0..n {
-        let proj = TruthTable::variable(n, v).ok()?;
-        if *spec == proj {
-            chain.add_output(OutputRef::signal(v));
-            return Some(chain);
+    let output = if ones == 0 || ones == spec.num_bits() {
+        OutputRef::Constant(ones != 0)
+    } else {
+        match spec.projection()? {
+            (v, false) => OutputRef::signal(v),
+            (v, true) => OutputRef::negated_signal(v),
         }
-        if *spec == !proj {
-            chain.add_output(OutputRef::negated_signal(v));
-            return Some(chain);
-        }
-    }
-    None
+    };
+    let mut chain = Chain::new(spec.num_vars());
+    chain.add_output(output);
+    Some(chain)
 }
 
 /// Flips one operand of a 2-input truth table (`slot` 0 is the first

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use stp_chain::Chain;
-use stp_store::{NpnOutcome, RepOutcome, Store};
+use stp_store::{NpnOutcome, NpnView, RepOutcome, Store};
 use stp_synth::{
     synthesize, synthesize_multi, GateCountObjective, MultiSpec, SynthesisConfig, SynthesisError,
 };
@@ -128,35 +128,7 @@ impl SynthesisCache {
         budget: Duration,
         jobs: usize,
     ) -> Result<Option<Chain>, NetworkError> {
-        let mut synthesized = false;
-        let outcome = self.store.solve_npn(spec, budget, |rep| {
-            synthesized = true;
-            stp_telemetry::counter!("network.synth_cache_misses").inc();
-            let config = SynthesisConfig {
-                deadline: Some(Instant::now() + budget),
-                max_solutions: 1,
-                jobs,
-                ..SynthesisConfig::default()
-            };
-            match synthesize(rep, &config) {
-                Ok(r) => Ok(RepOutcome::Solved(r.chains)),
-                Err(SynthesisError::Timeout | SynthesisError::GateLimitExceeded { .. }) => {
-                    Ok(RepOutcome::Exhausted)
-                }
-                Err(e) => Err(NetworkError::from(e)),
-            }
-        })?;
-        if !synthesized {
-            stp_telemetry::counter!("network.synth_cache_hits").inc();
-        }
-        match outcome {
-            NpnOutcome::Trivial(chain) => Ok(Some(chain)),
-            NpnOutcome::Solved(view) => Ok(view.first().ok()),
-            NpnOutcome::Exhausted { .. } | NpnOutcome::WaitTimeout => Ok(None),
-            NpnOutcome::Poisoned { message } => {
-                Err(NetworkError::from(SynthesisError::JobPanicked { message }))
-            }
-        }
+        Ok(self.lookup(std::slice::from_ref(spec), budget, jobs)?.and_then(Answer::chain))
     }
 
     /// Returns one shared chain realizing every spec (through the
@@ -182,18 +154,40 @@ impl SynthesisCache {
         budget: Duration,
         jobs: usize,
     ) -> Result<Option<Chain>, NetworkError> {
+        Ok(self.lookup(specs, budget, jobs)?.and_then(Answer::chain))
+    }
+
+    /// The one lookup path: resolves `specs` (one spec, or an output
+    /// vector sharing its inputs) through the store, synthesizing on a
+    /// miss — a single spec with one optimum chain, an output vector
+    /// with one shared chain — and answers without mapping anything.
+    /// `Ok(None)` when synthesis gave up under `budget`.
+    fn lookup(
+        &self,
+        specs: &[TruthTable],
+        budget: Duration,
+        jobs: usize,
+    ) -> Result<Option<Answer>, NetworkError> {
         let mut synthesized = false;
         let outcome = self.store.solve_npn_multi(specs, budget, |reps| {
             synthesized = true;
             stp_telemetry::counter!("network.synth_cache_misses").inc();
-            let config = SynthesisConfig {
-                deadline: Some(Instant::now() + budget),
-                jobs,
-                ..SynthesisConfig::default()
+            let deadline = Some(Instant::now() + budget);
+            let solved = if let [rep] = reps {
+                let config = SynthesisConfig {
+                    deadline,
+                    max_solutions: 1,
+                    jobs,
+                    ..SynthesisConfig::default()
+                };
+                synthesize(rep, &config).map(|r| r.chains)
+            } else {
+                let config = SynthesisConfig { deadline, jobs, ..SynthesisConfig::default() };
+                let multi = MultiSpec::new(reps.to_vec()).map_err(NetworkError::from)?;
+                synthesize_multi(&multi, &GateCountObjective, &config).map(|r| vec![r.chain])
             };
-            let multi = MultiSpec::new(reps.to_vec()).map_err(NetworkError::from)?;
-            match synthesize_multi(&multi, &GateCountObjective, &config) {
-                Ok(r) => Ok(RepOutcome::Solved(vec![r.chain])),
+            match solved {
+                Ok(chains) => Ok(RepOutcome::Solved(chains)),
                 Err(SynthesisError::Timeout | SynthesisError::GateLimitExceeded { .. }) => {
                     Ok(RepOutcome::Exhausted)
                 }
@@ -204,12 +198,41 @@ impl SynthesisCache {
             stp_telemetry::counter!("network.synth_cache_hits").inc();
         }
         match outcome {
-            NpnOutcome::Trivial(chain) => Ok(Some(chain)),
-            NpnOutcome::Solved(view) => Ok(view.first().ok()),
+            NpnOutcome::Trivial(chain) => Ok(Some(Answer::Trivial(chain))),
+            NpnOutcome::Solved(view) => Ok(Some(Answer::Stored(view))),
             NpnOutcome::Exhausted { .. } | NpnOutcome::WaitTimeout => Ok(None),
             NpnOutcome::Poisoned { message } => {
                 Err(NetworkError::from(SynthesisError::JobPanicked { message }))
             }
+        }
+    }
+}
+
+/// A cache answer before map-back: its gate count is known, and only a
+/// caller that splices it pays for mapping and checking the chain.
+enum Answer {
+    /// A constant or (complemented) projection: zero gates, no store.
+    Trivial(Chain),
+    /// A solved class, seen from the caller's spec(s).
+    Stored(NpnView),
+}
+
+impl Answer {
+    /// The gate count of the chain [`Answer::chain`] returns.
+    fn gates(&self) -> usize {
+        match self {
+            Answer::Trivial(chain) => chain.num_gates(),
+            Answer::Stored(view) => view.gates(),
+        }
+    }
+
+    /// The chain for the caller's spec(s): a stored chain is mapped back
+    /// and checked, and `None` when the check refuses it (the store then
+    /// re-solves the class at its next lookup).
+    fn chain(self) -> Option<Chain> {
+        match self {
+            Answer::Trivial(chain) => Some(chain),
+            Answer::Stored(view) => view.first().ok(),
         }
     }
 }
@@ -360,7 +383,7 @@ impl MffcCounter {
     }
 
     fn deref(&mut self, net: &Network, s: usize, cut: &Cut) {
-        if cut.leaves.binary_search(&s).is_ok() || !net.is_gate(s) || self.dead[s] {
+        if cut.contains(s) || !net.is_gate(s) || self.dead[s] {
             return;
         }
         self.dead[s] = true;
@@ -386,12 +409,18 @@ impl MffcCounter {
 /// # Errors
 ///
 /// Propagates construction and synthesis errors; per-cut synthesis
-/// timeouts simply skip the cut.
+/// timeouts simply skip the cut. A [`RewriteConfig::cut_size`] past
+/// [`stp_tt::MAX_VARS`] is refused up front with
+/// [`NetworkError::TooManyInputsForSimulation`]: no cut function that
+/// wide can be evaluated.
 pub fn rewrite(
     net: &Network,
     config: &RewriteConfig,
     cache: &SynthesisCache,
 ) -> Result<RewriteResult, NetworkError> {
+    if config.cut_size > stp_tt::MAX_VARS {
+        return Err(NetworkError::TooManyInputsForSimulation { inputs: config.cut_size });
+    }
     let gates_before = net.live_gate_count();
     let mut current = net.clone();
     let mut all_replacements = Vec::new();
@@ -448,30 +477,29 @@ fn joint_groups(
         net.outputs().iter().map(|s| s.index()).filter(|&s| net.is_gate(s)).collect();
     output_roots.sort_unstable();
     output_roots.dedup();
-    let mut by_leaves: HashMap<&[usize], Vec<usize>> = HashMap::new();
+    let mut by_leaves: HashMap<Cut, Vec<usize>> = HashMap::new();
     for &s in &output_roots {
         if refs[s] == 0 {
             continue;
         }
-        for cut in &cuts.cuts[s] {
-            if cut.leaves.len() < 2 || cut.leaves == [s] {
+        for cut in cuts.of(s) {
+            if cut.len() < 2 {
                 continue;
             }
-            let roots = by_leaves.entry(cut.leaves.as_slice()).or_default();
+            let roots = by_leaves.entry(*cut).or_default();
             if !roots.contains(&s) {
                 roots.push(s);
             }
         }
     }
     // HashMap order is not deterministic; the transcript contract is.
-    let mut groups: Vec<(&[usize], Vec<usize>)> =
+    let mut groups: Vec<(Cut, Vec<usize>)> =
         by_leaves.into_iter().filter(|(_, roots)| roots.len() >= 2).collect();
-    groups.sort();
+    groups.sort_by(|(a, _), (b, _)| a.leaves().cmp(b.leaves()));
     let mut out = Vec::with_capacity(groups.len());
-    for (leaves, mut roots) in groups {
+    for (cut, mut roots) in groups {
         roots.sort_unstable();
         roots.truncate(MAX_GROUP_OUTPUTS);
-        let cut = Cut { leaves: leaves.to_vec() };
         let specs = roots
             .iter()
             .map(|&root| evaluator.eval(net, root, &cut))
@@ -489,12 +517,12 @@ fn rewrite_pass(
     cache: &SynthesisCache,
 ) -> Result<(Network, Vec<Replacement>), NetworkError> {
     let _pass = stp_telemetry::span!("rewrite.pass");
-    let mut mffc = MffcCounter::new(net);
     // Enumerate the cuts and evaluate every cut function the pass asks
     // the cache about, in query order: (root, cut index, function) per
     // non-trivial single-root cut, then the joint groups.
-    let (cuts, functions, groups) = {
+    let (mut mffc, cuts, functions, groups) = {
         let _enum = stp_telemetry::span!("rewrite.cut_enum");
+        let mffc = MffcCounter::new(net);
         let cuts = enumerate_cuts(net, config.cut_size, config.cut_limit);
         let mut evaluator = CutEvaluator::new();
         let mut functions = Vec::new();
@@ -502,8 +530,8 @@ fn rewrite_pass(
             if !net.is_gate(s) || r == 0 {
                 continue;
             }
-            for (i, cut) in cuts.cuts[s].iter().enumerate() {
-                if cut.leaves.len() < 2 || cut.leaves == [s] {
+            for (i, cut) in cuts.of(s).iter().enumerate() {
+                if cut.len() < 2 {
                     continue;
                 }
                 let f = evaluator.eval(net, s, cut)?;
@@ -517,13 +545,15 @@ fn rewrite_pass(
         } else {
             Vec::new()
         };
-        (cuts, functions, groups)
+        (mffc, cuts, functions, groups)
     };
 
     // Collect candidate replacements. A candidate replaces one or more
     // roots over one cut: single-root candidates come from the classic
     // per-cone synthesis, multi-root ones from a joint synthesis of
-    // every root sharing the cut's leaf set.
+    // every root sharing the cut's leaf set. An answer is mapped back
+    // only once it saves gates, so a losing cut costs its lookup and its
+    // MFFC query, never a map-back.
     struct Candidate {
         /// Ascending; one root for the classic per-cone replacement.
         roots: Vec<usize>,
@@ -531,22 +561,22 @@ fn rewrite_pass(
         chain: Chain,
         gain: usize,
     }
+    let candidates_span = stp_telemetry::span!("rewrite.candidates");
     let mut candidates: Vec<Candidate> = Vec::new();
     for (s, i, f) in &functions {
-        let Some(chain) = cache.optimum_chain(f, config.synthesis_budget, config.jobs)? else {
+        let Some(answer) =
+            cache.lookup(std::slice::from_ref(f), config.synthesis_budget, config.jobs)?
+        else {
             continue;
         };
-        let cut = &cuts.cuts[*s][*i];
-        let old_cost = mffc.size(net, &[*s], cut);
-        let new_cost = chain.num_gates();
-        if new_cost < old_cost {
-            candidates.push(Candidate {
-                roots: vec![*s],
-                cut: cut.clone(),
-                chain,
-                gain: old_cost - new_cost,
-            });
+        let cut = cuts.of(*s)[*i];
+        let old_cost = mffc.size(net, &[*s], &cut);
+        let new_cost = answer.gates();
+        if new_cost >= old_cost {
+            continue;
         }
+        let Some(chain) = answer.chain() else { continue };
+        candidates.push(Candidate { roots: vec![*s], cut, chain, gain: old_cost - new_cost });
     }
     if !groups.is_empty() {
         // Best single-root gain per root: a joint replacement must beat
@@ -557,13 +587,11 @@ fn rewrite_pass(
             *best = (*best).max(cand.gain);
         }
         for JointGroup { cut, roots, specs } in groups {
-            let Some(chain) =
-                cache.optimum_shared_chain(&specs, config.synthesis_budget, config.jobs)?
-            else {
+            let Some(answer) = cache.lookup(&specs, config.synthesis_budget, config.jobs)? else {
                 continue;
             };
             let old_cost = mffc.size(net, &roots, &cut);
-            let new_cost = chain.num_gates();
+            let new_cost = answer.gates();
             if new_cost >= old_cost {
                 continue;
             }
@@ -573,24 +601,31 @@ fn rewrite_pass(
             if gain <= displaced {
                 continue;
             }
+            let Some(chain) = answer.chain() else { continue };
             stp_telemetry::counter!("network.mo_rewrites").inc();
             candidates.push(Candidate { roots, cut, chain, gain });
         }
     }
+    drop(candidates_span);
+
     // Greedy: best gains first; skip candidates whose cone overlaps an
     // already-replaced one.
+    let select_span = stp_telemetry::span!("rewrite.select");
     candidates.sort_by(|a, b| b.gain.cmp(&a.gain).then(a.roots.cmp(&b.roots)));
     // root -> (candidate index, output position within its chain).
     let mut replaced: HashMap<usize, (usize, usize)> = HashMap::new();
     let mut claimed = vec![false; net.num_signals()];
     let mut report = Vec::new();
+    let mut cone = Vec::new();
+    let mut stack = Vec::new();
     for (ci, cand) in candidates.iter().enumerate() {
         // The cone between the roots and the leaves must be unclaimed.
-        let mut cone = Vec::new();
-        let mut stack = cand.roots.clone();
+        cone.clear();
+        stack.clear();
+        stack.extend_from_slice(&cand.roots);
         let mut ok = true;
         while let Some(x) = stack.pop() {
-            if cand.cut.leaves.binary_search(&x).is_ok() || !net.is_gate(x) {
+            if cand.cut.contains(x) || !net.is_gate(x) {
                 continue;
             }
             if claimed[x] {
@@ -601,9 +636,7 @@ fn rewrite_pass(
                 continue;
             }
             cone.push(x);
-            for fanin in net.gate(x).fanin {
-                stack.push(fanin);
-            }
+            stack.extend(net.gate(x).fanin);
         }
         if !ok || cand.roots.iter().any(|r| replaced.contains_key(r)) {
             continue;
@@ -617,10 +650,11 @@ fn rewrite_pass(
         report.push(Replacement {
             root: cand.roots[0],
             roots: cand.roots.clone(),
-            leaves: cand.cut.leaves.clone(),
+            leaves: cand.cut.leaves().iter().map(|&l| l as usize).collect(),
             gain: cand.gain,
         });
     }
+    drop(select_span);
 
     // Rebuild the network, splicing replacements. A multi-root
     // candidate splices its shared chain once — when the first of its
@@ -645,9 +679,9 @@ fn rewrite_pass(
         }
         let sig = if let Some(&(ci, position)) = replaced.get(&s) {
             let cand = &candidates[ci];
-            let mut leaf_sigs = Vec::with_capacity(cand.cut.leaves.len());
-            for &leaf in &cand.cut.leaves {
-                leaf_sigs.push(copy(net, leaf, out, map, candidates, replaced)?);
+            let mut leaf_sigs = Vec::with_capacity(cand.cut.len());
+            for &leaf in cand.cut.leaves() {
+                leaf_sigs.push(copy(net, leaf as usize, out, map, candidates, replaced)?);
             }
             let outputs = out.add_chain_outputs(&cand.chain, &leaf_sigs)?;
             for (j, &root) in cand.roots.iter().enumerate() {
@@ -819,7 +853,7 @@ mod tests {
         let f = net.or(ab, c).unwrap();
         net.add_output(f);
         net.add_output(ab);
-        let cut = Cut { leaves: vec![1, 2, 3] };
+        let cut = Cut::from_leaves(&[1, 2, 3]);
         assert_eq!(MffcCounter::new(&net).size(&net, &[f.index()], &cut), 1);
         // Without the external output the whole cone dies.
         let mut net2 = Network::new(3);
@@ -834,7 +868,7 @@ mod tests {
     /// counts and a fresh dead-set per query.
     fn cloned_mffc_size(net: &Network, roots: &[usize], cut: &Cut) -> usize {
         fn deref(net: &Network, s: usize, cut: &Cut, refs: &mut [usize], dead: &mut [bool]) {
-            if cut.leaves.binary_search(&s).is_ok() || !net.is_gate(s) || dead[s] {
+            if cut.leaves().contains(&(s as u32)) || !net.is_gate(s) || dead[s] {
                 return;
             }
             dead[s] = true;
@@ -865,7 +899,7 @@ mod tests {
             let gates: Vec<usize> = (0..net.num_signals()).filter(|&s| net.is_gate(s)).collect();
             let mut counter = MffcCounter::new(&net);
             for &root in &gates {
-                for cut in &cuts.cuts[root] {
+                for cut in cuts.of(root) {
                     let other = gates[rng.random_range(0..gates.len())];
                     for roots in [vec![root], vec![root, other]] {
                         let want = cloned_mffc_size(&net, &roots, cut);
@@ -944,6 +978,101 @@ mod tests {
             transcript
         };
         assert_eq!(run(1), run(4));
+    }
+
+    #[test]
+    fn a_cheaper_wrong_stored_chain_is_refused_and_its_class_re_solved() {
+        let net = wasteful_xor();
+        let xor = TruthTable::from_hex(2, "6").unwrap();
+        let rep = stp_tt::canonicalize(&xor).representative;
+        // The representative's optimum chain with one LUT bit flipped:
+        // one gate, against the three of the XOR cone it would replace.
+        let good = synthesize(&rep, &SynthesisConfig::default()).unwrap().chains.remove(0);
+        let mut wrong = Chain::new(2);
+        for (i, g) in good.gates().iter().enumerate() {
+            let tt2 = if i == 0 { g.tt2 ^ 0x1 } else { g.tt2 };
+            wrong.add_gate(g.fanin[0], g.fanin[1], tt2).unwrap();
+        }
+        for tap in good.outputs() {
+            wrong.add_output(*tap);
+        }
+        assert_eq!(wrong.num_gates(), 1);
+        let store = Arc::new(Store::new());
+        store.insert(rep, stp_store::Entry::Solved(vec![wrong]));
+        let cache = SynthesisCache::with_store(Arc::clone(&store));
+
+        let scope = stp_telemetry::CounterScope::enter();
+        let result = rewrite(&net, &RewriteConfig::default(), &cache).unwrap();
+        let counters = scope.finish();
+        assert_eq!(counters.get("store.mapback_rejects"), Some(&1), "{counters:?}");
+        assert!(result.replacements.is_empty(), "the wrong chain must never be spliced");
+        assert_eq!(result.gates_after, 3);
+        assert!(crate::equiv::equivalent_exhaustive(&net, &result.network).unwrap());
+
+        // The refused class is solved afresh at its next lookup.
+        let misses = store.misses();
+        let again = rewrite(&net, &RewriteConfig::default(), &cache).unwrap();
+        assert_eq!(store.misses(), misses + 1);
+        assert_eq!(again.gates_after, 1);
+        assert!(crate::equiv::equivalent_exhaustive(&net, &again.network).unwrap());
+    }
+
+    #[test]
+    fn only_candidates_with_positive_gain_are_mapped_back() {
+        // One pass, per-cone candidates only: every answer the pass maps
+        // back is simulated once by its check, so `chain.simulations`
+        // counts map-backs.
+        let config = RewriteConfig {
+            max_passes: 1,
+            multi_output: false,
+            jobs: 1,
+            ..RewriteConfig::default()
+        };
+        let cache = SynthesisCache::new();
+        let mut rng = SmallRng::seed_from_u64(0x3a9b);
+        let (mut lookups, mut winners) = (0u64, 0u64);
+        for _ in 0..8 {
+            let net = random_network(8, 40, 4, &mut rng).unwrap();
+            // Count the pass's positive-gain candidates from the same
+            // lookups, which also warms every class it will ask for.
+            let cuts = enumerate_cuts(&net, config.cut_size, config.cut_limit);
+            let mut mffc = MffcCounter::new(&net);
+            let mut expected = 0u64;
+            for s in 0..net.num_signals() {
+                if !net.is_gate(s) || mffc.refs[s] == 0 {
+                    continue;
+                }
+                for cut in cuts.of(s).iter().filter(|c| c.len() >= 2) {
+                    let f = crate::cuts::cut_function(&net, s, cut).unwrap();
+                    if f.is_trivial() {
+                        continue;
+                    }
+                    lookups += 1;
+                    let answer = cache
+                        .lookup(std::slice::from_ref(&f), config.synthesis_budget, 1)
+                        .unwrap()
+                        .expect("solved");
+                    if answer.gates() < mffc.size(&net, &[s], cut) {
+                        expected += 1;
+                    }
+                }
+            }
+            let scope = stp_telemetry::CounterScope::enter();
+            let result = rewrite(&net, &config, &cache).unwrap();
+            let counters = scope.finish();
+            assert_eq!(counters.get("network.synth_cache_misses"), None, "warm: {counters:?}");
+            assert_eq!(counters.get("chain.simulations").copied().unwrap_or(0), expected);
+            assert!(result.replacements.len() as u64 <= expected);
+            winners += expected;
+        }
+        assert!(winners > 0 && lookups > 10 * winners, "{winners} of {lookups}");
+    }
+
+    #[test]
+    fn cut_sizes_past_the_table_width_are_refused_up_front() {
+        let config = RewriteConfig { cut_size: stp_tt::MAX_VARS + 1, ..RewriteConfig::default() };
+        let err = rewrite(&wasteful_xor(), &config, &SynthesisCache::new()).unwrap_err();
+        assert_eq!(err, NetworkError::TooManyInputsForSimulation { inputs: stp_tt::MAX_VARS + 1 });
     }
 
     #[test]

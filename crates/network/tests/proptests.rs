@@ -53,10 +53,11 @@ proptest! {
             if !net.is_gate(s) {
                 continue;
             }
-            for cut in &cuts.cuts[s] {
+            for cut in cuts.of(s) {
                 let local = cut_function(&net, s, cut).unwrap();
                 for m in 0..16usize {
-                    let leaves: Vec<bool> = cut.leaves.iter().map(|&l| global[l].bit(m)).collect();
+                    let leaves: Vec<bool> =
+                        cut.leaves().iter().map(|&l| global[l as usize].bit(m)).collect();
                     prop_assert_eq!(local.eval(&leaves), global[s].bit(m));
                 }
             }

@@ -95,9 +95,8 @@ mod journal;
 mod persist;
 mod view;
 
-use std::collections::hash_map::DefaultHasher;
+use std::borrow::Borrow;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -161,6 +160,16 @@ impl ClassKey {
     /// diagnostics and error messages.
     pub fn label(&self) -> String {
         self.reps.iter().map(|r| r.to_hex()).collect::<Vec<_>>().join("+")
+    }
+}
+
+/// Shard maps are probed with the borrowed tables, so a lookup that hits
+/// builds no key. The derived `Hash` and `Eq` hash and compare the tables
+/// as a slice, so they agree with the slice's own; only hash maps are
+/// probed this way (`Ord` sorts by arity first, unlike the slice).
+impl Borrow<[TruthTable]> for ClassKey {
+    fn borrow(&self) -> &[TruthTable] {
+        &self.reps
     }
 }
 
@@ -448,10 +457,17 @@ impl Store {
         }
     }
 
-    fn shard(&self, key: &ClassKey) -> &Shard {
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) % self.shards.len()]
+    /// The shard holding `reps`' class. The index is a multiply-fold of
+    /// the tables' words rather than a second SipHash of the key: a
+    /// lookup hashes its key once, inside the shard's map.
+    fn shard(&self, reps: &[TruthTable]) -> &Shard {
+        let mut h = reps.len() as u64;
+        for rep in reps {
+            for &word in rep.words() {
+                h = (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+            }
+        }
+        &self.shards[(h >> 32) as usize % self.shards.len()]
     }
 
     /// Lookups answered without synthesizing (solved classes and
@@ -592,7 +608,7 @@ impl Store {
             assert!(!chains.is_empty(), "a solved entry must carry at least one chain");
         }
         self.journal_append(&key, &entry);
-        let shard = self.shard(&key);
+        let shard = self.shard(key.reps());
         let mut map = shard.map.lock().expect("shard lock poisoned");
         let slot = Arc::new(Slot::pending());
         slot.publish(entry.into());
@@ -684,13 +700,17 @@ impl Store {
     /// Reads the current entry for the single-output class `rep`, if
     /// any is ready.
     pub fn get(&self, rep: &TruthTable) -> Option<Entry> {
-        self.get_class(&ClassKey::single(rep.clone()))
+        self.get_reps(std::slice::from_ref(rep))
     }
 
     /// Reads the current entry for `key`, if any is ready.
     pub fn get_class(&self, key: &ClassKey) -> Option<Entry> {
-        let map = self.shard(key).map.lock().expect("shard lock poisoned");
-        let entry = map.get(key)?.state.lock().expect("slot lock poisoned").entry();
+        self.get_reps(key.reps())
+    }
+
+    fn get_reps(&self, reps: &[TruthTable]) -> Option<Entry> {
+        let map = self.shard(reps).map.lock().expect("shard lock poisoned");
+        let entry = map.get(reps)?.state.lock().expect("slot lock poisoned").entry();
         entry
     }
 
@@ -715,8 +735,8 @@ impl Store {
         budget: Duration,
         solve: impl FnOnce(&TruthTable) -> Result<RepOutcome, E>,
     ) -> Result<Resolution, E> {
-        let key = ClassKey::single(rep.clone());
-        self.lookup_or_solve_class(&key, budget, |k| solve(&k.reps()[0]))
+        self.resolve(std::slice::from_ref(rep), budget, |k| solve(&k.reps()[0]))
+            .map(|(resolution, _)| resolution)
     }
 
     /// The general form of [`Store::lookup_or_solve`], keyed by a
@@ -733,31 +753,33 @@ impl Store {
         budget: Duration,
         solve: impl FnOnce(&ClassKey) -> Result<RepOutcome, E>,
     ) -> Result<Resolution, E> {
-        self.resolve(key, budget, solve).map(|(resolution, _)| resolution)
+        self.resolve(key.reps(), budget, solve).map(|(resolution, _)| resolution)
     }
 
-    /// [`Store::lookup_or_solve_class`], also returning the class's
-    /// slot, through which an [`NpnView`] refuses a wrong entry.
+    /// [`Store::lookup_or_solve_class`] for the class keyed by `reps`,
+    /// also returning the class's slot, through which an [`NpnView`]
+    /// refuses a wrong entry. The map is probed with the borrowed
+    /// tables: a [`ClassKey`] is built only when the solver runs.
     fn resolve<E>(
         &self,
-        key: &ClassKey,
+        reps: &[TruthTable],
         budget: Duration,
         solve: impl FnOnce(&ClassKey) -> Result<RepOutcome, E>,
     ) -> Result<(Resolution, Arc<Slot>), E> {
+        let key = || ClassKey { reps: reps.to_vec() };
         let (slot, created) = {
-            let mut map = self.shard(key).map.lock().expect("shard lock poisoned");
-            // Probe by reference: the key is cloned only for a new slot.
-            match map.get(key) {
+            let mut map = self.shard(reps).map.lock().expect("shard lock poisoned");
+            match map.get(reps) {
                 Some(slot) => (Arc::clone(slot), false),
                 None => {
                     let slot = Arc::new(Slot::pending());
-                    map.insert(key.clone(), Arc::clone(&slot));
+                    map.insert(key(), Arc::clone(&slot));
                     (slot, true)
                 }
             }
         };
         if created {
-            return self.run_solver(key, &slot, budget, None, solve).map(|r| (r, slot));
+            return self.run_solver(&key(), &slot, budget, None, solve).map(|r| (r, slot));
         }
         // A waiter's patience is its own `budget`: effectively-infinite
         // budgets (`Duration::MAX` callers, or anything that overflows
@@ -820,7 +842,7 @@ impl Store {
                         *state = SlotState::Pending;
                         drop(state);
                         return self
-                            .run_solver(key, &slot, budget, Some(failed), solve)
+                            .run_solver(&key(), &slot, budget, Some(failed), solve)
                             .map(|r| (r, slot));
                     }
                     drop(state);
@@ -833,7 +855,7 @@ impl Store {
                     // class afresh, as on first sight.
                     *state = SlotState::Pending;
                     drop(state);
-                    return self.run_solver(key, &slot, budget, None, solve).map(|r| (r, slot));
+                    return self.run_solver(&key(), &slot, budget, None, solve).map(|r| (r, slot));
                 }
             }
         }
@@ -904,7 +926,7 @@ impl Store {
     /// Removes `key`'s map entry — but only while it still points at
     /// `slot` (a concurrent insert may have replaced it).
     fn forget_slot(&self, key: &ClassKey, slot: &Slot) {
-        let mut map = self.shard(key).map.lock().expect("shard lock poisoned");
+        let mut map = self.shard(key.reps()).map.lock().expect("shard lock poisoned");
         if map.get(key).is_some_and(|s| std::ptr::eq(Arc::as_ptr(s), slot)) {
             map.remove(key);
         }
@@ -945,8 +967,10 @@ impl Store {
             let _npn = stp_telemetry::span!("phase.npn_canonicalize");
             canonicalize(spec)
         };
-        let key = ClassKey::single(canon.representative);
-        let (resolution, slot) = self.resolve(&key, budget, |k| solve(&k.reps()[0]))?;
+        let (resolution, slot) =
+            self.resolve(std::slice::from_ref(&canon.representative), budget, |k| {
+                solve(&k.reps()[0])
+            })?;
         Ok(NpnOutcome::resolved(resolution, |chains| {
             NpnView::single(chains, slot, canon.transform, spec.clone())
         }))
@@ -999,8 +1023,8 @@ impl Store {
             let _npn = stp_telemetry::span!("phase.npn_canonicalize");
             canonicalize_multi(specs)
         };
-        let key = ClassKey::multi(canon.representatives.clone());
-        let (resolution, slot) = self.resolve(&key, budget, |k| solve(k.reps()))?;
+        let (resolution, slot) =
+            self.resolve(&canon.representatives, budget, |k| solve(k.reps()))?;
         Ok(NpnOutcome::resolved(resolution, |chains| {
             NpnView::multi(chains, slot, canon.transform, specs.to_vec())
         }))
@@ -1170,10 +1194,32 @@ mod tests {
             let NpnOutcome::Solved(view) = outcome else {
                 panic!("expected solutions");
             };
-            assert_eq!(view.first().unwrap().simulate_outputs().unwrap()[0], *spec);
+            assert_eq!(view.gates(), 1, "read without mapping");
+            let chain = view.first().unwrap();
+            assert_eq!(chain.num_gates(), view.gates());
+            assert_eq!(chain.simulate_outputs().unwrap()[0], *spec);
         }
         assert_eq!(calls.load(Ordering::SeqCst), 1, "one synthesis per NPN class");
         assert_eq!(store.len(), 1);
+    }
+
+    #[test]
+    fn class_keys_are_probed_by_their_tables() {
+        let six = TruthTable::from_hex(2, "6").unwrap();
+        let eight = TruthTable::from_hex(2, "8").unwrap();
+        let key = ClassKey::multi(vec![six.clone(), eight.clone()]);
+        let mut map = HashMap::new();
+        map.insert(key.clone(), 1);
+        map.insert(ClassKey::single(six.clone()), 2);
+        assert_eq!(map.get(key.reps()), Some(&1));
+        assert_eq!(map.get(std::slice::from_ref(&six)), Some(&2));
+        assert_eq!(map.get(std::slice::from_ref(&eight)), None);
+        // Through the store: a single-output key and its table agree.
+        let store = Store::new();
+        store.insert(six.clone(), Entry::Solved(vec![one_gate_chain(0x6)]));
+        assert!(store.get(&six).is_some());
+        assert!(store.get_class(&ClassKey::single(six)).is_some());
+        assert!(store.get_class(&key).is_none());
     }
 
     #[test]

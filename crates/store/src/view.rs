@@ -8,6 +8,9 @@
 //! caller asks for it:
 //!
 //! * [`NpnView::len`] — the class size, with no mapping;
+//! * [`NpnView::gates`] — the gate count of the first stored chain, with
+//!   no mapping (mapping keeps every gate), so a caller that only splices
+//!   cheaper answers maps only the ones it will splice;
 //! * [`NpnView::first`] — maps the first stored chain and checks it
 //!   against the caller's spec by simulation, in release builds too; a
 //!   refused chain takes its entry out of service, so the next lookup of
@@ -113,6 +116,15 @@ impl NpnView {
     /// Always `false`: a solved class holds at least one chain.
     pub fn is_empty(&self) -> bool {
         self.chains.is_empty()
+    }
+
+    /// The gate count of the chain [`NpnView::first`] would return,
+    /// read without mapping or checking it: the map-back rewires inputs
+    /// and absorbs negations into gate LUTs, so it keeps every gate. A
+    /// wrong stored chain is still refused by `first`, whatever this
+    /// reports.
+    pub fn gates(&self) -> usize {
+        self.chains[0].num_gates()
     }
 
     /// Maps the first stored chain back to the caller's spec and checks

@@ -37,6 +37,9 @@ pub fn current_depth() -> u32 {
 #[must_use = "a span measures until it is dropped; binding it to `_` drops it immediately"]
 pub struct Span {
     name: &'static str,
+    /// The histogram `name` records into, looked up once at start (or
+    /// cached per call site by [`span!`](crate::span)).
+    histogram: &'static metrics::Histogram,
     start: Instant,
     depth: u32,
     /// True when this span observed profiling enabled at start (and is
@@ -51,14 +54,23 @@ pub struct Span {
 impl Span {
     /// Starts a span with a static name (the common, zero-alloc case).
     pub fn enter(name: &'static str) -> Span {
-        Span::start(name, true)
+        Span::start(name, metrics::global().histogram(name), true)
+    }
+
+    /// Starts a span whose histogram the caller already holds: the
+    /// [`span!`](crate::span) literal arm caches it per call site, so
+    /// neither start nor drop takes the registry lock.
+    #[doc(hidden)]
+    pub fn enter_with(name: &'static str, histogram: &'static metrics::Histogram) -> Span {
+        Span::start(name, histogram, true)
     }
 
     /// Starts a span with a computed name, e.g. one per synthesis
     /// round. The name is interned: the first occurrence of a label
     /// text leaks one copy, every later occurrence is lookup-only.
     pub fn enter_owned(name: String) -> Span {
-        Span::start(profile::intern_label(&name), true)
+        let name = profile::intern_label(&name);
+        Span::start(name, metrics::global().histogram(name), true)
     }
 
     /// Starts a span that records its histogram and trace event as
@@ -67,10 +79,10 @@ impl Span {
     /// worker-loop busy span that only exists at `jobs > 1`), so
     /// profile trees stay structurally identical across worker counts.
     pub fn enter_untracked(name: &'static str) -> Span {
-        Span::start(name, false)
+        Span::start(name, metrics::global().histogram(name), false)
     }
 
-    fn start(name: &'static str, track: bool) -> Span {
+    fn start(name: &'static str, histogram: &'static metrics::Histogram, track: bool) -> Span {
         let depth = DEPTH.with(|d| {
             let v = d.get();
             d.set(v + 1);
@@ -83,7 +95,7 @@ impl Span {
         } else {
             (0, 0)
         };
-        Span { name, start: Instant::now(), depth, profiled, start_bytes, start_allocs }
+        Span { name, histogram, start: Instant::now(), depth, profiled, start_bytes, start_allocs }
     }
 
     /// The span's name.
@@ -110,7 +122,7 @@ impl Drop for Span {
                 allocs.saturating_sub(self.start_allocs),
             );
         }
-        metrics::global().histogram(self.name).record(elapsed);
+        self.histogram.record(elapsed);
         if trace::trace_enabled() {
             trace::emit_span(self.name, self.start, elapsed, self.depth);
         }
@@ -119,6 +131,9 @@ impl Drop for Span {
 }
 
 /// Starts a [`Span`]; accepts a `'static` name or a format string.
+/// A literal name's histogram is looked up once per call site, as
+/// [`histogram!`](crate::histogram) does; a formatted name is looked up
+/// per span.
 ///
 /// ```
 /// let _guard = stp_telemetry::span!("phase.fence_enum");
@@ -127,7 +142,7 @@ impl Drop for Span {
 #[macro_export]
 macro_rules! span {
     ($name:literal) => {
-        $crate::span::Span::enter($name)
+        $crate::span::Span::enter_with($name, $crate::histogram!($name))
     };
     ($($arg:tt)*) => {
         $crate::span::Span::enter_owned(format!($($arg)*))
@@ -170,6 +185,24 @@ mod tests {
         assert_eq!(a.name(), "telemetry.test.lit");
         assert_eq!(b.name(), "telemetry.test.dyn.r7");
         assert!(b.elapsed().as_nanos() < u128::MAX);
+    }
+
+    #[test]
+    fn cached_call_sites_record_into_the_named_histogram() {
+        let before = metrics::global()
+            .snapshot()
+            .histograms
+            .get("telemetry.test.site")
+            .map_or(0, |h| h.count);
+        for _ in 0..3 {
+            let _s = crate::span!("telemetry.test.site");
+        }
+        {
+            // A second call site caches its own handle to the same histogram.
+            let _s = crate::span!("telemetry.test.site");
+        }
+        let after = metrics::global().snapshot().histograms["telemetry.test.site"].count;
+        assert_eq!(after - before, 4);
     }
 
     #[test]

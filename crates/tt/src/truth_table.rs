@@ -422,20 +422,25 @@ impl TruthTable {
     /// projections — the functions that never cost a gate.
     pub fn is_trivial(&self) -> bool {
         let ones = self.count_ones();
-        if ones == 0 || ones == self.num_bits() {
-            return true;
-        }
-        for v in 0..self.num_vars {
-            match TruthTable::variable(self.num_vars, v) {
-                Ok(proj) => {
-                    if *self == proj || *self == proj.clone().not() {
-                        return true;
-                    }
-                }
-                Err(_) => unreachable!("v < num_vars"),
+        ones == 0 || ones == self.num_bits() || self.projection().is_some()
+    }
+
+    /// The variable this table projects and whether it is complemented:
+    /// `Some((v, false))` for `x_v`, `Some((v, true))` for `¬x_v`, and
+    /// `None` for every other table, constants included. Compares words
+    /// in place, so it allocates nothing.
+    pub fn projection(&self) -> Option<(usize, bool)> {
+        let used = used_mask(self.num_vars);
+        (0..self.num_vars).find_map(|v| {
+            let var = |i: usize| kernel::var_word(v, i) & used;
+            if self.words.iter().enumerate().all(|(i, &w)| w == var(i)) {
+                Some((v, false))
+            } else if self.words.iter().enumerate().all(|(i, &w)| w == !var(i) & used) {
+                Some((v, true))
+            } else {
+                None
             }
-        }
-        false
+        })
     }
 
     /// Renders as lowercase hexadecimal, most significant digit first,
@@ -585,6 +590,31 @@ impl fmt::LowerHex for TruthTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn projection_matches_the_built_projections() {
+        for n in 1..=8 {
+            for v in 0..n {
+                let proj = TruthTable::variable(n, v).unwrap();
+                assert_eq!(proj.projection(), Some((v, false)));
+                assert_eq!((!proj).projection(), Some((v, true)));
+            }
+            assert_eq!(TruthTable::constant(n, false).unwrap().projection(), None);
+            assert_eq!(TruthTable::constant(n, true).unwrap().projection(), None);
+        }
+        // Every 3-input table: trivial exactly when constant or a
+        // (complemented) projection.
+        for bits in 0..256u64 {
+            let tt = TruthTable::from_words(3, vec![bits]).unwrap();
+            let want = bits == 0
+                || bits == 0xff
+                || (0..3).any(|v| {
+                    let p = TruthTable::variable(3, v).unwrap();
+                    tt == p || tt == !p
+                });
+            assert_eq!(tt.is_trivial(), want, "{bits:02x}");
+        }
+    }
 
     #[test]
     fn variables_have_expected_patterns() {
