@@ -20,6 +20,7 @@ use stp_network::{
     cut_function, enumerate_cuts, equality_comparator, mux_tree, random_network,
     ripple_carry_adder, ripple_carry_adder_sop, Network,
 };
+use stp_synth::cli::{self, Obs};
 use stp_telemetry::report;
 use stp_tt::{is_full_dsd, project_to_vars};
 
@@ -65,14 +66,12 @@ fn census(name: &str, net: &Network) {
 }
 
 fn main() {
-    stp_telemetry::init_from_env();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--log" {
-            if let Some(level) = it.next().and_then(|v| stp_telemetry::Level::parse(v)) {
-                stp_telemetry::set_level(level);
-            }
+    let (_, mut args) = cli::start();
+    let mut obs = Obs::new("dsd_stats", &args);
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            flag @ "--log" => obs.take(flag, &mut args),
+            other => cli::unknown_option(other),
         }
     }
     report!("DSD composition of 4-cut functions (the paper's FDSD-dominance premise):\n");

@@ -11,8 +11,8 @@
 //! to stderr after the census; `--profile-folded <path>` writes
 //! flamegraph-compatible folded stacks.
 
-use stp_bench::flags::flag_error;
 use stp_fence::{all_fences, dags_for_fence, pruned_fences};
+use stp_synth::cli::{self, Obs};
 use stp_telemetry::report;
 
 // With --features alloc-profile, heap traffic is attributed to the
@@ -21,47 +21,18 @@ use stp_telemetry::report;
 stp_telemetry::install_alloc_profiler!();
 
 fn main() {
-    stp_telemetry::init_from_env();
-    // fence_census itself is single-threaded, but a malformed STP_JOBS
-    // is still a usage error: every bin in the workspace diagnoses it
-    // up front rather than letting one tool silently accept what the
-    // others reject.
-    if let Err(message) = stp_synth::jobs_from_env_checked() {
-        flag_error(message);
-    }
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    // fence_census itself is single-threaded, but `start` still rejects
+    // a malformed STP_JOBS, as every bin in the workspace does.
+    let (_, mut args) = cli::start();
+    let mut obs = Obs::new("fence_census", &args);
     let mut max_k = 6usize;
     let mut show_dags = false;
-    let mut folded: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    while let Some(a) = args.next() {
         match a.as_str() {
             "--dags" => show_dags = true,
-            "--profile" => stp_telemetry::profile::set_enabled(true),
-            "--profile-folded" => {
-                let Some(path) = it.next() else {
-                    flag_error("--profile-folded expects a path".to_string());
-                };
-                folded = Some(path.clone());
-                stp_telemetry::profile::set_enabled(true);
-            }
-            "--max-k" => {
-                let Some(raw) = it.next() else {
-                    flag_error("--max-k expects a fence size".to_string());
-                };
-                max_k = raw.parse().unwrap_or_else(|_| {
-                    flag_error(format!("--max-k expects a fence size, got `{raw}`"))
-                });
-            }
-            "--log" => {
-                let Some(level) = it.next().and_then(|v| stp_telemetry::Level::parse(v)) else {
-                    flag_error("--log expects off|error|warn|info|debug|trace".to_string());
-                };
-                stp_telemetry::set_level(level);
-            }
-            other => {
-                flag_error(format!("unknown option `{other}`"));
-            }
+            "--max-k" => max_k = args.value(&a, "a fence size"),
+            flag @ ("--log" | "--profile" | "--profile-folded") => obs.take(flag, &mut args),
+            other => cli::unknown_option(other),
         }
     }
     for k in 1..=max_k {
@@ -93,8 +64,5 @@ fn main() {
             report!("  total valid DAGs over pruned F_{k}: {total}");
         }
     }
-    if let Some(tree) = stp_telemetry::profile::finish(folded.as_deref().map(std::path::Path::new))
-    {
-        eprint!("{}", tree.render_text());
-    }
+    obs.finish("ok", Vec::new());
 }

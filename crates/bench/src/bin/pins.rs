@@ -16,10 +16,10 @@
 //! subtree, named by the suite); `--profile-folded <path>` also writes
 //! flamegraph-compatible folded stacks.
 
-use stp_bench::flags::{flag_error, parse_flag_value};
 use stp_bench::pins::{
     measure_mo_case, measure_rewrite, measure_suite, MO_CASES, SCHEMA, SUITE_ROWS,
 };
+use stp_synth::cli::{self, Obs};
 use stp_telemetry::Json;
 
 // With --features alloc-profile, heap traffic is attributed to the
@@ -28,29 +28,19 @@ use stp_telemetry::Json;
 stp_telemetry::install_alloc_profiler!();
 
 fn main() {
-    stp_telemetry::init_from_env();
-    // A malformed STP_JOBS is a usage error, diagnosed up front. The
-    // value itself is unused: every row is recorded at jobs = 1.
-    if let Err(message) = stp_synth::jobs_from_env_checked() {
-        flag_error(message);
-    }
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    // Every row is recorded at jobs = 1; `start` still rejects a
+    // malformed STP_JOBS.
+    let (_, mut args) = cli::start();
+    let mut obs = Obs::new("pins", &args);
     let mut out: Option<String> = None;
     let mut slice_only = false;
-    let mut profile = false;
-    let mut folded: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    while let Some(a) = args.next() {
         match a.as_str() {
-            "--out" => out = Some(parse_flag_value(a, it.next(), "a path")),
+            "--out" => out = Some(args.path(&a)),
             "--slice" => slice_only = true,
-            "--profile" => profile = true,
-            "--profile-folded" => folded = Some(parse_flag_value(a, it.next(), "a path")),
-            other => flag_error(format!("unknown option `{other}`")),
+            flag @ ("--profile" | "--profile-folded") => obs.take(flag, &mut args),
+            other => cli::unknown_option(other),
         }
-    }
-    if profile || folded.is_some() {
-        stp_telemetry::profile::set_enabled(true);
     }
     // The NPN4 slice is the table's first row.
     let rows = SUITE_ROWS.iter().take(if slice_only { 1 } else { SUITE_ROWS.len() });
@@ -72,17 +62,14 @@ fn main() {
         ));
         fields.push(("rewrite", measure_rewrite(1)));
     }
-    if let Some(tree) = stp_telemetry::profile::finish(folded.as_deref().map(std::path::Path::new))
-    {
+    if let Some(tree) = obs.take_profile() {
         fields.push(("profile", tree.to_json()));
     }
     let text = format!("{}\n", Json::obj(fields));
     match out {
         Some(path) => {
-            std::fs::write(&path, &text).unwrap_or_else(|e| {
-                eprintln!("error writing {path}: {e}");
-                std::process::exit(1);
-            });
+            std::fs::write(&path, &text)
+                .unwrap_or_else(|e| cli::abort(format!("cannot write {path}: {e}")));
             eprintln!("pins: wrote {path}");
         }
         None => print!("{text}"),

@@ -23,71 +23,41 @@
 use std::process::ExitCode;
 
 use stp_bench::profdiff;
+use stp_synth::cli;
 use stp_telemetry::Json;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: stpprof <run> | stpprof <old> <new> | stpprof --folded <run> | \
-         stpprof --drift <baseline.json> <candidate.json>"
-    );
-    ExitCode::from(2)
-}
-
-fn fail(message: String) -> ExitCode {
-    eprintln!("error: {message}");
-    ExitCode::FAILURE
-}
+const USAGE: &str = "stpprof <run> | stpprof <old> <new> | stpprof --folded <run> | \
+     stpprof --drift <baseline.json> <candidate.json>";
 
 fn drift(baseline_path: &str, candidate_path: &str) -> ExitCode {
-    let load = |path: &str| -> Result<Json, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        Json::parse(&text).map_err(|e| format!("{path}: {e}"))
+    let load = |path: &str| -> Json {
+        let text = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| cli::abort(format!("cannot read {path}: {e}")));
+        Json::parse(&text).unwrap_or_else(|e| cli::abort(format!("{path}: {e}")))
     };
-    let (baseline, candidate) = match (load(baseline_path), load(candidate_path)) {
-        (Ok(b), Ok(c)) => (b, c),
-        (Err(e), _) | (_, Err(e)) => return fail(e),
-    };
-    match profdiff::bench_drift(&baseline, &candidate) {
-        Ok(report) => {
-            print!("{}", report.render());
-            if report.drifted() {
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
-            }
-        }
-        Err(e) => fail(e),
+    let (baseline, candidate) = (load(baseline_path), load(candidate_path));
+    let report = profdiff::bench_drift(&baseline, &candidate).unwrap_or_else(|e| cli::abort(e));
+    print!("{}", report.render());
+    if report.drifted() {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
     }
 }
 
 fn main() -> ExitCode {
-    stp_telemetry::init_from_env();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.iter().map(String::as_str).collect::<Vec<_>>().as_slice() {
-        ["--drift", baseline, candidate] => drift(baseline, candidate),
-        ["--folded", run] => match profdiff::load_profile(run) {
-            Ok(tree) => {
-                print!("{}", tree.folded());
-                ExitCode::SUCCESS
-            }
-            Err(e) => fail(e),
-        },
-        [run] if !run.starts_with("--") => match profdiff::load_profile(run) {
-            Ok(tree) => {
-                print!("{}", tree.render_text());
-                ExitCode::SUCCESS
-            }
-            Err(e) => fail(e),
-        },
+    // stpprof runs no synthesis; `start` still rejects a malformed
+    // STP_JOBS, as every bin in the workspace does.
+    let (_, args) = cli::start();
+    let load = |run: &str| profdiff::load_profile(run).unwrap_or_else(|e| cli::abort(e));
+    match args.all().iter().map(String::as_str).collect::<Vec<_>>().as_slice() {
+        ["--drift", baseline, candidate] => return drift(baseline, candidate),
+        ["--folded", run] => print!("{}", load(run).folded()),
+        [run] if !run.starts_with("--") => print!("{}", load(run).render_text()),
         [old, new] if !old.starts_with("--") && !new.starts_with("--") => {
-            match (profdiff::load_profile(old), profdiff::load_profile(new)) {
-                (Ok(a), Ok(b)) => {
-                    print!("{}", profdiff::render_diff(&profdiff::diff(&a, &b)));
-                    ExitCode::SUCCESS
-                }
-                (Err(e), _) | (_, Err(e)) => fail(e),
-            }
+            print!("{}", profdiff::render_diff(&profdiff::diff(&load(old), &load(new))));
         }
-        _ => usage(),
+        _ => cli::usage(USAGE),
     }
+    ExitCode::SUCCESS
 }

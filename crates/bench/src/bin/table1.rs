@@ -27,13 +27,11 @@
 
 use std::time::Duration;
 
-use stp_bench::flags::{flag_error, parse_flag_value};
 use stp_bench::{
     render_counters, render_headlines, render_table, run_suite_with_retry, Algorithm, RetryPolicy,
     Scale,
 };
-use stp_store::Store;
-use stp_synth::{warm_npn4, SynthesisConfig};
+use stp_synth::cli::{self, Obs, StoreArgs};
 
 // With --features alloc-profile, heap traffic is attributed to the
 // innermost open profile span (an extra bytes column under --profile).
@@ -41,106 +39,37 @@ use stp_synth::{warm_npn4, SynthesisConfig};
 stp_telemetry::install_alloc_profiler!();
 
 fn main() {
-    stp_telemetry::init_from_env();
-    // A malformed STP_JOBS is a usage error, diagnosed up front — not a
-    // silent fall-back to sequential.
-    let env_jobs = stp_synth::jobs_from_env_checked().unwrap_or_else(|e| flag_error(e));
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let full = args.iter().any(|a| a == "--full");
-    let mut timeout = if full { 180.0f64 } else { 10.0 };
+    let (mut jobs, mut args) = cli::start();
+    let mut obs = Obs::new("table1", &args);
+    let full = args.all().iter().any(|a| a == "--full");
+    let mut timeout = Duration::from_secs(if full { 180 } else { 10 });
     let mut only_suites: Vec<String> = Vec::new();
     let mut counters = false;
-    let mut jobs = env_jobs;
     let mut retries = 1usize;
-    let mut store_path: Option<String> = None;
-    let mut warm = false;
-    let mut folded: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    let mut store_args = StoreArgs::default();
+    while let Some(a) = args.next() {
         match a.as_str() {
             "--full" => {}
-            "--profile" => stp_telemetry::profile::set_enabled(true),
-            "--profile-folded" => {
-                let Some(path) = it.next() else {
-                    flag_error("--profile-folded expects a path".to_string());
-                };
-                folded = Some(path.clone());
-                stp_telemetry::profile::set_enabled(true);
-            }
-            "--timeout" => {
-                timeout = parse_flag_value(a, it.next(), "a number of seconds");
-            }
-            "--jobs" => {
-                jobs = parse_flag_value(a, it.next(), "a thread count (0 = one per CPU)");
-            }
+            "--timeout" => timeout = args.seconds(&a),
+            "--jobs" => jobs = args.value(&a, "a thread count (0 = one per CPU)"),
             "--retries" => {
-                retries = parse_flag_value(a, it.next(), "a positive attempt count");
+                retries = args.value(&a, "a positive attempt count");
                 if retries == 0 {
-                    flag_error("--retries expects a positive attempt count, got `0`".to_string());
+                    cli::fail("--retries expects a positive attempt count, got `0`");
                 }
             }
-            "--suite" => {
-                let Some(v) = it.next() else {
-                    flag_error("--suite expects a suite name".to_string());
-                };
-                only_suites.push(v.to_uppercase());
-            }
-            "--store" => {
-                let Some(v) = it.next() else {
-                    flag_error("--store expects a path".to_string());
-                };
-                store_path = Some(v.clone());
-            }
-            "--warm-npn4" => warm = true,
+            "--suite" => only_suites.push(args.value::<String>(&a, "a suite name").to_uppercase()),
+            "--store" => store_args.path = Some(args.path(&a)),
+            "--warm-npn4" => store_args.warm = true,
             "--counters" => counters = true,
-            "--log" => {
-                let Some(level) = it.next().and_then(|v| stp_telemetry::Level::parse(v)) else {
-                    flag_error("--log expects off|error|warn|info|debug|trace".to_string());
-                };
-                stp_telemetry::set_level(level);
-            }
-            other => {
-                flag_error(format!("unknown option `{other}`"));
-            }
+            flag @ ("--log" | "--profile" | "--profile-folded") => obs.take(flag, &mut args),
+            other => cli::unknown_option(other),
         }
     }
     let scale = if full { Scale::Full } else { Scale::Quick };
-    let timeout = Duration::from_secs_f64(timeout);
     let policy = RetryPolicy::escalating(timeout, retries);
     // The optional shared NPN solution store for the STP column.
-    let store = if store_path.is_some() || warm {
-        let store = match &store_path {
-            Some(p) => match Store::open(p) {
-                Ok(s) => {
-                    if !s.is_empty() {
-                        eprintln!("store: loaded {} classes from {p}", s.len());
-                    }
-                    s
-                }
-                Err(e) => {
-                    eprintln!("error loading store: {e}");
-                    std::process::exit(1);
-                }
-            },
-            None => Store::new(),
-        };
-        if warm {
-            let config = SynthesisConfig { jobs, ..SynthesisConfig::default() };
-            match warm_npn4(&store, &config, Some(timeout)) {
-                Ok(r) => eprintln!(
-                    "store: warmed {} classes ({} solved, {} cached, {} exhausted)",
-                    r.classes, r.solved, r.cached, r.exhausted
-                ),
-                Err(e) => {
-                    eprintln!("error warming store: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        Some(store)
-    } else {
-        None
-    };
+    let store = store_args.wanted().then(|| store_args.open(&obs, jobs, timeout));
     let suites = stp_bench::standard_suites(scale);
     let mut reports = Vec::new();
     for suite in &suites {
@@ -159,14 +88,8 @@ fn main() {
             reports.push(run_suite_with_retry(algo, suite, &policy, jobs, store.as_ref()));
         }
     }
-    if let (Some(store), Some(p)) = (&store, &store_path) {
-        match store.save(p) {
-            Ok(()) => eprintln!("store: saved {} classes to {p}", store.len()),
-            Err(e) => {
-                eprintln!("error saving store: {e}");
-                std::process::exit(1);
-            }
-        }
+    if let Some(store) = &store {
+        store_args.save(&obs, store);
     }
     println!("{}", render_table(&reports));
     println!("{}", render_headlines(&reports));
@@ -174,8 +97,5 @@ fn main() {
         println!("telemetry counters (summed per cell):");
         println!("{}", render_counters(&reports));
     }
-    if let Some(tree) = stp_telemetry::profile::finish(folded.as_deref().map(std::path::Path::new))
-    {
-        eprint!("{}", tree.render_text());
-    }
+    obs.finish("ok", Vec::new());
 }

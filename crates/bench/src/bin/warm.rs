@@ -34,21 +34,15 @@ use std::time::Duration;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use stp_bench::flags::{flag_error, parse_flag_value};
 use stp_bench::RetryPolicy;
 use stp_store::Store;
+use stp_synth::cli::{self, abort};
 use stp_synth::{synthesize_npn_with_store, warm_classes, SynthesisConfig};
 use stp_telemetry::Json;
 use stp_tt::{canonicalize, random_fdsd, TruthTable};
 
 /// Default sample seed ("WARMFARM" in ASCII, truncated).
 const DEFAULT_SEED: u64 = 0x5741_524d_4641_524d;
-
-/// A warm failure (as opposed to a usage error): report and exit 1.
-fn fail(message: String) -> ! {
-    eprintln!("error: {message}");
-    std::process::exit(1);
-}
 
 /// The farm parameters shared by the parent and the manifest.
 struct Params {
@@ -115,10 +109,10 @@ fn write_manifest(path: &Path, text: &str) -> std::io::Result<()> {
 /// parameters would silently warm a different class set.
 fn parse_manifest(path: &Path, params: &Params) -> Vec<ManifestClass> {
     let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| fail(format!("cannot read manifest {}: {e}", path.display())));
+        .unwrap_or_else(|e| abort(format!("cannot read manifest {}: {e}", path.display())));
     let mut lines = text.lines();
     if lines.next() != Some("stp-warm-manifest v1") {
-        fail(format!("{}: missing manifest header", path.display()));
+        abort(format!("{}: missing manifest header", path.display()));
     }
     let want = format!(
         "params shards={} seed={} sample5={} sample6={}",
@@ -126,12 +120,12 @@ fn parse_manifest(path: &Path, params: &Params) -> Vec<ManifestClass> {
     );
     match lines.next() {
         Some(line) if line == want => {}
-        Some(line) => flag_error(format!(
+        Some(line) => cli::fail(format!(
             "{}: manifest was written by a different invocation ({line}); \
              re-run with matching flags or delete it to re-sample",
             path.display()
         )),
-        None => fail(format!("{}: truncated manifest", path.display())),
+        None => abort(format!("{}: truncated manifest", path.display())),
     }
     let mut classes = Vec::new();
     for (idx, line) in lines.enumerate() {
@@ -140,22 +134,22 @@ fn parse_manifest(path: &Path, params: &Params) -> Vec<ManifestClass> {
         let (Some("class"), Some(shard), Some(nvars), Some(hex), None) =
             (tag, shard, nvars, hex, parts.next())
         else {
-            fail(format!("{}: bad manifest line {}: `{line}`", path.display(), idx + 3));
+            abort(format!("{}: bad manifest line {}: `{line}`", path.display(), idx + 3));
         };
         let shard: usize =
             shard.parse().ok().filter(|s| *s < params.shards).unwrap_or_else(|| {
-                fail(format!("{}: bad shard on line {}", path.display(), idx + 3))
+                abort(format!("{}: bad shard on line {}", path.display(), idx + 3))
             });
-        let nvars: usize = nvars
-            .parse()
-            .unwrap_or_else(|_| fail(format!("{}: bad arity on line {}", path.display(), idx + 3)));
+        let nvars: usize = nvars.parse().unwrap_or_else(|_| {
+            abort(format!("{}: bad arity on line {}", path.display(), idx + 3))
+        });
         let rep = TruthTable::from_hex(nvars, hex).unwrap_or_else(|e| {
-            fail(format!("{}: bad class on line {}: {e:?}", path.display(), idx + 3))
+            abort(format!("{}: bad class on line {}: {e:?}", path.display(), idx + 3))
         });
         classes.push(ManifestClass { shard, rep });
     }
     if classes.is_empty() {
-        fail(format!("{}: manifest lists no classes", path.display()));
+        abort(format!("{}: manifest lists no classes", path.display()));
     }
     classes
 }
@@ -195,13 +189,13 @@ fn run_child(
     // `Store::open` replays the shard journal, so a shard killed
     // mid-warm resumes with its already-solved classes cached.
     let store = Store::open(store_path)
-        .unwrap_or_else(|e| fail(format!("shard {shard}: cannot open shard store: {e}")));
+        .unwrap_or_else(|e| abort(format!("shard {shard}: cannot open shard store: {e}")));
     let config = SynthesisConfig { jobs, ..SynthesisConfig::default() };
     let ladder = RetryPolicy::escalating(base_timeout, rungs);
     let mut stats = ShardStats { shard, classes: reps.len(), ..ShardStats::default() };
     for (attempt, &budget) in ladder.budgets.iter().enumerate() {
         let report = warm_classes(&store, &config, Some(budget), &reps)
-            .unwrap_or_else(|e| fail(format!("shard {shard}: warm failed: {e}")));
+            .unwrap_or_else(|e| abort(format!("shard {shard}: warm failed: {e}")));
         stats.attempts = attempt + 1;
         stats.retries = attempt;
         stats.solved += report.solved;
@@ -214,7 +208,7 @@ fn run_child(
         }
     }
     if stats.exhausted > 0 {
-        fail(format!(
+        abort(format!(
             "shard {shard}: {} class(es) still exhausted after {} rung(s); \
              re-run with a larger --timeout or more --retries to resume",
             stats.exhausted, stats.attempts
@@ -222,7 +216,7 @@ fn run_child(
     }
     store
         .save(store_path)
-        .unwrap_or_else(|e| fail(format!("shard {shard}: cannot save shard snapshot: {e}")));
+        .unwrap_or_else(|e| abort(format!("shard {shard}: cannot save shard snapshot: {e}")));
     println!(
         "warm-shard shard={} classes={} solved={} cached={} exhausted={} \
          attempts={} retries={}",
@@ -242,14 +236,14 @@ fn parse_stats(stdout: &str, shard: usize) -> ShardStats {
     let line = stdout
         .lines()
         .find(|l| l.starts_with("warm-shard "))
-        .unwrap_or_else(|| fail(format!("shard {shard}: no stats line in child output")));
+        .unwrap_or_else(|| abort(format!("shard {shard}: no stats line in child output")));
     fn field<T: std::str::FromStr>(shard: usize, pair: &str, value: &str) -> T {
-        value.parse().unwrap_or_else(|_| fail(format!("shard {shard}: bad stats value `{pair}`")))
+        value.parse().unwrap_or_else(|_| abort(format!("shard {shard}: bad stats value `{pair}`")))
     }
     let mut stats = ShardStats::default();
     for pair in line.trim_start_matches("warm-shard ").split_whitespace() {
         let Some((key, value)) = pair.split_once('=') else {
-            fail(format!("shard {shard}: bad stats field `{pair}`"));
+            abort(format!("shard {shard}: bad stats field `{pair}`"));
         };
         match key {
             "shard" => stats.shard = field(shard, pair, value),
@@ -259,7 +253,7 @@ fn parse_stats(stdout: &str, shard: usize) -> ShardStats {
             "exhausted" => stats.exhausted = field(shard, pair, value),
             "attempts" => stats.attempts = field(shard, pair, value),
             "retries" => stats.retries = field(shard, pair, value),
-            other => fail(format!("shard {shard}: unknown stats field `{other}`")),
+            other => abort(format!("shard {shard}: unknown stats field `{other}`")),
         }
     }
     stats
@@ -281,14 +275,14 @@ fn run_parent(
     } else {
         let classes = sample_classes(params);
         write_manifest(&manifest_path, &render_manifest(params, &classes)).unwrap_or_else(|e| {
-            fail(format!("cannot write manifest {}: {e}", manifest_path.display()))
+            abort(format!("cannot write manifest {}: {e}", manifest_path.display()))
         });
         classes
     };
 
     // One OS process per shard, all in flight at once.
     let exe = std::env::current_exe()
-        .unwrap_or_else(|e| fail(format!("cannot locate the warm binary: {e}")));
+        .unwrap_or_else(|e| abort(format!("cannot locate the warm binary: {e}")));
     let mut children = Vec::new();
     for shard in 0..params.shards {
         let child = Command::new(&exe)
@@ -314,7 +308,7 @@ fn run_parent(
             .arg(rungs.to_string())
             .stdout(Stdio::piped())
             .spawn()
-            .unwrap_or_else(|e| fail(format!("cannot spawn shard {shard}: {e}")));
+            .unwrap_or_else(|e| abort(format!("cannot spawn shard {shard}: {e}")));
         children.push((shard, child));
     }
     let mut per_shard = Vec::new();
@@ -322,7 +316,7 @@ fn run_parent(
     for (shard, child) in children {
         let output = child
             .wait_with_output()
-            .unwrap_or_else(|e| fail(format!("shard {shard} did not report: {e}")));
+            .unwrap_or_else(|e| abort(format!("shard {shard} did not report: {e}")));
         if !output.status.success() {
             eprintln!("warm: shard {shard} failed ({}); its journal survives", output.status);
             failed = true;
@@ -331,7 +325,7 @@ fn run_parent(
         per_shard.push(parse_stats(&String::from_utf8_lossy(&output.stdout), shard));
     }
     if failed {
-        fail(format!(
+        abort(format!(
             "one or more shards failed; re-run the same command to resume from \
              {} and the surviving shard journals",
             manifest_path.display()
@@ -341,24 +335,25 @@ fn run_parent(
     // Fold the shard snapshots into the single merged v2 snapshot.
     let shard_paths: Vec<PathBuf> = (0..params.shards).map(|i| shard_path(store, i)).collect();
     let merged = Store::merge_files(&shard_paths)
-        .unwrap_or_else(|e| fail(format!("shard merge failed: {e}")));
+        .unwrap_or_else(|e| abort(format!("shard merge failed: {e}")));
     let merge_records = merged.merged_classes();
     merged
         .save(store)
-        .unwrap_or_else(|e| fail(format!("cannot save merged snapshot {store}: {e}")));
+        .unwrap_or_else(|e| abort(format!("cannot save merged snapshot {store}: {e}")));
 
     // Verification: the merged snapshot must answer every manifest
     // class without a single fresh synthesis.
     let reloaded =
-        Store::load(store).unwrap_or_else(|e| fail(format!("cannot re-load {store}: {e}")));
+        Store::load(store).unwrap_or_else(|e| abort(format!("cannot re-load {store}: {e}")));
     let config = SynthesisConfig { jobs: 1, ..SynthesisConfig::default() };
     for c in &classes {
-        synthesize_npn_with_store(&c.rep, &config, &reloaded)
-            .unwrap_or_else(|e| fail(format!("merged store failed to answer a warmed class: {e}")));
+        synthesize_npn_with_store(&c.rep, &config, &reloaded).unwrap_or_else(|e| {
+            abort(format!("merged store failed to answer a warmed class: {e}"))
+        });
     }
     let misses = reloaded.misses();
     if misses != 0 {
-        fail(format!("merged store re-synthesized {misses} warmed class(es)"));
+        abort(format!("merged store re-synthesized {misses} warmed class(es)"));
     }
 
     let totals = |f: fn(&ShardStats) -> usize| per_shard.iter().map(f).sum::<usize>() as u64;
@@ -414,7 +409,7 @@ fn run_parent(
     match out {
         Some(path) => {
             std::fs::write(path, &text).unwrap_or_else(|e| {
-                fail(format!("error writing {path}: {e}"));
+                abort(format!("cannot write {path}: {e}"));
             });
             eprintln!("warm: wrote {path}");
         }
@@ -424,13 +419,10 @@ fn run_parent(
 }
 
 fn main() {
-    stp_telemetry::init_from_env();
-    let env_jobs = stp_synth::jobs_from_env_checked().unwrap_or_else(|e| flag_error(e));
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (mut jobs, mut args) = cli::start();
     let mut store: Option<String> = None;
     let mut shards = 3usize;
-    let mut jobs = env_jobs;
-    let mut timeout = 10.0f64;
+    let mut timeout = Duration::from_secs(10);
     let mut retries = 3usize;
     let mut seed = DEFAULT_SEED;
     let mut sample5 = 8usize;
@@ -438,62 +430,41 @@ fn main() {
     let mut out: Option<String> = None;
     let mut child_shard: Option<usize> = None;
     let mut manifest: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    while let Some(a) = args.next() {
         match a.as_str() {
-            "--store" => {
-                let Some(v) = it.next() else { flag_error("--store expects a path".to_string()) };
-                store = Some(v.clone());
-            }
-            "--shards" => shards = parse_flag_value(a, it.next(), "a shard count ≥ 1"),
-            "--jobs" => {
-                jobs = parse_flag_value(a, it.next(), "a thread count (0 = one per CPU)");
-            }
-            "--timeout" => {
-                timeout = parse_flag_value(a, it.next(), "a number of seconds");
-            }
-            "--retries" => retries = parse_flag_value(a, it.next(), "a rung count ≥ 1"),
-            "--seed" => seed = parse_flag_value(a, it.next(), "a u64 seed"),
-            "--sample5" => sample5 = parse_flag_value(a, it.next(), "an NPN5 class count"),
-            "--sample6" => sample6 = parse_flag_value(a, it.next(), "an NPN6 class count"),
-            "--out" => {
-                let Some(v) = it.next() else { flag_error("--out expects a path".to_string()) };
-                out = Some(v.clone());
-            }
-            "--child-shard" => {
-                child_shard = Some(parse_flag_value(a, it.next(), "a shard index"));
-            }
-            "--manifest" => {
-                let Some(v) = it.next() else {
-                    flag_error("--manifest expects a path".to_string())
-                };
-                manifest = Some(v.clone());
-            }
-            other => flag_error(format!("unknown option `{other}`")),
+            "--store" => store = Some(args.path(&a)),
+            "--shards" => shards = args.value(&a, "a shard count ≥ 1"),
+            "--jobs" => jobs = args.value(&a, "a thread count (0 = one per CPU)"),
+            "--timeout" => timeout = args.seconds(&a),
+            "--retries" => retries = args.value(&a, "a rung count ≥ 1"),
+            "--seed" => seed = args.value(&a, "a u64 seed"),
+            "--sample5" => sample5 = args.value(&a, "an NPN5 class count"),
+            "--sample6" => sample6 = args.value(&a, "an NPN6 class count"),
+            "--out" => out = Some(args.path(&a)),
+            "--child-shard" => child_shard = Some(args.value(&a, "a shard index")),
+            "--manifest" => manifest = Some(args.path(&a)),
+            other => cli::unknown_option(other),
         }
     }
     if shards == 0 {
-        flag_error("--shards expects a shard count ≥ 1".to_string());
+        cli::fail("--shards expects a shard count ≥ 1");
     }
-    if !timeout.is_finite() || timeout <= 0.0 {
-        flag_error("--timeout expects a finite number of seconds > 0".to_string());
+    if timeout.is_zero() {
+        cli::fail("--timeout expects a finite number of seconds > 0");
     }
     if retries == 0 {
-        flag_error("--retries expects a rung count ≥ 1".to_string());
+        cli::fail("--retries expects a rung count ≥ 1");
     }
     if sample5 + sample6 == 0 {
-        flag_error("the sample is empty: raise --sample5 or --sample6".to_string());
+        cli::fail("the sample is empty: raise --sample5 or --sample6");
     }
-    let Some(store) = store else { flag_error("--store is required".to_string()) };
+    let Some(store) = store else { cli::fail("--store is required") };
     let params = Params { shards, seed, sample5, sample6 };
-    let base_timeout = Duration::from_secs_f64(timeout);
     match child_shard {
         Some(shard) => {
-            let Some(manifest) = manifest else {
-                flag_error("--child-shard requires --manifest".to_string())
-            };
+            let Some(manifest) = manifest else { cli::fail("--child-shard requires --manifest") };
             if shard >= shards {
-                flag_error(format!("--child-shard {shard} out of range for {shards} shard(s)"));
+                cli::fail(format!("--child-shard {shard} out of range for {shards} shard(s)"));
             }
             run_child(
                 shard,
@@ -501,10 +472,10 @@ fn main() {
                 &shard_path(&store, shard),
                 &params,
                 jobs,
-                base_timeout,
+                timeout,
                 retries,
             )
         }
-        None => run_parent(&store, &params, jobs, base_timeout, retries, out.as_deref()),
+        None => run_parent(&store, &params, jobs, timeout, retries, out.as_deref()),
     }
 }

@@ -26,7 +26,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod flags;
 pub mod harness;
 pub mod pins;
 pub mod profdiff;

@@ -33,6 +33,15 @@ fn table1_rejects_malformed_flag_values() {
 }
 
 #[test]
+fn table1_rejects_unrepresentable_timeouts() {
+    // A timeout no `Duration` can hold is a usage error, not a panic.
+    let bin = env!("CARGO_BIN_EXE_table1");
+    for value in ["-1", "nan", "inf"] {
+        assert_usage_error(bin, &["--timeout", value]);
+    }
+}
+
+#[test]
 fn pins_rejects_malformed_flag_values() {
     // Every flag appears: the two that take a path without one, and the
     // two switches ahead of a defect (a switch cannot be malformed).
@@ -58,6 +67,14 @@ fn fence_census_rejects_malformed_flag_values() {
         &["--profile-folded"],
         &["--surprise"],
     ] {
+        assert_usage_error(bin, args);
+    }
+}
+
+#[test]
+fn dsd_stats_rejects_malformed_flag_values() {
+    let bin = env!("CARGO_BIN_EXE_dsd_stats");
+    for args in [&["--log", "loudest"][..], &["--log"], &["--frobnicate"]] {
         assert_usage_error(bin, args);
     }
 }
@@ -107,6 +124,8 @@ fn bench_bins_reject_malformed_stp_jobs_at_startup() {
         env!("CARGO_BIN_EXE_pins"),
         env!("CARGO_BIN_EXE_fence_census"),
         env!("CARGO_BIN_EXE_warm"),
+        env!("CARGO_BIN_EXE_dsd_stats"),
+        env!("CARGO_BIN_EXE_stpprof"),
     ] {
         for value in ["abc", "-2", "1.5"] {
             assert_env_jobs_error(bin, value);

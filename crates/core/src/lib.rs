@@ -36,6 +36,7 @@
 #![forbid(unsafe_code)]
 
 mod circuit_solver;
+pub mod cli;
 mod encode;
 mod error;
 mod factor;

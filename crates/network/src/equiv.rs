@@ -10,8 +10,8 @@
 //!   XORs, and ask for satisfiability — UNSAT means equivalent. Scales
 //!   past the simulation limit and returns a counterexample otherwise.
 //!
-//! The rewriting tests use both and cross-check them against each
-//! other.
+//! [`check_rewrite`] picks the route for a rewritten network. The
+//! rewriting tests use both and cross-check them against each other.
 
 use stp_sat::{Lit, SolveResult, Solver, Var};
 use stp_tt::kernel;
@@ -165,6 +165,29 @@ pub fn equivalent_sat(
     })
 }
 
+/// Checks a rewritten network against its input, choosing the route by
+/// scale: exhaustive simulation up to [`stp_tt::MAX_VARS`] inputs, a SAT
+/// miter under `conflict_budget` (`None` = unbounded) past it. Returns
+/// whether the two agree — a counterexample and a spent budget both
+/// answer `false` — and how it was checked (`"exhaustively"` or
+/// `"by SAT"`).
+///
+/// # Errors
+///
+/// Propagates the SAT route's interface-mismatch error.
+pub fn check_rewrite(
+    input: &Network,
+    output: &Network,
+    conflict_budget: Option<u64>,
+) -> Result<(bool, &'static str), NetworkError> {
+    if input.num_inputs() <= stp_tt::MAX_VARS {
+        equivalent_exhaustive(input, output).map(|same| (same, "exhaustively"))
+    } else {
+        let verdict = equivalent_sat(input, output, conflict_budget)?;
+        Ok((verdict == EquivResult::Equivalent, "by SAT"))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,6 +283,39 @@ mod tests {
             crate::rewrite::rewrite(&net, &crate::rewrite::RewriteConfig::default(), &cache)
                 .unwrap();
         assert_eq!(equivalent_sat(&net, &result.network, None).unwrap(), EquivResult::Equivalent);
+    }
+
+    #[test]
+    fn check_rewrite_picks_the_route_by_input_count() {
+        let (direct, sop) = xor_two_ways();
+        assert_eq!(check_rewrite(&direct, &sop, None).unwrap(), (true, "exhaustively"));
+        let mut or = Network::new(2);
+        let g = or.or(or.input(0), or.input(1)).unwrap();
+        or.add_output(g);
+        assert_eq!(check_rewrite(&direct, &or, None).unwrap(), (false, "exhaustively"));
+
+        // Past the truth-table width: the parity of 17 inputs, folded
+        // left to right and right to left, then with one OR swapped in.
+        let n = stp_tt::MAX_VARS + 1;
+        let parity = |reverse: bool, or_last: bool| {
+            let mut net = Network::new(n);
+            let mut order: Vec<usize> = (0..n).collect();
+            if reverse {
+                order.reverse();
+            }
+            let mut acc = net.input(order[0]);
+            for (i, &v) in order.iter().enumerate().skip(1) {
+                let x = net.input(v);
+                acc = if or_last && i == n - 1 { net.or(acc, x) } else { net.xor(acc, x) }.unwrap();
+            }
+            net.add_output(acc);
+            net
+        };
+        let input = parity(false, false);
+        assert_eq!(check_rewrite(&input, &parity(true, false), None).unwrap(), (true, "by SAT"));
+        assert_eq!(check_rewrite(&input, &parity(true, true), None).unwrap(), (false, "by SAT"));
+        // A spent conflict budget answers `false`, never `true`.
+        assert!(!check_rewrite(&input, &parity(true, true), Some(0)).unwrap().0);
     }
 
     #[test]

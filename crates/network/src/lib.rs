@@ -52,7 +52,7 @@ pub use circuits::{
     equality_comparator, mux_tree, random_network, ripple_carry_adder, ripple_carry_adder_sop,
 };
 pub use cuts::{cut_function, enumerate_cuts, Cut, CutEvaluator, CutSet};
-pub use equiv::{equivalent_exhaustive, equivalent_sat, EquivResult};
+pub use equiv::{check_rewrite, equivalent_exhaustive, equivalent_sat, EquivResult};
 pub use error::NetworkError;
 pub use network::{NetNode, Network, Sig};
 pub use rewrite::{

@@ -36,165 +36,58 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use stp_serve::server::{ServeConfig, Server};
+use stp_synth::cli::{self, Obs};
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: stpd [--addr <host:port>] [--store <path>] [--capacity <n>] [--jobs <n>] \
-         [--max-gates <n>] [--timeout-ms <ms>] [--drain-timeout-ms <ms>] \
-         [--idle-timeout-ms <ms>] [--frame-timeout-ms <ms>] [--max-frame-bytes <n>] \
-         [--retry-after-ms <ms>] [--port-file <path>] [--log <level>]"
-    );
-    ExitCode::FAILURE
-}
+const USAGE: &str = "stpd [--addr <host:port>] [--store <path>] [--capacity <n>] [--jobs <n>] \
+     [--max-gates <n>] [--timeout-ms <ms>] [--drain-timeout-ms <ms>] \
+     [--idle-timeout-ms <ms>] [--frame-timeout-ms <ms>] [--max-frame-bytes <n>] \
+     [--retry-after-ms <ms>] [--port-file <path>] [--log <level>]";
 
-/// A malformed or missing flag value: report it and exit 2, so scripts
-/// can tell usage errors from runtime failures (exit 1).
-fn flag_error(message: String) -> ExitCode {
-    eprintln!("error: {message}");
-    ExitCode::from(2)
-}
-
-/// Parses the value of a `--flag <value>` pair, failing loudly: a
-/// missing or unparsable value is an error, never a silent fallback to
-/// the default.
-fn parse_flag_value<T: std::str::FromStr>(
+/// Takes a count or duration that must be at least 1.
+fn positive<T: std::str::FromStr + Default + PartialEq>(
+    args: &mut cli::Args,
     flag: &str,
-    value: Option<&String>,
     expects: &str,
-) -> Result<T, ExitCode> {
-    let Some(raw) = value else {
-        return Err(flag_error(format!("{flag} expects {expects}")));
-    };
-    raw.parse().map_err(|_| flag_error(format!("{flag} expects {expects}, got `{raw}`")))
+) -> T {
+    let value = args.value(flag, expects);
+    if value == T::default() {
+        cli::fail(format!("{flag} expects {expects} >= 1, got `0`"));
+    }
+    value
 }
 
 fn main() -> ExitCode {
-    stp_telemetry::init_from_env();
-    // A malformed STP_JOBS is a usage error, diagnosed before any other
-    // argument handling — not a silent fall-back to sequential.
-    let env_jobs = match stp_synth::jobs_from_env_checked() {
-        Ok(jobs) => jobs,
-        Err(message) => return flag_error(message),
-    };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut config = ServeConfig { jobs: env_jobs, ..ServeConfig::default() };
+    let (jobs, mut args) = cli::start();
+    let mut obs = Obs::new("stpd", &args);
+    let mut config = ServeConfig { jobs, ..ServeConfig::default() };
     let mut addr = "127.0.0.1:0".to_string();
     let mut port_file: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--addr" => {
-                let Some(value) = args.get(i + 1) else {
-                    return flag_error("--addr expects <host:port>".to_string());
-                };
-                addr = value.clone();
-                i += 1;
-            }
-            "--store" => {
-                let Some(value) = args.get(i + 1) else {
-                    return flag_error("--store expects a path".to_string());
-                };
-                config.store_path = Some(value.into());
-                i += 1;
-            }
-            "--port-file" => {
-                let Some(value) = args.get(i + 1) else {
-                    return flag_error("--port-file expects a path".to_string());
-                };
-                port_file = Some(value.clone());
-                i += 1;
-            }
-            "--capacity" => {
-                config.capacity =
-                    match parse_flag_value("--capacity", args.get(i + 1), "a slot count") {
-                        Ok(v) => v,
-                        Err(code) => return code,
-                    };
-                if config.capacity == 0 {
-                    return flag_error("--capacity expects a slot count >= 1, got `0`".into());
-                }
-                i += 1;
-            }
-            "--jobs" => {
-                config.jobs = match parse_flag_value(
-                    "--jobs",
-                    args.get(i + 1),
-                    "a thread count (0 = one per CPU)",
-                ) {
-                    Ok(v) => v,
-                    Err(code) => return code,
-                };
-                i += 1;
-            }
-            "--max-gates" => {
-                config.max_gates =
-                    match parse_flag_value("--max-gates", args.get(i + 1), "a gate count") {
-                        Ok(v) => v,
-                        Err(code) => return code,
-                    };
-                if config.max_gates == 0 {
-                    return flag_error("--max-gates expects a gate count >= 1, got `0`".into());
-                }
-                i += 1;
-            }
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--addr" => addr = args.value(&a, "<host:port>"),
+            "--store" => config.store_path = Some(args.path(&a).into()),
+            "--port-file" => port_file = Some(args.path(&a)),
+            "--capacity" => config.capacity = positive(&mut args, &a, "a slot count"),
+            "--jobs" => config.jobs = args.value(&a, "a thread count (0 = one per CPU)"),
+            "--max-gates" => config.max_gates = positive(&mut args, &a, "a gate count"),
             "--max-frame-bytes" => {
-                config.max_frame_bytes =
-                    match parse_flag_value("--max-frame-bytes", args.get(i + 1), "a byte count") {
-                        Ok(v) => v,
-                        Err(code) => return code,
-                    };
-                if config.max_frame_bytes == 0 {
-                    return flag_error(
-                        "--max-frame-bytes expects a byte count >= 1, got `0`".into(),
-                    );
-                }
-                i += 1;
+                config.max_frame_bytes = positive(&mut args, &a, "a byte count");
             }
-            "--retry-after-ms" => {
-                config.retry_after_ms =
-                    match parse_flag_value("--retry-after-ms", args.get(i + 1), "milliseconds") {
-                        Ok(v) => v,
-                        Err(code) => return code,
-                    };
-                i += 1;
-            }
+            "--retry-after-ms" => config.retry_after_ms = args.value(&a, "milliseconds"),
             flag @ ("--timeout-ms" | "--drain-timeout-ms" | "--idle-timeout-ms"
             | "--frame-timeout-ms") => {
-                let ms: u64 = match parse_flag_value(flag, args.get(i + 1), "milliseconds") {
-                    Ok(v) => v,
-                    Err(code) => return code,
-                };
-                if ms == 0 {
-                    return flag_error(format!("{flag} expects milliseconds >= 1, got `0`"));
-                }
-                let value = Duration::from_millis(ms);
+                let value = Duration::from_millis(positive(&mut args, flag, "milliseconds"));
                 match flag {
                     "--timeout-ms" => config.default_timeout = value,
                     "--drain-timeout-ms" => config.drain_timeout = value,
                     "--idle-timeout-ms" => config.idle_timeout = value,
-                    "--frame-timeout-ms" => config.frame_timeout = value,
-                    _ => unreachable!("matched above"),
+                    _ => config.frame_timeout = value,
                 }
-                i += 1;
             }
-            "--log" => {
-                let Some(value) = args.get(i + 1) else {
-                    return flag_error("--log expects a level".to_string());
-                };
-                match stp_telemetry::log::Level::parse(value) {
-                    Some(level) => stp_telemetry::set_level(level),
-                    None => {
-                        return flag_error(format!(
-                            "--log expects off|error|warn|info|debug|trace, got `{value}`"
-                        ));
-                    }
-                }
-                i += 1;
-            }
-            "--help" | "-h" => return usage(),
-            other => return flag_error(format!("unknown option `{other}`")),
+            flag @ "--log" => obs.take(flag, &mut args),
+            "--help" | "-h" => cli::usage(USAGE),
+            other => cli::unknown_option(other),
         }
-        i += 1;
     }
 
     let server = match Server::bind(&addr, config) {

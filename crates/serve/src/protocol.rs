@@ -105,19 +105,6 @@ impl Request {
     }
 }
 
-/// Infers the arity of a bare hex table the way `stpsynth` does: `d`
-/// digits hold `4·d` bits, which must be a power of two.
-fn infer_num_vars(hex: &str) -> Result<usize, String> {
-    let bits = hex.len().saturating_mul(4);
-    if hex.is_empty() || !bits.is_power_of_two() {
-        return Err(format!(
-            "table `{hex}` has {} hex digit(s); cannot infer its arity (pass \"vars\")",
-            hex.len()
-        ));
-    }
-    Ok(bits.trailing_zeros() as usize)
-}
-
 /// Parses one request line. The error string is what lands in the
 /// structured `malformed` response.
 pub fn parse_request(line: &str) -> Result<Request, String> {
@@ -167,7 +154,13 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 };
                 let n = match vars {
                     Some(n) => n,
-                    None => infer_num_vars(hex)?,
+                    None => stp_tt::infer_num_vars(hex).ok_or_else(|| {
+                        format!(
+                            "table `{hex}` has {} hex digit(s); cannot infer its arity \
+                             (pass \"vars\")",
+                            hex.len()
+                        )
+                    })?,
                 };
                 if n > MAX_REQUEST_VARS {
                     return Err(format!(

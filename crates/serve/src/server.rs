@@ -51,10 +51,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use stp_network::{
-    equivalent_exhaustive, equivalent_sat, rewrite, EquivResult, Network, RewriteConfig,
-    SynthesisCache,
-};
+use stp_network::{check_rewrite, rewrite, Network, RewriteConfig, SynthesisCache};
 use stp_store::Store;
 use stp_synth::{
     synthesize_multi_npn_answer, synthesize_npn_answer, MultiSpec, SynthesisConfig, SynthesisError,
@@ -633,13 +630,8 @@ fn run_rewrite(blif: &str, shared: &Shared, deadline: Instant) -> WorkOutcome {
             // Every answer is checked against its input: by simulation up
             // to the truth-table limit, by a budgeted SAT miter past it. A
             // counterexample and a spent budget both refuse the answer.
-            let equivalent = if network.num_inputs() <= stp_tt::MAX_VARS {
-                equivalent_exhaustive(&network, &rewritten).unwrap_or(false)
-            } else {
-                let verdict = equivalent_sat(&network, &rewritten, Some(REWRITE_SAT_BUDGET));
-                matches!(verdict, Ok(EquivResult::Equivalent))
-            };
-            if !equivalent {
+            let checked = check_rewrite(&network, &rewritten, Some(REWRITE_SAT_BUDGET));
+            if !matches!(checked, Ok((true, _))) {
                 stp_telemetry::counter!("serve.rewrite_rejects").inc();
                 stp_telemetry::warn!("rewrite: refused a network that differs from its input");
                 return WorkOutcome::Done(resp_error(

@@ -51,7 +51,7 @@ pub use npn::{
     canonicalize, canonicalize_multi, npn_classes, MultiNpnCanonical, MultiNpnTransform,
     NpnCanonical, NpnTransform,
 };
-pub use truth_table::{TruthTable, MAX_VARS};
+pub use truth_table::{infer_num_vars, TruthTable, MAX_VARS};
 
 #[cfg(test)]
 mod thread_safety {

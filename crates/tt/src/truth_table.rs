@@ -52,6 +52,15 @@ fn used_mask(num_vars: usize) -> u64 {
     }
 }
 
+/// Infers the input arity of a bare hex truth table, as the command
+/// line and the `stpd` protocol read one: `d` digits hold `4·d` bits,
+/// which must be a power of two. `None` when they are not; each caller
+/// names its own way to pass the arity explicitly.
+pub fn infer_num_vars(hex: &str) -> Option<usize> {
+    let bits = hex.len().saturating_mul(4);
+    (!hex.is_empty() && bits.is_power_of_two()).then(|| bits.trailing_zeros() as usize)
+}
+
 impl TruthTable {
     fn check_vars(num_vars: usize) -> Result<(), TruthTableError> {
         if num_vars > MAX_VARS {
@@ -590,6 +599,17 @@ impl fmt::LowerHex for TruthTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn arity_is_inferred_from_the_hex_digit_count() {
+        assert_eq!(infer_num_vars("8"), Some(2));
+        assert_eq!(infer_num_vars("e8"), Some(3));
+        assert_eq!(infer_num_vars("8ff8"), Some(4));
+        assert_eq!(infer_num_vars(&"0".repeat(16)), Some(6));
+        for hex in ["", "965", "e8f3a1"] {
+            assert_eq!(infer_num_vars(hex), None, "{hex}");
+        }
+    }
 
     #[test]
     fn projection_matches_the_built_projections() {

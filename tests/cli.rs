@@ -51,6 +51,9 @@ fn stpsynth_rejects_malformed_flag_values_with_exit_2() {
         &["8ff8", "4", "--jobs", "-1"],
         &["8ff8", "4", "--timeout"],
         &["8ff8", "4", "--engine"],
+        &["8ff8", "4", "--log", "loudest"],
+        &["8ff8", "4", "--store"],
+        &["8ff8", "4", "--trace-json"],
     ] {
         let out =
             Command::new(env!("CARGO_BIN_EXE_stpsynth")).args(args).output().expect("binary runs");
@@ -58,6 +61,28 @@ fn stpsynth_rejects_malformed_flag_values_with_exit_2() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("error:"), "args {args:?}: stderr {stderr}");
         assert!(stderr.contains("expects"), "args {args:?}: stderr {stderr}");
+    }
+    // An unknown option is a usage error too.
+    let out = Command::new(env!("CARGO_BIN_EXE_stpsynth"))
+        .args(["8ff8", "4", "--frobnicate"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2), "--frobnicate: {:?}", out.status);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("error:") && stderr.contains("--frobnicate"), "stderr {stderr}");
+}
+
+#[test]
+fn stpsynth_rejects_unrepresentable_timeouts_with_exit_2() {
+    // A timeout no `Duration` can hold is a usage error, not a panic.
+    for value in ["-1", "nan", "inf"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_stpsynth"))
+            .args(["8ff8", "4", "--timeout", value])
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "--timeout {value}: {:?}", out.status);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--timeout expects"), "--timeout {value}: stderr {stderr}");
     }
 }
 
@@ -74,6 +99,9 @@ fn stprewrite_rejects_malformed_flag_values_with_exit_2() {
         &[input, "--jobs", "x"],
         &[input, "--passes"],
         &[input, "--jobs"],
+        &[input, "--log", "loudest"],
+        &[input, "--store"],
+        &[input, "--trace-json"],
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_stprewrite"))
             .args(args)
@@ -83,6 +111,14 @@ fn stprewrite_rejects_malformed_flag_values_with_exit_2() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("expects"), "args {args:?}: stderr {stderr}");
     }
+    // An unknown option is a usage error too.
+    let out = Command::new(env!("CARGO_BIN_EXE_stprewrite"))
+        .args([input, "--frobnicate"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2), "--frobnicate: {:?}", out.status);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("error:") && stderr.contains("--frobnicate"), "stderr {stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
