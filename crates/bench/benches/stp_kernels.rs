@@ -6,7 +6,9 @@
 //! them, or the one checked first chain) — plus a rewriting pass's cut
 //! enumeration, cut functions and warm per-cut store lookup
 //! (`network_kernels`) and one cold factorization round
-//! (`factor_kernels`), without and with verification of its candidates.
+//! (`factor_kernels`), without and with verification of its candidates
+//! — plus `verified_chains_fdsd8`, the optimum round of the first
+//! function of stpbench's `fdsd8_cold` suite, verified.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
@@ -23,7 +25,7 @@ use stp_store::{Entry, NpnOutcome, RepOutcome, Store};
 use stp_synth::{
     solve_circuit, synthesize, verify_chain, FactorConfig, Factorizer, SynthesisConfig,
 };
-use stp_tt::{canonicalize, TruthTable};
+use stp_tt::{canonicalize, random_fdsd_tree, TruthTable};
 
 fn liar_puzzle() -> Expr {
     let (a, b, c) = (Expr::var(0), Expr::var(1), Expr::var(2));
@@ -241,6 +243,38 @@ fn bench_factor_kernels(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_verified_chains_fdsd8(c: &mut Criterion) {
+    // The first function of stpbench's `fdsd8_cold` suite (the first
+    // tree drawn from its fixed tree seed, 384 optimum chains) through
+    // its 7-gate round on a fresh engine: factorization and the root
+    // check of every candidate, as one instance of that workload runs
+    // them.
+    let mut trees = SmallRng::seed_from_u64(0x4644_5344_3820_5452);
+    let spec = random_fdsd_tree(8, &mut trees).to_truth_table(8).unwrap();
+    let shapes: Vec<_> = pruned_fences(7).iter().flat_map(shapes_for_fence).collect();
+    let never = AtomicBool::new(false);
+    c.bench_function("verified_chains_fdsd8", |b| {
+        b.iter(|| {
+            let mut engine = Factorizer::new(FactorConfig::default());
+            let found: usize = shapes
+                .iter()
+                .map(|shape| {
+                    let chains = engine.verified_chains_on_shape(
+                        black_box(&spec),
+                        shape,
+                        usize::MAX,
+                        None,
+                        &never,
+                    );
+                    chains.unwrap().len()
+                })
+                .sum();
+            assert_eq!(found, 384);
+            found
+        })
+    });
+}
+
 criterion_group!(
     kernels,
     bench_stp_product,
@@ -249,6 +283,7 @@ criterion_group!(
     bench_circuit_solver,
     bench_npn_kernels,
     bench_network_kernels,
-    bench_factor_kernels
+    bench_factor_kernels,
+    bench_verified_chains_fdsd8
 );
 criterion_main!(kernels);

@@ -27,14 +27,17 @@
 //! structural-matrix columns — or, over the arena, however many
 //! candidate roots — ask for it.
 //!
-//! Verification ends in the **root check**: the root's columns are
-//! merged into a tail with no sort or dedup, the tail's literal masks
-//! are ORed straight into [`TruthTable`]-layout `f_s` words, and the
-//! tail is dropped. OR is idempotent, so the repeats a sort would have
-//! removed cannot change `f_s`. [`verify_chain`] and the engine's
-//! forest verifier share this check; [`solve_circuit`] keeps
-//! Algorithm 1's merge with the all-unassigned solution and its sorted
-//! output.
+//! Verification ends in the **root check**, which never builds the
+//! root's own list. `MERGE` is cube intersection, so the minterms
+//! covered by the merges of two lists `L` and `R` are
+//! `cover(L) ∧ cover(R)`: the root's [`TruthTable`]-layout `f_s` words
+//! are the OR, over the root's structural-matrix columns `(a, b)`, of
+//! the AND of its two fanin lists' cover words. Each fanin list's cover
+//! is computed once and memoized next to the list, so a check costs a
+//! few word operations per column however long the lists are.
+//! [`verify_chain`] and the engine's forest verifier share this check;
+//! [`solve_circuit`] keeps Algorithm 1's merge with the all-unassigned
+//! solution and its sorted output.
 
 use std::collections::BTreeSet;
 use std::ops::Range;
@@ -97,7 +100,8 @@ impl CircuitSolutions {
         let mut words = TruthTable::constant(self.num_inputs, false)?.words().to_vec();
         let cubes: Vec<Cube> =
             self.partial_solutions.iter().map(|p| Cube::from_partial(p)).collect();
-        cover_words(&cubes, self.num_inputs, &mut words);
+        cover_words(&cubes, &mut words);
+        clip_to_width(self.num_inputs, &mut words);
         Ok(TruthTable::from_words(self.num_inputs, words)?)
     }
 }
@@ -151,26 +155,64 @@ fn subsets(mask: u32) -> impl Iterator<Item = u32> {
     })
 }
 
-/// ORs the minterms each cube covers into `words`, a zeroed
-/// [`TruthTable`]-layout buffer of `num_vars` inputs: variables below 6
-/// select bits within a word through [`VAR_MASK`], higher ones select
-/// word indices.
-fn cover_words(cubes: &[Cube], num_vars: usize, words: &mut [u64]) {
-    let in_word = kernel::low_mask(1 << num_vars.min(6));
+/// ORs the minterms each cube covers into `words`, a [`TruthTable`]-layout
+/// buffer of a power-of-two word count: variables below 6 select bits
+/// within a word through [`VAR_MASK`], higher ones select word indices.
+/// The covers fill whole words, as if there were at least six inputs,
+/// so they depend on the word count alone; [`clip_to_width`] drops the
+/// bits past a narrower table's end.
+fn cover_words(cubes: &[Cube], words: &mut [u64]) {
     let word_vars = (words.len() - 1) as u32;
     for cube in cubes {
-        let mut mask = in_word;
-        let mut low = cube.care & 0x3f;
-        while low != 0 {
-            let var = low.trailing_zeros() as usize;
-            mask &= if cube.val >> var & 1 == 1 { VAR_MASK[var] } else { !VAR_MASK[var] };
-            low &= low - 1;
-        }
+        let (care, val) = (cube.care as usize, cube.val as usize);
+        let mask = LITERALS[0][care & 7][val & 7] & LITERALS[1][care >> 3 & 7][val >> 3 & 7];
         let (care_hi, val_hi) = (cube.care >> 6, cube.val >> 6);
         for free in subsets(word_vars & !care_hi) {
             words[(val_hi | free) as usize] |= mask;
         }
     }
+}
+
+/// `LITERALS[h][care][val]`: the in-word minterms of the cube that
+/// assigns input `3h + i` the bit `i` of `val` for each bit `i` of
+/// `care` — the AND of its literals' [`VAR_MASK`] patterns, so one
+/// cube's in-word mask is two lookups.
+static LITERALS: [[[u64; 8]; 8]; 2] = {
+    let mut table = [[[!0u64; 8]; 8]; 2];
+    let mut at = 0;
+    while at < 2 * 8 * 8 {
+        let (h, care, val) = (at / 64, at / 8 % 8, at % 8);
+        let mut i = 0;
+        while i < 3 {
+            if care >> i & 1 == 1 {
+                let var = VAR_MASK[3 * h + i];
+                table[h][care][val] &= if val >> i & 1 == 1 { var } else { !var };
+            }
+            i += 1;
+        }
+        at += 1;
+    }
+    table
+};
+
+/// Clears the bits of `words` past the end of a `num_vars`-input table
+/// (only a table of fewer than six inputs has any).
+fn clip_to_width(num_vars: usize, words: &mut [u64]) {
+    words[0] &= kernel::low_mask(1 << num_vars.min(6));
+}
+
+/// A `(signal, target)` subproblem's index in a propagator's per-slot
+/// arrays.
+fn slot(signal: usize, target: bool) -> usize {
+    2 * signal + usize::from(target)
+}
+
+/// The structural-matrix columns `(a, b)` of `gate` whose entry is
+/// `target`: the fanin value pairs Algorithm 2 propagates, in order.
+fn columns(gate: Gate, target: bool) -> impl Iterator<Item = (bool, bool)> {
+    [(false, false), (false, true), (true, false), (true, true)]
+        .into_iter()
+        .filter(move |&(a, b)| gate.apply(a, b) == target)
 }
 
 /// One signal of a 2-LUT network, as Algorithm 2 reads it: primary
@@ -199,15 +241,21 @@ impl NodeView for Chain {
 
 /// Algorithm 2's state over one [`NodeView`]: every solved
 /// `(signal, target)` subproblem keeps its sorted, deduplicated cube
-/// list in one arena for as long as the propagator lives. A cube list
-/// depends only on the signal's fan-in cone, so a propagator may serve
-/// any number of roots of the same view.
+/// list in one arena for as long as the propagator lives, and every
+/// list a root check reads keeps its cover words in a second arena. A
+/// cube list depends only on the signal's fan-in cone, so a propagator
+/// may serve any number of roots of the same view.
 #[derive(Debug, Default)]
 pub(crate) struct Propagator {
     /// `memo[2 * signal + target]`: that subproblem's `start..end` in
     /// `cubes`, written once the list is complete.
     memo: Vec<Option<(u32, u32)>>,
     cubes: Vec<Cube>,
+    /// `cover_at[2 * signal + target]`: where that subproblem's cover
+    /// words start in `covers`, written on the root check's first read.
+    cover_at: Vec<Option<u32>>,
+    /// Cover words, `f_s.len()` per entry.
+    covers: Vec<u64>,
     /// The root check's `f_s` words.
     f_s: Vec<u64>,
     tallies: Tallies,
@@ -234,7 +282,7 @@ impl Propagator {
         signal: usize,
         target: bool,
     ) -> Range<usize> {
-        let slot = 2 * signal + usize::from(target);
+        let slot = slot(signal, target);
         if let Some(&Some((start, end))) = self.memo.get(slot) {
             return start as usize..end as usize;
         }
@@ -264,23 +312,18 @@ impl Propagator {
         // Algorithm 2, lines 5–9: the gate's structural matrix names the
         // fanin pairs mapping to the target. Both fanins of every pair
         // are solved first so this list lands after theirs.
-        let mut columns: [(Range<usize>, Range<usize>); 4] = Default::default();
+        let mut pairs: [(Range<usize>, Range<usize>); 4] = Default::default();
         let mut used = 0;
-        for a in [false, true] {
-            for b in [false, true] {
-                if gate.apply(a, b) != target {
-                    continue;
-                }
-                let left = self.solve(view, gate.fanin[0], a);
-                if left.is_empty() {
-                    continue;
-                }
-                columns[used] = (left, self.solve(view, gate.fanin[1], b));
-                used += 1;
+        for (a, b) in columns(gate, target) {
+            let left = self.solve(view, gate.fanin[0], a);
+            if left.is_empty() {
+                continue;
             }
+            pairs[used] = (left, self.solve(view, gate.fanin[1], b));
+            used += 1;
         }
         let start = self.cubes.len();
-        for (left, right) in &columns[..used] {
+        for (left, right) in &pairs[..used] {
             self.tallies.merges += (left.len() * right.len()) as u64;
             for l in left.clone() {
                 let l = self.cubes[l];
@@ -294,11 +337,13 @@ impl Propagator {
         start
     }
 
-    /// The root check, one query: expands `signal` under `target` into a
-    /// tail of `cubes` with no sort or dedup, ORs the tail into the `f_s`
-    /// words (OR is idempotent, so repeats cannot change `f_s`), drops
-    /// the tail, and accepts iff `f_s` equals `spec`. The root's own list
-    /// is never memoized; its fanins' lists are.
+    /// The root check, one query: `f_s` is the OR, over the root's
+    /// structural-matrix columns `(a, b)` for `target`, of the AND of
+    /// the memoized cover words of the left fanin's list under `a` and
+    /// the right fanin's under `b`; accepts iff `f_s` equals `spec`. The
+    /// fanin lists are solved as [`Propagator::expand`] solves them
+    /// (left first, right skipped when left is empty), so the query
+    /// expands the same subproblems; the root's own list is never built.
     pub(crate) fn root_check<V: NodeView + ?Sized>(
         &mut self,
         view: &V,
@@ -306,13 +351,52 @@ impl Propagator {
         target: bool,
         spec: &TruthTable,
     ) -> bool {
-        let start = self.expand(view, signal, target);
+        let words = spec.words().len();
+        if self.f_s.len() != words {
+            // Covers are laid out for one word count.
+            self.cover_at.clear();
+            self.covers.clear();
+        }
         self.f_s.clear();
-        self.f_s.resize(spec.words().len(), 0);
-        cover_words(&self.cubes[start..], spec.num_vars(), &mut self.f_s);
-        self.cubes.truncate(start);
+        self.f_s.resize(words, 0);
+        self.tallies.propagation_steps += 1;
+        match view.signal(signal) {
+            Signal::Input(var) => cover_words(&[Cube::literal(var, target)], &mut self.f_s),
+            Signal::Gate(gate) => {
+                let [left, right] = gate.fanin;
+                for (a, b) in columns(gate, target) {
+                    if self.solve(view, left, a).is_empty() {
+                        continue;
+                    }
+                    self.solve(view, right, b);
+                    let (l, r) = (self.cover(slot(left, a)), self.cover(slot(right, b)));
+                    let (l, r) = (&self.covers[l..l + words], &self.covers[r..r + words]);
+                    for ((f, x), y) in self.f_s.iter_mut().zip(l).zip(r) {
+                        *f |= x & y;
+                    }
+                }
+            }
+        }
+        clip_to_width(spec.num_vars(), &mut self.f_s);
         let accepted = self.f_s == spec.words();
         self.verdict(accepted)
+    }
+
+    /// Where the cover words of solved subproblem `slot` start in
+    /// `covers`, computing them on first use.
+    fn cover(&mut self, slot: usize) -> usize {
+        if let Some(&Some(at)) = self.cover_at.get(slot) {
+            return at as usize;
+        }
+        let (start, end) = self.memo[slot].expect("a list is solved before it is covered");
+        let at = self.covers.len();
+        self.covers.resize(at + self.f_s.len(), 0);
+        cover_words(&self.cubes[start as usize..end as usize], &mut self.covers[at..]);
+        if self.cover_at.len() <= slot {
+            self.cover_at.resize(slot + 1, None);
+        }
+        self.cover_at[slot] = Some(u32::try_from(at).expect("cover offsets fit in 32 bits"));
+        at
     }
 
     /// Tallies one query and its verdict, and returns the verdict.
@@ -340,10 +424,36 @@ impl Propagator {
     }
 }
 
+#[cfg(test)]
+impl Propagator {
+    /// The root check as Algorithm 2 states it, kept as the oracle of
+    /// [`Propagator::root_check`]: expands the root into an unsorted
+    /// tail of `cubes`, covers the tail into `f_s` words, drops the tail
+    /// and returns the verdict with the words. Leaves the tallies as
+    /// they were.
+    pub(crate) fn merged_root_check<V: NodeView + ?Sized>(
+        &mut self,
+        view: &V,
+        signal: usize,
+        target: bool,
+        spec: &TruthTable,
+    ) -> (bool, Vec<u64>) {
+        let tallies = std::mem::take(&mut self.tallies);
+        let start = self.expand(view, signal, target);
+        let mut f_s = vec![0; spec.words().len()];
+        cover_words(&self.cubes[start..], &mut f_s);
+        clip_to_width(spec.num_vars(), &mut f_s);
+        self.cubes.truncate(start);
+        self.tallies = tallies;
+        (f_s == spec.words(), f_s)
+    }
+}
+
 /// Sorts `cubes[start..]` and drops its duplicates, leaving the prefix
-/// alone.
+/// alone. The order is [`Cube`]'s (`care`, then `val`), compared as one
+/// `u64`.
 fn sort_dedup_tail(cubes: &mut Vec<Cube>, start: usize) {
-    cubes[start..].sort_unstable();
+    cubes[start..].sort_unstable_by_key(|c| u64::from(c.care) << 32 | u64::from(c.val));
     let mut kept = start;
     for i in start..cubes.len() {
         if kept == start || cubes[i] != cubes[kept - 1] {
@@ -424,8 +534,9 @@ pub fn solve_circuit(chain: &Chain, targets: &[bool]) -> CircuitSolutions {
 
 /// Verifies a candidate chain against a specification (step iv of
 /// §III): runs the root check on the chain's output for target `true`
-/// — Algorithm 2 with the output's list covered straight into `f_s`
-/// words — and accepts iff `f_s == f`.
+/// — Algorithm 2 on the output gate's fanins, whose lists' covers are
+/// intersected per structural-matrix column into `f_s` words — and
+/// accepts iff `f_s == f`.
 ///
 /// A malformed candidate — wrong input count, not exactly one output,
 /// or failing [`Chain::validate`] — is rejected, not a panic.
@@ -589,6 +700,50 @@ mod tests {
     }
 
     #[test]
+    fn root_check_matches_the_merged_root_check() {
+        // The chains of `packed_solver_matches_reference_solver`: every
+        // signal output, negated or not, checked against its true
+        // function and a one-minterm flip by one propagator per chain
+        // (so later outputs read memoized covers), word for word against
+        // the merge-then-cover oracle on another. Constant outputs go
+        // through `verify_chain` alone.
+        let (mut rng, mut flips) = (Lcg(0x5eed_c0de), Lcg(0xf11b_0001));
+        for n in 1..=16 {
+            for _ in 0..60 {
+                let outputs = 1 + rng.below(3);
+                let chain = random_chain(&mut rng, n, outputs);
+                // The reference test's target draws, so the chains match.
+                (0..outputs).for_each(|_| _ = rng.below(2));
+                let functions = chain.simulate_outputs().unwrap();
+                let (mut fast, mut oracle) = (Propagator::default(), Propagator::default());
+                for (out, function) in chain.outputs().iter().zip(&functions) {
+                    let mut words = function.words().to_vec();
+                    let m = flips.below(1 << n);
+                    words[m / 64] ^= 1 << (m % 64);
+                    let flipped = TruthTable::from_words(n, words).unwrap();
+                    let mut single = Chain::new(n);
+                    for gate in chain.gates() {
+                        single.add_gate(gate.fanin[0], gate.fanin[1], gate.tt2).unwrap();
+                    }
+                    single.add_output(*out);
+                    for spec in [function, &flipped] {
+                        let ctx =
+                            format!("n = {n}, output {out:?}, spec {}:\n{chain}", spec.to_hex());
+                        let verdict = verify_chain(&single, spec).unwrap();
+                        assert_eq!(verdict, spec == function, "{ctx}");
+                        let OutputRef::Signal { index, negated } = *out else { continue };
+                        let accepted = fast.root_check(&chain, index, !negated, spec);
+                        let (expected, f_s) =
+                            oracle.merged_root_check(&chain, index, !negated, spec);
+                        assert_eq!(fast.f_s, f_s, "{ctx}");
+                        assert_eq!((accepted, verdict), (expected, expected), "{ctx}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn verify_matches_simulation_for_true_and_flipped_specs() {
         let mut rng = Lcg(0xf11b_5eed);
         for n in 1..=16 {
@@ -686,6 +841,21 @@ mod tests {
         assert_eq!(counters.get("solver.propagation_steps"), Some(&13));
         assert_eq!(counters.get("solver.merges"), Some(&28));
         assert_eq!(counters.get("solver.queries"), Some(&1));
+    }
+
+    #[test]
+    fn root_check_reads_covers_at_the_spec_width() {
+        // One propagator checks Example 7's output against `8ff8` over
+        // 4, 8 and again 4 inputs (1, 4 and 1 words; inputs 4–7 unused):
+        // the memoized covers must follow the word count.
+        let chain = example7_chain();
+        let narrow = TruthTable::from_hex(4, "8ff8").unwrap();
+        let wide = TruthTable::from_words(8, vec![0x8ff8_8ff8_8ff8_8ff8; 4]).unwrap();
+        let mut prop = Propagator::default();
+        for spec in [&narrow, &wide, &narrow] {
+            assert!(prop.root_check(&chain, 6, true, spec), "{} inputs", spec.num_vars());
+            assert!(!prop.root_check(&chain, 6, false, spec), "{} inputs", spec.num_vars());
+        }
     }
 
     #[test]

@@ -2496,9 +2496,14 @@ mod tests {
         pruned_fences(gates).iter().flat_map(shapes_for_fence).collect()
     }
 
-    /// The forest verifier's verdict on arena node `id`.
+    /// The forest verifier's verdict on arena node `id`, after asserting
+    /// that the merge-then-cover root check gives the same one.
     fn forest_accepts(engine: &mut Factorizer, spec: &TruthTable, id: u32) -> bool {
-        engine.forest.root_check(&engine.nodes[..], id as usize, true, spec)
+        let accepted = engine.forest.root_check(&engine.nodes[..], id as usize, true, spec);
+        let (merged, _) =
+            engine.forest.merged_root_check(&engine.nodes[..], id as usize, true, spec);
+        assert_eq!(accepted, merged, "root {id}, spec {}", spec.to_hex());
+        accepted
     }
 
     /// Every root of every shape in `shapes`, with its chain, after
@@ -2629,8 +2634,9 @@ mod tests {
             assert_eq!(counters.get("solver.candidates_rejected"), Some(&rejected));
             assert_eq!(counters.get("solver.queries"), Some(&rejected));
             assert_eq!(counters.get("solver.candidates_verified"), None);
-            for (i, (_, chain)) in roots.iter().enumerate() {
+            for (i, &(root, ref chain)) in roots.iter().enumerate() {
                 assert!(!crate::verify_chain(chain, &flipped).unwrap());
+                assert!(!forest_accepts(&mut engine, &flipped, root));
                 let id = engine.lists[complemented.range()][i];
                 let wrong = tree_to_chain(&engine.nodes, id, spec.num_vars());
                 assert!(!crate::verify_chain(&wrong, &spec).unwrap());

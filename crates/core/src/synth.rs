@@ -15,13 +15,14 @@
 //!    the realization forest ([`crate::Factorizer::verified_chains_on_shape`]),
 //!    and return **all** verified optimum chains in one pass.
 
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use stp_chain::{trivial_chain, Chain, CostModel};
-use stp_fence::{pruned_fences, shapes_for_fence, shapes_with_gates, TreeShape};
+use stp_fence::{all_fences, pruned_fences, shapes_with_gates, Fence, TreeShape};
 use stp_store::{NpnOutcome, NpnView, RepOutcome, Store};
 use stp_tt::TruthTable;
 
@@ -167,7 +168,8 @@ pub fn synthesize(
 /// [`SynthesisConfig::max_depth`]. A [`CostObjective::depth_major`]
 /// objective instead walks depth `d` upward from `⌈log₂(support)⌉` and,
 /// within each depth, `r ≤ 2^d − 1` with the cap `Some(d)`. Each round
-/// enumerates its tree shapes, factorizes and verifies them, and folds
+/// borrows its tree shapes from the per-process [`RoundShapes`] table
+/// (a depth cap filters a copy), factorizes and verifies them, and folds
 /// the chains into the set at the best objective cost. The sweep stops
 /// once a round's [`CostObjective::gate_count_lower_bound`] exceeds that
 /// best cost; a depth-major sweep stops at its first non-empty round.
@@ -239,28 +241,20 @@ fn sweep(
         }
         let _round = stp_telemetry::span!("synth.round.r{}", r);
         stp_telemetry::counter!("synth.rounds").inc();
-        // Flatten the fence groups into one shape-indexed work list; the
-        // group boundaries carry no search semantics, only the fence
-        // tally.
-        let shapes: Vec<TreeShape> = {
+        let shapes = {
             let _enum = stp_telemetry::span!("phase.fence_enum");
-            let mut flat = if pruned {
-                let mut flat = Vec::new();
-                for fence in &pruned_fences(r) {
-                    fences_explored += 1;
-                    flat.extend(shapes_for_fence(fence));
-                }
-                flat
-            } else {
-                shapes_with_gates(r)
+            let round = RoundShapes::get(r, pruned);
+            round.count();
+            let shapes: Cow<'_, [TreeShape]> = match depth_cap {
+                Some(d) => round.shapes.iter().filter(|s| s.height() <= d).cloned().collect(),
+                None => Cow::Borrowed(&round.shapes),
             };
-            if let Some(d) = depth_cap {
-                flat.retain(|shape| shape.height() <= d);
-            }
-            if !pruned {
-                fences_explored += distinct_fence_count(&flat);
-            }
-            flat
+            fences_explored += if pruned || depth_cap.is_none() {
+                round.fences
+            } else {
+                distinct_fence_count(&shapes)
+            };
+            shapes
         };
         stp_telemetry::debug!("synth: r={r}, {} shapes, {jobs} worker(s)", shapes.len());
         // Re-arm the per-round cancel flag: a previous round may have
@@ -332,6 +326,84 @@ fn build_engines(
 /// the pruned fence family.
 fn distinct_fence_count(shapes: &[TreeShape]) -> usize {
     shapes.iter().filter_map(TreeShape::fence).collect::<HashSet<_>>().len()
+}
+
+/// Most gates a round may have: [`RoundShapes::get`]'s table ends here.
+/// A tree of this many gates has over 10⁹ shapes, far past any round
+/// that can finish.
+const MAX_ROUND_GATES: usize = 32;
+
+/// One round's tree shapes, built once per process for each gate count
+/// and pruning choice, with what the fence counters report for it. The
+/// fence groups of a pruned list carry no search semantics, only the
+/// fence tally; the sweep walks the list as one shape-indexed work list.
+#[derive(Debug)]
+struct RoundShapes {
+    /// The round's shapes, in [`shapes_with_gates`] order; pruned, they
+    /// are grouped by fence in [`pruned_fences`] order, each group
+    /// keeping that order.
+    shapes: Vec<TreeShape>,
+    /// Fences examined: the pruned family's size, or the distinct
+    /// fences of `shapes`.
+    fences: usize,
+    /// `fence.fences_generated` and `fence.fences_pruned`: the full
+    /// family `F_r` and what pruning dropped from it (pruned rounds
+    /// only).
+    generated_pruned: Option<(u64, u64)>,
+    /// `fence.shapes_generated`: the shapes [`shapes_with_gates`]
+    /// enumerated.
+    shapes_generated: u64,
+}
+
+impl RoundShapes {
+    /// The shapes of a round of `gates` gates, built on first use.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `gates` exceeds [`MAX_ROUND_GATES`].
+    fn get(gates: usize, pruned: bool) -> &'static RoundShapes {
+        static TABLE: [[OnceLock<RoundShapes>; 2]; MAX_ROUND_GATES + 1] =
+            [const { [const { OnceLock::new() }; 2] }; MAX_ROUND_GATES + 1];
+        assert!(gates <= MAX_ROUND_GATES, "no round of {gates} gates can be enumerated");
+        TABLE[gates][usize::from(pruned)].get_or_init(|| RoundShapes::build(gates, pruned))
+    }
+
+    fn build(gates: usize, pruned: bool) -> RoundShapes {
+        let all = shapes_with_gates(gates);
+        let shapes_generated = all.len() as u64;
+        if !pruned {
+            let fences = distinct_fence_count(&all);
+            return RoundShapes { shapes: all, fences, generated_pruned: None, shapes_generated };
+        }
+        let family = all_fences(gates).len();
+        let kept = pruned_fences(gates);
+        let fenced: Vec<(Option<Fence>, TreeShape)> =
+            all.into_iter().map(|shape| (shape.fence(), shape)).collect();
+        let shapes = kept
+            .iter()
+            .flat_map(|fence| {
+                fenced
+                    .iter()
+                    .filter(move |(f, _)| f.as_ref() == Some(fence))
+                    .map(|(_, s)| s.clone())
+            })
+            .collect();
+        RoundShapes {
+            shapes,
+            fences: kept.len(),
+            generated_pruned: Some((family as u64, (family - kept.len()) as u64)),
+            shapes_generated,
+        }
+    }
+
+    /// Adds one round's fence counters.
+    fn count(&self) {
+        if let Some((generated, pruned)) = self.generated_pruned {
+            stp_telemetry::counter!("fence.fences_generated").add(generated);
+            stp_telemetry::counter!("fence.fences_pruned").add(pruned);
+        }
+        stp_telemetry::counter!("fence.shapes_generated").add(self.shapes_generated);
+    }
 }
 
 /// A pluggable synthesis cost objective.

@@ -6,12 +6,15 @@
 //! the bench harness and the committed `BENCH_pins.json` pins
 //! rely on. It lives in its own integration binary because it reads the
 //! global registry and must not race other tests' counter traffic.
-//! A second test pins the candidate and verification counters of two
-//! whole synthesis runs per objective.
+//! Two more tests pin the candidate and verification counters of whole
+//! synthesis runs: two specs under two objectives, and the first
+//! function of stpbench's FDSD8 suite.
 
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use stp_fence::TreeShape;
 use stp_synth::{FactorConfig, Factorizer};
-use stp_tt::TruthTable;
+use stp_tt::{random_fdsd_tree, TruthTable};
 
 #[test]
 fn factor_counters_reach_the_global_registry() {
@@ -58,31 +61,53 @@ fn verify_counters(spec: &TruthTable, objective: &str) -> [u64; 5] {
 }
 
 /// `(spec, objective, [synth.candidates, solver.queries,
-/// solver.candidates_verified, synth.solutions], parent propagation
-/// steps)`, recorded before verification ran over the realization
-/// forest: one query per candidate, every candidate accepted.
+/// solver.candidates_verified, synth.solutions], solver.propagation_steps)`.
+/// The four counts were recorded before verification ran over the
+/// realization forest (one query per candidate, every candidate
+/// accepted); the propagation steps are the forest verifier's, which
+/// the root check must keep exactly: it solves the same fanin lists in
+/// the same order whether it merges them or intersects their covers.
 #[rustfmt::skip]
 const PINNED: [(usize, &str, &str, [u64; 4], u64); 4] = [
-    (8, "ffffffffffffffff0005000100050004ffffffffffffffff0000000400000001", "gates", [960, 960, 960, 960], 27_840),
-    (8, "ffffffffffffffff0005000100050004ffffffffffffffff0000000400000001", "depth", [768, 768, 768, 768], 23_808),
-    (4, "0693", "gates", [1120, 1120, 1120, 1120], 21_280),
-    (4, "0693", "depth", [480, 480, 480, 480], 9_120),
+    (8, "ffffffffffffffff0005000100050004ffffffffffffffff0000000400000001", "gates", [960, 960, 960, 960], 3_632),
+    (8, "ffffffffffffffff0005000100050004ffffffffffffffff0000000400000001", "depth", [768, 768, 768, 768], 904),
+    (4, "0693", "gates", [1120, 1120, 1120, 1120], 2_196),
+    (4, "0693", "depth", [480, 480, 480, 480], 852),
 ];
+
+/// The first function of stpbench's `fdsd8_cold` suite: the first tree
+/// drawn from its fixed tree seed (`FDSD8_TREES_SEED` in
+/// `stpbench/src/batch.rs`), with its candidate, query, accept,
+/// solution and propagation-step counts under the gate-count objective.
+const FDSD8_TREES_SEED: u64 = 0x4644_5344_3820_5452;
+#[rustfmt::skip]
+const FDSD8_FIRST: (&str, [u64; 4], u64) = (
+    "5a5aa5a59a9aa9a95a5aa5a59a5aa9a55a5aa5a59a9aa9a95a5aa5a59a9aa9a9",
+    [384, 384, 384, 384],
+    1_496,
+);
 
 #[test]
 fn forest_verification_keeps_the_candidate_counters() {
     // An FDSD8 function (7 gates) and a 6-gate NPN4 class under the
     // gate-count and depth objectives: the candidate, query, accept and
-    // solution counts stay those of per-chain verification, while the
-    // shared subtrees are propagated once per engine instead of once
-    // per candidate.
-    for (n, hex, objective, pinned, parent_steps) in PINNED {
+    // solution counts stay those of per-chain verification, and the
+    // propagation steps those of the forest verifier.
+    for (n, hex, objective, pinned, pinned_steps) in PINNED {
         let spec = TruthTable::from_hex(n, hex).unwrap();
         let [candidates, queries, verified, solutions, steps] = verify_counters(&spec, objective);
         assert_eq!([candidates, queries, verified, solutions], pinned, "{n}:{hex} {objective}");
-        assert!(
-            steps < parent_steps,
-            "{n}:{hex} {objective}: {steps} propagation steps, {parent_steps} per chain"
-        );
+        assert_eq!(steps, pinned_steps, "{n}:{hex} {objective}: propagation steps");
     }
+}
+
+#[test]
+fn stpbench_fdsd8_row_keeps_its_counters() {
+    let mut trees = SmallRng::seed_from_u64(FDSD8_TREES_SEED);
+    let spec = random_fdsd_tree(8, &mut trees).to_truth_table(8).unwrap();
+    let (hex, pinned, pinned_steps) = FDSD8_FIRST;
+    assert_eq!(spec.to_hex(), hex, "the suite's first tree");
+    let [candidates, queries, verified, solutions, steps] = verify_counters(&spec, "gates");
+    assert_eq!([candidates, queries, verified, solutions], pinned, "8:{hex}");
+    assert_eq!(steps, pinned_steps, "8:{hex}: propagation steps");
 }

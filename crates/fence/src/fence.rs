@@ -101,7 +101,6 @@ pub fn fences_with_levels(k: usize, l: usize) -> Vec<Fence> {
         }
     }
     recurse(k, l, &mut cur, &mut out);
-    stp_telemetry::counter!("fence.fences_generated").add(out.len() as u64);
     out
 }
 
@@ -114,11 +113,7 @@ pub fn all_fences(k: usize) -> Vec<Fence> {
 /// Enumerates the pruned family used by the paper (Fig. 2b for `k = 3`):
 /// single top node, each level at most twice the level above.
 pub fn pruned_fences(k: usize) -> Vec<Fence> {
-    let full = all_fences(k);
-    let total = full.len();
-    let kept: Vec<Fence> = full.into_iter().filter(Fence::is_pruned_valid).collect();
-    stp_telemetry::counter!("fence.fences_pruned").add((total - kept.len()) as u64);
-    kept
+    all_fences(k).into_iter().filter(Fence::is_pruned_valid).collect()
 }
 
 #[cfg(test)]

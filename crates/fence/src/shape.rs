@@ -110,40 +110,33 @@ impl fmt::Display for TreeShape {
 /// Wedderburn–Etherington numbers: 1, 1, 2, 3, 6, 11, 23, … shapes for
 /// 1, 2, 3, … gates.
 pub fn shapes_with_gates(gates: usize) -> Vec<TreeShape> {
-    let out = shapes_with_leaves(gates + 1);
-    stp_telemetry::counter!("fence.shapes_generated").add(out.len() as u64);
-    out
+    shapes_with_leaves(gates + 1)
 }
 
+/// The canonical shapes with `leaves` leaves, sorted: built bottom-up
+/// by leaf count, so each smaller list is built once. A shape of `k`
+/// leaves pairs a `left`-leaf shape with a `(k − left)`-leaf one,
+/// `left ≤ k / 2`; for equal halves, only pairs with the first no
+/// greater than the second.
 fn shapes_with_leaves(leaves: usize) -> Vec<TreeShape> {
     if leaves == 0 {
         return Vec::new();
     }
-    if leaves == 1 {
-        return vec![TreeShape::Leaf];
-    }
-    let mut out = Vec::new();
-    for left in 1..=(leaves / 2) {
-        let right = leaves - left;
-        let ls = shapes_with_leaves(left);
-        let rs = shapes_with_leaves(right);
-        if left == right {
+    let mut by_leaves: Vec<Vec<TreeShape>> = vec![Vec::new(), vec![TreeShape::Leaf]];
+    for total in 2..=leaves {
+        let mut out = Vec::new();
+        for left in 1..=total / 2 {
+            let (ls, rs) = (&by_leaves[left], &by_leaves[total - left]);
             for (i, a) in ls.iter().enumerate() {
-                for b in &rs[i..] {
-                    out.push(TreeShape::node(a.clone(), b.clone()));
-                }
-            }
-        } else {
-            for a in &ls {
-                for b in &rs {
-                    out.push(TreeShape::node(a.clone(), b.clone()));
-                }
+                let rs = if 2 * left == total { &rs[i..] } else { &rs[..] };
+                out.extend(rs.iter().map(|b| TreeShape::node(a.clone(), b.clone())));
             }
         }
+        out.sort();
+        out.dedup();
+        by_leaves.push(out);
     }
-    out.sort();
-    out.dedup();
-    out
+    by_leaves.swap_remove(leaves)
 }
 
 /// Enumerates the canonical shapes with `gates` internal nodes whose
@@ -159,13 +152,59 @@ pub fn shapes_for_fence(fence: &Fence) -> Vec<TreeShape> {
 mod tests {
     use super::*;
 
+    /// The enumeration as first written: recurses for each split, so a
+    /// smaller list is rebuilt once per split that needs it.
+    fn shapes_with_leaves_recursive(leaves: usize) -> Vec<TreeShape> {
+        if leaves == 0 {
+            return Vec::new();
+        }
+        if leaves == 1 {
+            return vec![TreeShape::Leaf];
+        }
+        let mut out = Vec::new();
+        for left in 1..=(leaves / 2) {
+            let right = leaves - left;
+            let ls = shapes_with_leaves_recursive(left);
+            let rs = shapes_with_leaves_recursive(right);
+            if left == right {
+                for (i, a) in ls.iter().enumerate() {
+                    for b in &rs[i..] {
+                        out.push(TreeShape::node(a.clone(), b.clone()));
+                    }
+                }
+            } else {
+                for a in &ls {
+                    for b in &rs {
+                        out.push(TreeShape::node(a.clone(), b.clone()));
+                    }
+                }
+            }
+        }
+        out.sort();
+        out.dedup();
+        out
+    }
+
     #[test]
     fn wedderburn_etherington_counts() {
-        // Shapes with n leaves: 1, 1, 1, 2, 3, 6, 11, 23, 46, 98.
-        let expected = [1usize, 1, 2, 3, 6, 11, 23, 46, 98];
+        // Shapes with 2, 3, …, 11 leaves (1 to 10 gates).
+        let expected = [1usize, 1, 2, 3, 6, 11, 23, 46, 98, 207];
         for (gates, &count) in expected.iter().enumerate() {
             assert_eq!(shapes_with_gates(gates + 1).len(), count, "gates = {}", gates + 1);
         }
+        assert!(shapes_with_gates(0) == [TreeShape::Leaf]);
+    }
+
+    #[test]
+    fn bottom_up_enumeration_matches_the_recursion() {
+        for gates in 0..=9 {
+            assert_eq!(
+                shapes_with_gates(gates),
+                shapes_with_leaves_recursive(gates + 1),
+                "gates = {gates}"
+            );
+        }
+        assert!(shapes_with_leaves(0).is_empty());
     }
 
     #[test]
