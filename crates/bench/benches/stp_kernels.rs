@@ -100,6 +100,23 @@ fn bench_circuit_solver(c: &mut Criterion) {
     c.bench_function("circuit_verify_fdsd8", |b| {
         b.iter(|| verify_chain(black_box(&tree), black_box(&spec)).unwrap())
     });
+    // The wide end: 16-input AND and XOR chains. Verification propagates
+    // 1 024-word covers, so the AND chain (one cube per subproblem) pays
+    // for the words and the XOR chain (cube lists that double per gate)
+    // gains from them.
+    for (name, op) in [("circuit_verify_and16", 0x8), ("circuit_verify_xor16", 0x6)] {
+        let mut chain = Chain::new(16);
+        let mut prev = 0usize;
+        for i in 1..16 {
+            prev = chain.add_gate(prev, i, op).unwrap();
+        }
+        chain.add_output(OutputRef::signal(prev));
+        let spec = chain.simulate_outputs().unwrap().remove(0);
+        assert!(verify_chain(&chain, &spec).unwrap(), "the bench times the accept path");
+        c.bench_function(name, |b| {
+            b.iter(|| verify_chain(black_box(&chain), black_box(&spec)).unwrap())
+        });
+    }
 }
 
 fn bench_npn_kernels(c: &mut Criterion) {

@@ -190,6 +190,12 @@ impl Chain {
         Chain { num_inputs, gates: Vec::new(), outputs: Vec::new() }
     }
 
+    /// Creates an empty chain over `num_inputs` primary inputs with room
+    /// for `gates` gates, so adding that many never regrows the list.
+    pub fn with_capacity(num_inputs: usize, gates: usize) -> Self {
+        Chain { num_inputs, gates: Vec::with_capacity(gates), outputs: Vec::new() }
+    }
+
     /// Number of primary inputs.
     pub fn num_inputs(&self) -> usize {
         self.num_inputs

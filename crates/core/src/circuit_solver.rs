@@ -13,31 +13,32 @@
 //! §III): a candidate chain is accepted when the assignments that set
 //! its output true are exactly the ON-set of the specification.
 //!
-//! Internally a partial assignment is a packed [`Cube`] (two `u32`
-//! masks), so `MERGE` is one conflict test and two ORs.
+//! Algorithm 1 keeps a partial assignment as a packed [`Cube`] (two
+//! `u32` masks), so `MERGE` is one conflict test and two ORs.
 //!
-//! # Node view and root check
+//! # Node view and verification
 //!
 //! Algorithm 2 runs over a [`NodeView`]: signal ids that are either
 //! primary inputs or gates with two fanin ids. A [`Chain`] is one view
 //! (signals below `n` are inputs); the factorization engine's
 //! realization arena is another (a leaf node is input `left`). A
-//! propagator memoizes every `(signal, target)` subproblem as a sorted,
-//! deduplicated cube list, so each is solved once however many
-//! structural-matrix columns — or, over the arena, however many
-//! candidate roots — ask for it.
+//! propagator memoizes every `(signal, target)` subproblem, so each is
+//! solved once however many structural-matrix columns — or, over the
+//! arena, however many candidate roots — ask for it.
 //!
-//! Verification ends in the **root check**, which never builds the
-//! root's own list. `MERGE` is cube intersection, so the minterms
-//! covered by the merges of two lists `L` and `R` are
-//! `cover(L) ∧ cover(R)`: the root's [`TruthTable`]-layout `f_s` words
-//! are the OR, over the root's structural-matrix columns `(a, b)`, of
-//! the AND of its two fanin lists' cover words. Each fanin list's cover
-//! is computed once and memoized next to the list, so a check costs a
-//! few word operations per column however long the lists are.
+//! Verification propagates **cover words**, never cube lists. `MERGE`
+//! is cube intersection, so the minterms covered by the merges of two
+//! lists `L` and `R` are `cover(L) ∧ cover(R)`, and a list is empty
+//! exactly when its cover is zero. A subproblem is memoized as its
+//! [`TruthTable`]-layout words at the spec's word count: an input gives
+//! its literal's cover, and a gate the OR, over its structural-matrix
+//! columns `(a, b)` for the target, of `cover(left, a) ∧ cover(right,
+//! b)`, with the right fanin skipped when the left cover is zero. The
+//! **root check** applies the same rule to the root without memoizing
+//! it and accepts iff the resulting `f_s` equals the spec.
 //! [`verify_chain`] and the engine's forest verifier share this check;
-//! [`solve_circuit`] keeps Algorithm 1's merge with the all-unassigned
-//! solution and its sorted output.
+//! [`solve_circuit`] keeps Algorithm 1's sorted cube lists, its merge
+//! with the all-unassigned solution and its sorted output.
 
 use std::collections::BTreeSet;
 use std::ops::Range;
@@ -239,12 +240,12 @@ impl NodeView for Chain {
     }
 }
 
-/// Algorithm 2's state over one [`NodeView`]: every solved
-/// `(signal, target)` subproblem keeps its sorted, deduplicated cube
-/// list in one arena for as long as the propagator lives, and every
-/// list a root check reads keeps its cover words in a second arena. A
-/// cube list depends only on the signal's fan-in cone, so a propagator
-/// may serve any number of roots of the same view.
+/// Algorithm 2's state over one [`NodeView`], with one memo per
+/// consumer. Verification keeps every solved `(signal, target)`
+/// subproblem as its cover words at the spec's word count; Algorithm 1
+/// ([`solve_circuit`]) keeps each as a sorted, deduplicated cube list.
+/// Both depend only on the signal's fan-in cone, so a propagator may
+/// serve any number of roots of the same view.
 #[derive(Debug, Default)]
 pub(crate) struct Propagator {
     /// `memo[2 * signal + target]`: that subproblem's `start..end` in
@@ -252,8 +253,8 @@ pub(crate) struct Propagator {
     memo: Vec<Option<(u32, u32)>>,
     cubes: Vec<Cube>,
     /// `cover_at[2 * signal + target]`: where that subproblem's cover
-    /// words start in `covers`, written on the root check's first read.
-    cover_at: Vec<Option<u32>>,
+    /// words start in `covers`, and whether any of them is non-zero.
+    cover_at: Vec<Option<(u32, bool)>>,
     /// Cover words, `f_s.len()` per entry.
     covers: Vec<u64>,
     /// The root check's `f_s` words.
@@ -262,8 +263,8 @@ pub(crate) struct Propagator {
 }
 
 /// A propagator's counts since its last flush: queries and their
-/// verdicts, subproblems expanded, and merge attempts (conflicting ones
-/// included).
+/// verdicts, subproblems expanded, and Algorithm 1's merge attempts
+/// (conflicting ones included).
 #[derive(Debug, Default)]
 struct Tallies {
     queries: u64,
@@ -337,13 +338,67 @@ impl Propagator {
         start
     }
 
-    /// The root check, one query: `f_s` is the OR, over the root's
-    /// structural-matrix columns `(a, b)` for `target`, of the AND of
-    /// the memoized cover words of the left fanin's list under `a` and
-    /// the right fanin's under `b`; accepts iff `f_s` equals `spec`. The
-    /// fanin lists are solved as [`Propagator::expand`] solves them
-    /// (left first, right skipped when left is empty), so the query
-    /// expands the same subproblems; the root's own list is never built.
+    /// Algorithm 2 over covers for one subproblem: pushes the cover of
+    /// the assignments under which `signal` takes `target` onto `covers`
+    /// (`f_s.len()` words) and returns where it starts. `MERGE` is cube
+    /// intersection, so the cover of the merges of two lists is the AND
+    /// of their covers, and a list is empty exactly when its cover is
+    /// zero: fanins are solved as [`Propagator::expand`] solves them
+    /// (left first, right skipped when left is empty), through the memo.
+    fn push_cover<V: NodeView + ?Sized>(&mut self, view: &V, signal: usize, target: bool) -> usize {
+        self.tallies.propagation_steps += 1;
+        let (mut pairs, mut used) = ([(0, 0); 4], 0);
+        let literal = match view.signal(signal) {
+            Signal::Input(var) => Some(Cube::literal(var, target)),
+            Signal::Gate(gate) => {
+                for (a, b) in columns(gate, target) {
+                    let (left, nonempty) = self.cover(view, gate.fanin[0], a);
+                    if nonempty {
+                        pairs[used] = (left, self.cover(view, gate.fanin[1], b).0);
+                        used += 1;
+                    }
+                }
+                None
+            }
+        };
+        let (at, words) = (self.covers.len(), self.f_s.len());
+        self.covers.resize(at + words, 0);
+        let (fanins, out) = self.covers.split_at_mut(at);
+        cover_words(literal.as_slice(), out);
+        for &(l, r) in &pairs[..used] {
+            let (l, r) = (&fanins[l..l + words], &fanins[r..r + words]);
+            for ((f, x), y) in out.iter_mut().zip(l).zip(r) {
+                *f |= x & y;
+            }
+        }
+        at
+    }
+
+    /// The memoized [`Propagator::push_cover`] of `(signal, target)`:
+    /// where its words start in `covers`, and whether any is non-zero.
+    fn cover<V: NodeView + ?Sized>(
+        &mut self,
+        view: &V,
+        signal: usize,
+        target: bool,
+    ) -> (usize, bool) {
+        let slot = slot(signal, target);
+        if let Some(&Some((at, nonempty))) = self.cover_at.get(slot) {
+            return (at as usize, nonempty);
+        }
+        let at = self.push_cover(view, signal, target);
+        let nonempty = self.covers[at..].iter().any(|&w| w != 0);
+        if self.cover_at.len() <= slot {
+            self.cover_at.resize(slot + 1, None);
+        }
+        let offset = u32::try_from(at).expect("cover offsets fit in 32 bits");
+        self.cover_at[slot] = Some((offset, nonempty));
+        (at, nonempty)
+    }
+
+    /// The root check, one query: `f_s` is the root's cover, pushed as
+    /// a fanin's but then taken off `covers` unmemoized; accepts iff
+    /// `f_s` equals `spec`.
     pub(crate) fn root_check<V: NodeView + ?Sized>(
         &mut self,
         view: &V,
@@ -356,47 +411,14 @@ impl Propagator {
             // Covers are laid out for one word count.
             self.cover_at.clear();
             self.covers.clear();
+            self.f_s.resize(words, 0);
         }
-        self.f_s.clear();
-        self.f_s.resize(words, 0);
-        self.tallies.propagation_steps += 1;
-        match view.signal(signal) {
-            Signal::Input(var) => cover_words(&[Cube::literal(var, target)], &mut self.f_s),
-            Signal::Gate(gate) => {
-                let [left, right] = gate.fanin;
-                for (a, b) in columns(gate, target) {
-                    if self.solve(view, left, a).is_empty() {
-                        continue;
-                    }
-                    self.solve(view, right, b);
-                    let (l, r) = (self.cover(slot(left, a)), self.cover(slot(right, b)));
-                    let (l, r) = (&self.covers[l..l + words], &self.covers[r..r + words]);
-                    for ((f, x), y) in self.f_s.iter_mut().zip(l).zip(r) {
-                        *f |= x & y;
-                    }
-                }
-            }
-        }
+        let at = self.push_cover(view, signal, target);
+        self.f_s.copy_from_slice(&self.covers[at..]);
+        self.covers.truncate(at);
         clip_to_width(spec.num_vars(), &mut self.f_s);
         let accepted = self.f_s == spec.words();
         self.verdict(accepted)
-    }
-
-    /// Where the cover words of solved subproblem `slot` start in
-    /// `covers`, computing them on first use.
-    fn cover(&mut self, slot: usize) -> usize {
-        if let Some(&Some(at)) = self.cover_at.get(slot) {
-            return at as usize;
-        }
-        let (start, end) = self.memo[slot].expect("a list is solved before it is covered");
-        let at = self.covers.len();
-        self.covers.resize(at + self.f_s.len(), 0);
-        cover_words(&self.cubes[start as usize..end as usize], &mut self.covers[at..]);
-        if self.cover_at.len() <= slot {
-            self.cover_at.resize(slot + 1, None);
-        }
-        self.cover_at[slot] = Some(u32::try_from(at).expect("cover offsets fit in 32 bits"));
-        at
     }
 
     /// Tallies one query and its verdict, and returns the verdict.
@@ -446,6 +468,32 @@ impl Propagator {
         self.cubes.truncate(start);
         self.tallies = tallies;
         (f_s == spec.words(), f_s)
+    }
+
+    /// Asserts that every cover this propagator memoized equals the
+    /// cover of Algorithm 2's cube list for the same subproblem, solved
+    /// on `lists`, and is non-empty exactly when that list is. Returns
+    /// how many covers it compared.
+    pub(crate) fn assert_covers_match_lists<V: NodeView + ?Sized>(
+        &self,
+        view: &V,
+        lists: &mut Propagator,
+        ctx: &str,
+    ) -> usize {
+        let words = self.f_s.len();
+        let memoized = self.cover_at.iter().enumerate();
+        let mut compared = 0;
+        for (slot, (at, nonempty)) in memoized.filter_map(|(s, c)| Some((s, (*c)?))) {
+            let (signal, target) = (slot / 2, slot % 2 == 1);
+            let list = lists.solve(view, signal, target);
+            let mut expected = vec![0; words];
+            cover_words(&lists.cubes[list.clone()], &mut expected);
+            let at = at as usize;
+            assert_eq!(self.covers[at..at + words], expected, "slot {slot}: {ctx}");
+            assert_eq!(nonempty, !list.is_empty(), "slot {slot}: {ctx}");
+            compared += 1;
+        }
+        compared
     }
 }
 
@@ -534,9 +582,8 @@ pub fn solve_circuit(chain: &Chain, targets: &[bool]) -> CircuitSolutions {
 
 /// Verifies a candidate chain against a specification (step iv of
 /// §III): runs the root check on the chain's output for target `true`
-/// — Algorithm 2 on the output gate's fanins, whose lists' covers are
-/// intersected per structural-matrix column into `f_s` words — and
-/// accepts iff `f_s == f`.
+/// — Algorithm 2 over cover words, intersected per structural-matrix
+/// column into `f_s` words — and accepts iff `f_s == f`.
 ///
 /// A malformed candidate — wrong input count, not exactly one output,
 /// or failing [`Chain::validate`] — is rejected, not a panic.
@@ -699,6 +746,11 @@ mod tests {
         }
     }
 
+    /// The slots of a per-slot memo that hold a solved subproblem.
+    fn solved<T>(memo: &[Option<T>]) -> Vec<usize> {
+        memo.iter().enumerate().filter_map(|(slot, m)| m.as_ref().map(|_| slot)).collect()
+    }
+
     #[test]
     fn root_check_matches_the_merged_root_check() {
         // The chains of `packed_solver_matches_reference_solver`: every
@@ -706,8 +758,11 @@ mod tests {
         // function and a one-minterm flip by one propagator per chain
         // (so later outputs read memoized covers), word for word against
         // the merge-then-cover oracle on another. Constant outputs go
-        // through `verify_chain` alone.
+        // through `verify_chain` alone. Every cover the checks memoized
+        // must then equal its cube list's cover, and be non-empty exactly
+        // when the list is.
         let (mut rng, mut flips) = (Lcg(0x5eed_c0de), Lcg(0xf11b_0001));
+        let mut compared = 0;
         for n in 1..=16 {
             for _ in 0..60 {
                 let outputs = 1 + rng.below(3);
@@ -739,8 +794,13 @@ mod tests {
                         assert_eq!((accepted, verdict), (expected, expected), "{ctx}");
                     }
                 }
+                // Both propagators solved the same subproblems.
+                let ctx = format!("n = {n}:\n{chain}");
+                assert_eq!(solved(&fast.cover_at), solved(&oracle.memo), "{ctx}");
+                compared += fast.assert_covers_match_lists(&chain, &mut oracle, &ctx);
             }
         }
+        assert!(compared > 1_000, "only {compared} memoized covers compared");
     }
 
     #[test]
@@ -841,6 +901,22 @@ mod tests {
         assert_eq!(counters.get("solver.propagation_steps"), Some(&13));
         assert_eq!(counters.get("solver.merges"), Some(&28));
         assert_eq!(counters.get("solver.queries"), Some(&1));
+    }
+
+    #[test]
+    fn an_empty_left_cover_skips_the_right_fanin() {
+        // x3 = AND(x2, x1) over the constant-false x2 = 0x0(x0, x1): the
+        // root's only true column needs x2 = 1, whose cover is empty, so
+        // the root check expands the root and x2 alone, never x1.
+        let mut chain = Chain::new(2);
+        let never = chain.add_gate(0, 1, 0x0).unwrap();
+        let top = chain.add_gate(never, 1, 0x8).unwrap();
+        chain.add_output(OutputRef::signal(top));
+        let scope = stp_telemetry::CounterScope::enter();
+        assert!(verify_chain(&chain, &TruthTable::constant(2, false).unwrap()).unwrap());
+        let counters = scope.finish();
+        assert_eq!(counters.get("solver.propagation_steps"), Some(&2));
+        assert_eq!(counters.get("solver.merges"), None);
     }
 
     #[test]

@@ -56,13 +56,14 @@
 //! *Word-level factorization kernels*), chosen per split:
 //!
 //! * **`u64` lanes** — spec of at most [`FAST_MAX_VARS`] inputs,
-//!   `|A| + |B| ≤ 6` and `|S| ≤ 6`: the spec is compacted onto the
+//!   `|A| + |B| ≤ 6` and `|S| ≤ 6`: the spec is compacted once onto the
 //!   split's variable order with the `stp-tt` kernel primitives, so
 //!   every decomposition chart is a contiguous power-of-two-aligned bit
 //!   slice of one word, patterns and labellings are `u64` masks, the
-//!   two-pattern test and the consistency check are mask algebra, and
-//!   candidate operands are scattered word-level into stack buffers: the
-//!   split/combination loops never allocate;
+//!   two-pattern test (column labels read off the two row patterns) and
+//!   the consistency check are mask algebra, and candidate operands are
+//!   scattered word-level into stack buffers: the split/combination
+//!   loops never allocate;
 //! * **[`W4`] lanes** — spec of at most [`WIDE_MAX_VARS`] inputs,
 //!   `|A| + |B| ≤ 8` and `|S| ≤ 8`: the same source monomorphized one
 //!   lane wider; the compact spec spans up to [`WIDE_WORDS`] words, a
@@ -97,7 +98,7 @@
 //!
 //! [`Factorizer::verified_chains_on_shape`] runs the paper's step (iv)
 //! on the arena itself: the circuit solver's Algorithm 2 walks the
-//! realization DAG through a `NodeView`, with one `(node, target)` cube
+//! realization DAG through a `NodeView`, with one `(node, target)` cover
 //! memo that lives as long as the arena, so a subtree shared by many
 //! candidates is propagated once. Each root gets the solver's root
 //! check against the spec, and only an accepted root becomes a `Chain`.
@@ -573,8 +574,10 @@ impl Factorizer {
         shape: &TreeShape,
     ) -> Result<Vec<Chain>, SynthesisError> {
         let roots = self.roots(spec, shape)?;
-        let n = spec.num_vars();
-        Ok(self.lists[roots.range()].iter().map(|&id| tree_to_chain(&self.nodes, id, n)).collect())
+        let (n, gates) = (spec.num_vars(), shape.gate_count());
+        let chains =
+            self.lists[roots.range()].iter().map(|&id| tree_to_chain(&self.nodes, id, n, gates));
+        Ok(chains.collect())
     }
 
     /// One shape's steps (iii) and (iv): factorizes `spec` on `shape`
@@ -607,7 +610,7 @@ impl Factorizer {
             return Ok(Vec::new());
         }
         let _verify = stp_telemetry::span!("phase.verify");
-        self.verify_roots(spec, roots, max_solutions, cancel)
+        self.verify_roots(spec, roots, shape.gate_count(), max_solutions, cancel)
     }
 
     /// All realizations of `spec` on `shape`: the roots both public
@@ -649,11 +652,13 @@ impl Factorizer {
         result
     }
 
-    /// The verification loop of [`Factorizer::verified_chains_on_shape`].
+    /// The verification loop of [`Factorizer::verified_chains_on_shape`]
+    /// over roots of `gates` gates.
     fn verify_roots(
         &mut self,
         spec: &TruthTable,
         roots: Realizations,
+        gates: usize,
         max_solutions: usize,
         cancel: &AtomicBool,
     ) -> Result<Vec<Chain>, SynthesisError> {
@@ -675,7 +680,7 @@ impl Factorizer {
             // 1-based root index within the shape.
             stp_faultsim::fail_point!("verify.root", hit = (i - roots.start as usize) as u64 + 1);
             if self.forest.root_check(&self.nodes[..], id as usize, true, spec) {
-                solutions.push(tree_to_chain(&self.nodes, id, spec.num_vars()));
+                solutions.push(tree_to_chain(&self.nodes, id, spec.num_vars(), gates));
             }
         }
         self.forest.flush();
@@ -914,20 +919,15 @@ impl Factorizer {
         let cols_mask = L::low_mask(cols);
 
         // Compact the spec onto `B ++ A ++ S` (row-major charts: cell
-        // (r, c) of shared assignment s is bit `c + r·cols + s·cells`)
-        // and onto `A ++ B ++ S` (the transposed charts, for column
-        // patterns). Every chart is then an aligned power-of-two bit
-        // slice of at most one lane.
+        // (r, c) of shared assignment s is bit `c + r·cols + s·cells`).
+        // Every chart is then an aligned power-of-two bit slice of at
+        // most one lane.
         let mut order = [0usize; 16];
         order[..rb].copy_from_slice(b_vars);
         order[rb..rb + ra].copy_from_slice(a_vars);
         order[rb + ra..d].copy_from_slice(s_vars);
-        let mut compact_rc = [0u64; WORDS];
-        compact_into_words(h, &order[..d], &mut compact_rc);
-        order[..ra].copy_from_slice(a_vars);
-        order[ra..ra + rb].copy_from_slice(b_vars);
-        let mut compact_cr = [0u64; WORDS];
-        compact_into_words(h, &order[..d], &mut compact_cr);
+        let mut compact = [0u64; WORDS];
+        compact_into_words(h, &order[..d], &mut compact);
 
         // Per shared assignment: the chart, the first row/column
         // labelling option (bit i ⇔ axis element i carries the second
@@ -939,14 +939,10 @@ impl Factorizer {
         let mut rcell0 = [L::ZERO; SHARED];
         let mut ccell0 = [L::ZERO; SHARED];
         for s in 0..shared {
-            let chart = L::slice(&compact_rc, s * cells, cells);
-            let chart_t = L::slice(&compact_cr, s * cells, cells);
+            let chart = L::slice(&compact, s * cells, cells);
             self.charts_built += 1;
             // Two unique quartering parts per axis (Examples 5–6).
-            let Some(r0) = two_pattern_mask(chart, rows, cols) else {
-                return Ok(());
-            };
-            let Some(c0) = two_pattern_mask(chart_t, cols, rows) else {
+            let Some((r0, c0)) = chart_labels(chart, rows, cols) else {
                 return Ok(());
             };
             charts[s] = chart;
@@ -1477,11 +1473,47 @@ impl Lane for W4 {
     }
 }
 
+/// Mask form of [`two_pattern_labels`] for the rows and the columns of
+/// a row-major `rows × cols` chart, or `None` when either axis has
+/// more than two distinct patterns. One scan finds row 0's pattern `p0`
+/// and the other row pattern `p1` (`p0` if none); column `c` is then
+/// `(p0[c], p1[c])` spread over the row labels. With `x = p0 ⊕
+/// splat(p0[0])` and `y = p1 ⊕ splat(p1[0])`, column `c` differs from
+/// column 0 iff bit `c` of `x ∨ y` is set, and the columns have more
+/// than two patterns iff more than one of `x ∧ ¬y`, `¬x ∧ y`, `x ∧ y`
+/// is non-zero.
+fn chart_labels<L: Lane>(chart: L, rows: usize, cols: usize) -> Option<(L, L)> {
+    let p0 = chart.field(0, cols);
+    let mut p1 = None;
+    let mut labels = L::ZERO;
+    for i in 1..rows {
+        let p = chart.field(i, cols);
+        if p == p0 {
+            continue;
+        }
+        match p1 {
+            None => {
+                p1 = Some(p);
+                labels.set_bit(i);
+            }
+            Some(q) if p == q => labels.set_bit(i),
+            Some(_) => return None,
+        }
+    }
+    let p1 = p1.unwrap_or(p0);
+    let flip = |p: L| if p.field(0, 1) == L::ZERO { p } else { !p & L::low_mask(cols) };
+    let (x, y) = (flip(p0), flip(p1));
+    let classes = [x & !y, !x & y, x & y].into_iter().filter(|&c| c != L::ZERO).count();
+    (classes <= 1).then_some((labels, x | y))
+}
+
 /// Mask form of [`two_pattern_labels`]: returns the first labelling
 /// option (bit `i` set ⇔ axis element `i` carries the second distinct
 /// pattern; all zeros for a degenerate single-pattern axis), or `None`
 /// when more than two distinct patterns exist. `chart` holds `count`
-/// fields of `width` bits each.
+/// fields of `width` bits each. The scan of a chart and of its
+/// transpose that [`chart_labels`] replaces, kept as its oracle.
+#[cfg(test)]
 fn two_pattern_mask<L: Lane>(chart: L, count: usize, width: usize) -> Option<L> {
     let first = chart.field(0, width);
     let mut second: Option<L> = None;
@@ -1637,9 +1669,9 @@ impl NodeView for [RealNode] {
     }
 }
 
-/// Converts the arena realization `id` into a chain over `n` inputs
-/// with a single positive output.
-fn tree_to_chain(nodes: &[RealNode], id: u32, n: usize) -> Chain {
+/// Converts the arena realization `id`, of `gates` gates, into a chain
+/// over `n` inputs with a single positive output.
+fn tree_to_chain(nodes: &[RealNode], id: u32, n: usize, gates: usize) -> Chain {
     fn emit(nodes: &[RealNode], id: u32, chain: &mut Chain) -> usize {
         let node = nodes[id as usize];
         if node.gate == LEAF_GATE {
@@ -1651,7 +1683,7 @@ fn tree_to_chain(nodes: &[RealNode], id: u32, n: usize) -> Chain {
             .add_gate(li, ri, node.gate)
             .expect("realization trees reference earlier signals with distinct fanins")
     }
-    let mut chain = Chain::new(n);
+    let mut chain = Chain::with_capacity(n, gates);
     let top = emit(nodes, id, &mut chain);
     chain.add_output(OutputRef::signal(top));
     chain
@@ -2236,6 +2268,84 @@ mod tests {
         }
     }
 
+    /// The row and column labels of a row-major `rows × cols` chart as
+    /// the scan of the chart and of its transpose gives them.
+    fn scanned_labels<L: Lane>(chart: L, rows: usize, cols: usize) -> Option<(L, L)> {
+        let mut transposed = L::ZERO;
+        for r in 0..rows {
+            for c in 0..cols {
+                if chart.field(r * cols + c, 1) != L::ZERO {
+                    transposed.set_bit(c * rows + r);
+                }
+            }
+        }
+        Some((two_pattern_mask(chart, rows, cols)?, two_pattern_mask(transposed, cols, rows)?))
+    }
+
+    /// A `rows × cols` chart with at most two row patterns: two random
+    /// patterns over random row labels, so that the column test decides.
+    fn two_row_chart<L: Lane>(rng: &mut Lcg, rows: usize, cols: usize) -> L {
+        let random = |rng: &mut Lcg, bits: usize| {
+            let mut lane = L::ZERO;
+            (0..bits).filter(|_| rng.next() & 1 == 1).for_each(|i| lane.set_bit(i));
+            lane
+        };
+        let (p0, p1, labels) = (random(rng, cols), random(rng, cols), random(rng, rows));
+        let mut chart = [0u64; 4];
+        for r in 0..rows {
+            let row = if labels.field(r, 1) == L::ZERO { p0 } else { p1 };
+            row.or_into(&mut chart, r * cols, cols);
+        }
+        L::slice(&chart, 0, rows * cols)
+    }
+
+    #[test]
+    fn row_derived_column_labels_match_the_transposed_scan() {
+        // Exhaustive: every chart of at most 16 cells, in every shape
+        // from 1×1 to 16×1 and 1×16, at both lane widths.
+        let mut shapes = 0;
+        for cells_log in 0..=4 {
+            for rows_log in 0..=cells_log {
+                let (rows, cols) = (1usize << rows_log, 1usize << (cells_log - rows_log));
+                shapes += 1;
+                for bits in 0..1u64 << (rows * cols) {
+                    let want = scanned_labels(bits, rows, cols);
+                    assert_eq!(chart_labels(bits, rows, cols), want, "{rows}×{cols} {bits:#x}");
+                    let wide = W4([bits, 0, 0, 0]);
+                    let want = want.map(|(r, c)| (W4([r, 0, 0, 0]), W4([c, 0, 0, 0])));
+                    assert_eq!(chart_labels(wide, rows, cols), want, "{rows}×{cols} {bits:#x}");
+                }
+            }
+        }
+        assert_eq!(shapes, 15);
+        // Seeded: 8×8 `u64` charts, and `W4` charts of every shape up to
+        // 16×16; half of them with at most two row patterns.
+        let mut rng = Lcg(0xc01a_be15_0000_0001);
+        let mut passed = 0;
+        for i in 0..4000 {
+            let chart: u64 = if i % 2 == 0 { rng.next() } else { two_row_chart(&mut rng, 8, 8) };
+            let got = chart_labels(chart, 8, 8);
+            assert_eq!(got, scanned_labels(chart, 8, 8), "8×8 chart {chart:#x}");
+            passed += usize::from(got.is_some());
+        }
+        for rows_log in 0..=4 {
+            for cols_log in 0..=4 {
+                let (rows, cols) = (1usize << rows_log, 1usize << cols_log);
+                for i in 0..400 {
+                    let chart: W4 = if i % 2 == 0 {
+                        W4::slice(&[rng.next(), rng.next(), rng.next(), rng.next()], 0, rows * cols)
+                    } else {
+                        two_row_chart(&mut rng, rows, cols)
+                    };
+                    let got = chart_labels(chart, rows, cols);
+                    assert_eq!(got, scanned_labels(chart, rows, cols), "{rows}×{cols} {chart:?}");
+                    passed += usize::from(got.is_some());
+                }
+            }
+        }
+        assert!(passed > 2000, "only {passed} seeded charts passed the two-pattern test");
+    }
+
     fn balanced_shape(leaves: usize) -> TreeShape {
         if leaves == 1 {
             TreeShape::Leaf
@@ -2521,8 +2631,9 @@ mod tests {
         for shape in shapes {
             let roots = engine.roots(spec, shape).unwrap();
             let ids = engine.lists[roots.range()].to_vec();
+            let (n, gates) = (spec.num_vars(), shape.gate_count());
             let chains: Vec<Chain> =
-                ids.iter().map(|&id| tree_to_chain(&engine.nodes, id, spec.num_vars())).collect();
+                ids.iter().map(|&id| tree_to_chain(&engine.nodes, id, n, gates)).collect();
             let ctx = format!("spec {} shape {shape:?}", spec.to_hex());
             let rendered: Vec<String> = chains.iter().map(|c| c.to_string()).collect();
             assert_distinct_chains(&rendered, &ctx);
@@ -2553,12 +2664,20 @@ mod tests {
     fn transcript_specs_emit_each_candidate_once_and_verify_alike() {
         // Every root of every shape in the optimum round: no node lists
         // a triple twice, no shape a chain twice, and the forest
-        // verifier agrees with `verify_chain` root by root.
+        // verifier agrees with `verify_chain` root by root. Every cover
+        // the forest memoized equals its cube list's cover.
         for spec in factor_transcript_specs() {
             let mut engine = Factorizer::new(FactorConfig::default());
             let roots = differential_roots(&mut engine, &spec, &optimum_round(&spec), None);
             assert!(!roots.is_empty(), "spec {}", spec.to_hex());
             assert_forest_unique(&engine, &spec.to_hex());
+            let mut lists = Propagator::default();
+            let compared = engine.forest.assert_covers_match_lists(
+                &engine.nodes[..],
+                &mut lists,
+                &spec.to_hex(),
+            );
+            assert!(compared > 0, "spec {}", spec.to_hex());
         }
     }
 
@@ -2608,12 +2727,13 @@ mod tests {
         for spec in factor_transcript_specs() {
             let mut engine = Factorizer::new(FactorConfig::default());
             let shapes = optimum_round(&spec);
+            let gates = shapes[0].gate_count();
             let roots = differential_roots(&mut engine, &spec, &shapes, None);
             let mut words = spec.words().to_vec();
             words[0] ^= 1 << 5;
             let flipped = TruthTable::from_words(spec.num_vars(), words).unwrap();
             // Complemented copies: new arena nodes over the same operand
-            // realizations, so their fanins' cube lists are memo hits.
+            // realizations, so their fanins' covers are memo hits.
             let start = engine.lists.len() as u32;
             for &(id, _) in &roots {
                 let node = engine.nodes[id as usize];
@@ -2624,10 +2744,10 @@ mod tests {
             let scope = stp_telemetry::CounterScope::enter();
             for shape in &shapes {
                 let real = engine.roots(&spec, shape).unwrap();
-                let kept = engine.verify_roots(&flipped, real, usize::MAX, &never).unwrap();
+                let kept = engine.verify_roots(&flipped, real, gates, usize::MAX, &never).unwrap();
                 assert!(kept.is_empty(), "spec {}: flipped minterm accepted", spec.to_hex());
             }
-            let kept = engine.verify_roots(&spec, complemented, usize::MAX, &never).unwrap();
+            let kept = engine.verify_roots(&spec, complemented, gates, usize::MAX, &never).unwrap();
             assert!(kept.is_empty(), "spec {}: complemented gate accepted", spec.to_hex());
             let counters = scope.finish();
             let rejected = 2 * roots.len() as u64;
@@ -2638,7 +2758,7 @@ mod tests {
                 assert!(!crate::verify_chain(chain, &flipped).unwrap());
                 assert!(!forest_accepts(&mut engine, &flipped, root));
                 let id = engine.lists[complemented.range()][i];
-                let wrong = tree_to_chain(&engine.nodes, id, spec.num_vars());
+                let wrong = tree_to_chain(&engine.nodes, id, spec.num_vars(), gates);
                 assert!(!crate::verify_chain(&wrong, &spec).unwrap());
                 assert!(!forest_accepts(&mut engine, &spec, id));
             }

@@ -43,13 +43,16 @@ fn factor_counters_reach_the_global_registry() {
 }
 
 /// The candidate and verification counters of one `jobs = 1` synthesis
-/// run, read from a counter scope on this thread.
+/// run, read from a counter scope on this thread, after asserting that
+/// it counted no `solver.merges`: forest verification propagates cover
+/// words, and only Algorithm 1 (`solve_circuit`) merges cube lists.
 fn verify_counters(spec: &TruthTable, objective: &str) -> [u64; 5] {
     let objective = stp_synth::objective_from_spec(objective).unwrap();
     let config = stp_synth::SynthesisConfig { jobs: 1, ..stp_synth::SynthesisConfig::default() };
     let scope = stp_telemetry::CounterScope::enter();
     stp_synth::synthesize_with_objective(spec, objective.as_ref(), &config).unwrap();
     let counters = scope.finish();
+    assert_eq!(counters.get("solver.merges"), None, "{}: merges", spec.to_hex());
     let get = |name: &str| counters.get(name).copied().unwrap_or(0);
     [
         get("synth.candidates"),
