@@ -215,11 +215,14 @@ fn bench_factor_kernels(c: &mut Criterion) {
     group.sample_size(20);
     // One cold factorization round, as the synthesis driver runs it: a
     // fresh engine walks every shape of the pruned fences at the
-    // optimum gate count. NPN4 class 0x07b6 (6 gates) and the first
-    // function of the Table I FDSD8 suite (7 gates).
+    // optimum gate count. NPN4 class 0x07b6 (6 gates), the first
+    // function of the Table I FDSD8 suite (7 gates), and the first
+    // 10-input function of the WIDE[9..12] pin row, whose splits past
+    // 6 chart variables run the `W4` kernel.
     let npn4 = TruthTable::from_hex(4, "07b6").unwrap();
     let fdsd8 = suites::fdsd(8, 1, 8).functions.remove(0);
-    for (name, spec) in [("npn4_07b6", npn4), ("fdsd8", fdsd8)] {
+    let wide10 = suites::wide().functions.remove(2);
+    for (name, spec) in [("npn4_07b6", npn4), ("fdsd8", fdsd8), ("wide10", wide10)] {
         let gates = synthesize(&spec, &SynthesisConfig::default()).unwrap().gate_count;
         let shapes: Vec<_> = pruned_fences(gates).iter().flat_map(shapes_for_fence).collect();
         group.bench_function(BenchmarkId::new("chains_on_shape_cold", name), |b| {

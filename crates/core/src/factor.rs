@@ -40,7 +40,7 @@
 //!   its child ids and leaf count, and structurally equal subtrees share
 //!   one id, so the symmetric-shape test is an id comparison;
 //! * a subproblem is probed in its shape's [`MemoTable`] by the **table
-//!   words**; a `TruthTable` is built only on a miss;
+//!   words** and, on a miss, factored on them;
 //! * a node walks a cached **split plan**: the splits of its support
 //!   that fit the two subtrees, in base-3 counter order;
 //! * realizations live in an **index arena**: `nodes` holds
@@ -59,11 +59,10 @@
 //!   `|A| + |B| ≤ 6` and `|S| ≤ 6`: the spec is compacted once onto the
 //!   split's variable order with the `stp-tt` kernel primitives, so
 //!   every decomposition chart is a contiguous power-of-two-aligned bit
-//!   slice of one word, patterns and labellings are `u64` masks, the
-//!   two-pattern test (column labels read off the two row patterns) and
-//!   the consistency check are mask algebra, and candidate operands are
-//!   scattered word-level into stack buffers: the split/combination
-//!   loops never allocate;
+//!   slice of one word, labellings are `u64` masks, the two-pattern test
+//!   and the operators each labelling pair admits ([`pair_ops`]) are
+//!   read off the chart once, per-assignment tables live in a reused
+//!   [`SplitFrame`], and operands are scattered into stack buffers;
 //! * **[`W4`] lanes** — spec of at most [`WIDE_MAX_VARS`] inputs,
 //!   `|A| + |B| ≤ 8` and `|S| ≤ 8`: the same source monomorphized one
 //!   lane wider; the compact spec spans up to [`WIDE_WORDS`] words, a
@@ -308,8 +307,8 @@ const _: () = assert!(std::mem::size_of::<MemoSlot>() == 48);
 
 const EMPTY_SLOT: MemoSlot = MemoSlot { key: [0; 4], num_vars: 0, val: None };
 
-/// [`mix`] folded over the key words, seeded with the arity.
-fn memo_hash(key: &[u64; 4], num_vars: u8) -> u64 {
+/// [`mix`] folded over a table's words, seeded with the arity.
+fn memo_hash(key: &[u64], num_vars: u8) -> u64 {
     key.iter().fold(MIX_SEED ^ num_vars as u64, |h, &w| mix(h, w))
 }
 
@@ -325,10 +324,12 @@ fn pack_key(words: &[u64]) -> [u64; 4] {
 /// inline `[u64; 4]` keys for specs of at most [`FAST_MAX_VARS`]
 /// inputs, plus a conventional spill map for wider specs.
 ///
-/// The full NPN4 run does 16.7M probes, all at arity ≤ 8: a probe is
-/// one multiply-xor hash over the caller's words plus a linear scan of
-/// cache-resident 48-byte slots, and an entry costs exactly one slot
-/// (amortized ⁸⁄₇ under the 7/8 load cap) plus its ids in the arena.
+/// The full NPN4 run does 16.7M probes, all at arity ≤ 8: a probe
+/// hashes and compares the caller's words where they lie (a slot keeps
+/// them zero-padded; inserts and growth hash the same unpadded prefix),
+/// scanning cache-resident 48-byte slots, and an entry costs exactly
+/// one slot (amortized ⁸⁄₇ under the 7/8 load cap) plus its ids in the
+/// arena.
 #[derive(Debug, Default)]
 struct MemoTable {
     slots: Vec<MemoSlot>,
@@ -349,15 +350,15 @@ impl MemoTable {
         if self.slots.is_empty() {
             return None;
         }
-        let key = pack_key(words);
         let nv = num_vars as u8;
+        let holds = |s: &MemoSlot| s.num_vars == nv && s.key.iter().zip(words).all(|(a, b)| a == b);
         let mask = self.slots.len() - 1;
-        let mut i = memo_hash(&key, nv) as usize & mask;
+        let mut i = memo_hash(words, nv) as usize & mask;
         loop {
             let slot = &self.slots[i];
             match slot.val {
                 None => return None,
-                Some(val) if slot.key == key && slot.num_vars == nv => return Some(val),
+                Some(val) if holds(slot) => return Some(val),
                 Some(_) => i = (i + 1) & mask,
             }
         }
@@ -377,7 +378,7 @@ impl MemoTable {
         let key = pack_key(words);
         let nv = num_vars as u8;
         let mask = self.slots.len() - 1;
-        let mut i = memo_hash(&key, nv) as usize & mask;
+        let mut i = memo_hash(words, nv) as usize & mask;
         loop {
             let slot = &mut self.slots[i];
             match slot.val {
@@ -403,7 +404,8 @@ impl MemoTable {
         let mask = new_cap - 1;
         let old_cap = old.len();
         for slot in old.into_iter().filter(|s| s.val.is_some()) {
-            let mut i = memo_hash(&slot.key, slot.num_vars) as usize & mask;
+            let len = kernel::words_len(slot.num_vars as usize);
+            let mut i = memo_hash(&slot.key[..len], slot.num_vars) as usize & mask;
             while self.slots[i].val.is_some() {
                 i = (i + 1) & mask;
             }
@@ -455,6 +457,24 @@ fn build_split_plan(d: usize, l1: usize, l2: usize, out: &mut Vec<Split>) {
     walk(d, Split { a: 0, b: 0 }, 0, 0, (l1, l2), out);
 }
 
+/// The per-split tables of [`Factorizer::factor_split_words`], sized
+/// to the split, on one free list per lane width: a nested split never
+/// shares a frame, and none is allocated once the lists reach the
+/// recursion depth.
+#[derive(Debug, Default)]
+struct SplitFrame<L> {
+    /// The spec compacted onto the split's variable order.
+    compact: Vec<u64>,
+    /// Per shared assignment: the first row and column labelling, the
+    /// operators each labelling pair admits ([`pair_ops`]), the pairs
+    /// admitting the current operator (bit `2·ri + ci`), the pair picked.
+    rows: Vec<L>,
+    cols: Vec<L>,
+    ops: Vec<[u16; 4]>,
+    admit: Vec<u8>,
+    choice: Vec<u8>,
+}
+
 /// The factorization engine with its memo table.
 ///
 /// One engine instance should be reused across the shapes explored for a
@@ -488,6 +508,12 @@ pub struct Factorizer {
     /// Realizations of the subproblems in flight, innermost last; a
     /// finished subproblem moves its tail into `lists`.
     scratch: Vec<u32>,
+    /// Free lists of split frames, one per lane width.
+    frames64: Vec<SplitFrame<u64>>,
+    frames_w4: Vec<SplitFrame<W4>>,
+    /// Frames taken off the free lists and not yet returned.
+    #[cfg(feature = "faultsim")]
+    frames_out: usize,
     /// Number of factorization nodes explored (for the harness).
     nodes_explored: u64,
     /// Number of memo-table hits across [`Factorizer::realize`] calls.
@@ -525,6 +551,10 @@ impl Factorizer {
             nodes: Vec::new(),
             lists: Vec::new(),
             scratch: Vec::new(),
+            frames64: Vec::new(),
+            frames_w4: Vec::new(),
+            #[cfg(feature = "faultsim")]
+            frames_out: 0,
             nodes_explored: 0,
             memo_hits: 0,
             charts_built: 0,
@@ -547,6 +577,12 @@ impl Factorizer {
     /// Number of memo-table hits (subproblems answered without search).
     pub fn memo_hits(&self) -> u64 {
         self.memo_hits
+    }
+
+    /// Split frames off the free lists: 0 outside a factorization.
+    #[cfg(feature = "faultsim")]
+    pub fn split_frames_checked_out(&self) -> usize {
+        self.frames_out
     }
 
     /// Number of decomposition charts built across every split path —
@@ -774,23 +810,23 @@ impl Factorizer {
         }
         self.check_deadline()?;
         self.nodes_explored += 1;
-        let h =
-            TruthTable::from_words(n, words.to_vec()).expect("memo keys are well-formed tables");
         let start = self.scratch.len();
         match self.shapes[sid as usize].children {
             None => {
-                // A leaf realizes exactly a positive literal; complements
-                // are absorbed by the parent gate's operator choice.
-                let sup = h.support_mask();
+                // A leaf realizes exactly a positive literal (support
+                // `{v}` and 1 at minterm `2^v`); complements are absorbed
+                // by the parent gate's operator choice.
+                let sup = kernel::support_mask(words, n);
                 if sup.count_ones() == 1 {
                     let v = sup.trailing_zeros() as usize;
-                    if TruthTable::variable(n, v).is_ok_and(|proj| h == proj) {
+                    let m = 1usize << v;
+                    if words[m >> 6] >> (m & 63) & 1 == 1 {
                         self.scratch.push(self.nodes.len() as u32);
                         self.nodes.push(RealNode { gate: LEAF_GATE, left: v as u32, right: 0 });
                     }
                 }
             }
-            Some((s1, s2)) => self.realize_node(&h, s1, s2, start)?,
+            Some((s1, s2)) => self.realize_node(n, words, s1, s2, start)?,
         }
         let val = Realizations {
             start: self.lists.len() as u32,
@@ -803,17 +839,17 @@ impl Factorizer {
         Ok(val)
     }
 
-    /// All realizations of `h` under a gate over shapes `s1` and `s2`,
-    /// pushed onto `scratch` from `out_start` on.
+    /// All realizations of the `n`-input table `words` under a gate over
+    /// shapes `s1` and `s2`, pushed onto `scratch` from `out_start` on.
     fn realize_node(
         &mut self,
-        h: &TruthTable,
+        n: usize,
+        words: &[u64],
         s1: u32,
         s2: u32,
         out_start: usize,
     ) -> Result<(), SynthesisError> {
-        let n = h.num_vars();
-        let sup_mask = h.support_mask();
+        let sup_mask = kernel::support_mask(words, n);
         let mut support = [0usize; 16];
         let mut d = 0usize;
         for v in 0..n {
@@ -861,14 +897,16 @@ impl Factorizer {
             let (a, b, s) = (&a_vars[..na], &b_vars[..nb], &s_vars[..ns]);
             if fast {
                 self.factor_split_words::<u64, FAST_WORDS, FAST_SHARED>(
-                    h, a, b, s, s1, s2, symmetric, out_start,
+                    n, words, a, b, s, s1, s2, symmetric, out_start,
                 )?;
             } else if wide {
                 self.factor_split_words::<W4, WIDE_WORDS, WIDE_SHARED>(
-                    h, a, b, s, s1, s2, symmetric, out_start,
+                    n, words, a, b, s, s1, s2, symmetric, out_start,
                 )?;
             } else {
-                self.factor_split_naive(h, a, b, s, s1, s2, symmetric, out_start)?;
+                let h = TruthTable::from_words(n, words.to_vec())
+                    .expect("memo keys are well-formed tables");
+                self.factor_split_naive(&h, a, b, s, s1, s2, symmetric, out_start)?;
             }
             if self.scratch.len() - out_start >= self.config.max_realizations {
                 break;
@@ -877,20 +915,24 @@ impl Factorizer {
         Ok(())
     }
 
-    /// Word-level `factor_split`: factors `h = g(h1(A ∪ S), h2(B ∪ S))`
-    /// for one fixed split, pushing every realization onto `scratch`
-    /// (the subproblem's realizations start at `out_start`).
+    /// Word-level `factor_split`: factors the `n`-input table `words` as
+    /// `g(h1(A ∪ S), h2(B ∪ S))` for one fixed split, pushing every
+    /// realization onto `scratch` (the subproblem's realizations start
+    /// at `out_start`).
     ///
     /// One source at two lane widths (see [`Lane`]): `L = u64` with
     /// `WORDS = 4`, `SHARED = 64` serves specs of at most
     /// [`FAST_MAX_VARS`] inputs with `|A| + |B| ≤ 6` and `|S| ≤ 6`;
     /// `L = W4` with [`WIDE_WORDS`], [`WIDE_SHARED`] serves specs of at
     /// most [`WIDE_MAX_VARS`] inputs with `|A| + |B| ≤ 8` and `|S| ≤ 8`
-    /// (the caller gates on this). The compact spec and the operand
-    /// accumulators are `WORDS`-word stack buffers, a chart is one lane,
-    /// and the per-shared-assignment tables hold `SHARED` entries, so the
-    /// split and combination loops perform no heap allocation; memory is
-    /// touched only when a memo miss recurses or the arena grows.
+    /// (the caller gates on this). The operand accumulators are
+    /// `WORDS`-word stack buffers, a chart is one lane, and the
+    /// per-shared-assignment tables live in a [`SplitFrame`] sized to the
+    /// split's `2^|S|` assignments, taken off the engine's free list and
+    /// returned to it on every exit, so once the list has reached the
+    /// recursion depth the split and combination loops allocate nothing;
+    /// memory is touched only when a memo miss recurses or the arena
+    /// grows.
     ///
     /// Byte-equal to [`Factorizer::factor_split_naive`] in output,
     /// order, and counter increments (pinned by the differential fuzz
@@ -898,7 +940,8 @@ impl Factorizer {
     #[allow(clippy::too_many_arguments)]
     fn factor_split_words<L: Lane, const WORDS: usize, const SHARED: usize>(
         &mut self,
-        h: &TruthTable,
+        n: usize,
+        words: &[u64],
         a_vars: &[usize],
         b_vars: &[usize],
         s_vars: &[usize],
@@ -907,170 +950,158 @@ impl Factorizer {
         symmetric: bool,
         out_start: usize,
     ) -> Result<(), SynthesisError> {
-        let n = h.num_vars();
-        let (ra, rb, rs) = (a_vars.len(), b_vars.len(), s_vars.len());
-        let d = ra + rb + rs;
-        let rows = 1usize << ra;
-        let cols = 1usize << rb;
-        let shared = 1usize << rs;
-        let cells = rows * cols;
-        let cell_mask = L::low_mask(cells);
-        let rows_mask = L::low_mask(rows);
-        let cols_mask = L::low_mask(cols);
-
-        // Compact the spec onto `B ++ A ++ S` (row-major charts: cell
-        // (r, c) of shared assignment s is bit `c + r·cols + s·cells`).
-        // Every chart is then an aligned power-of-two bit slice of at
-        // most one lane.
-        let mut order = [0usize; 16];
-        order[..rb].copy_from_slice(b_vars);
-        order[rb..rb + ra].copy_from_slice(a_vars);
-        order[rb + ra..d].copy_from_slice(s_vars);
-        let mut compact = [0u64; WORDS];
-        compact_into_words(h, &order[..d], &mut compact);
-
-        // Per shared assignment: the chart, the first row/column
-        // labelling option (bit i ⇔ axis element i carries the second
-        // distinct pattern; the other option is its complement), and
-        // the labellings expanded to cell masks.
-        let mut charts = [L::ZERO; SHARED];
-        let mut row0 = [L::ZERO; SHARED];
-        let mut col0 = [L::ZERO; SHARED];
-        let mut rcell0 = [L::ZERO; SHARED];
-        let mut ccell0 = [L::ZERO; SHARED];
-        for s in 0..shared {
-            let chart = L::slice(&compact, s * cells, cells);
-            self.charts_built += 1;
-            // Two unique quartering parts per axis (Examples 5–6).
-            let Some((r0, c0)) = chart_labels(chart, rows, cols) else {
-                return Ok(());
-            };
-            charts[s] = chart;
-            row0[s] = r0;
-            col0[s] = c0;
-            (rcell0[s], ccell0[s]) = L::label_cells(r0, c0, rows, cols);
+        debug_assert!(1 << s_vars.len() <= SHARED && kernel::words_len(n) <= WORDS);
+        let mut frame = L::free_frames(self).pop().unwrap_or_default();
+        #[cfg(feature = "faultsim")]
+        {
+            self.frames_out += 1;
         }
+        // The body runs as a closure so that every exit, `Err` included,
+        // hands the frame back below.
+        let result = (|| -> Result<(), SynthesisError> {
+            let (ra, rb, rs) = (a_vars.len(), b_vars.len(), s_vars.len());
+            let d = ra + rb + rs;
+            let (rows, cols, shared) = (1usize << ra, 1usize << rb, 1usize << rs);
+            let cells = rows * cols;
+            let rows_mask = L::low_mask(rows);
+            let cols_mask = L::low_mask(cols);
 
-        // Split-level support filter: the A-part of the left operand's
-        // support is the union of the row-class supports across shared
-        // assignments (complementing a labelling never changes its
-        // support), so a split whose row classes do not jointly cover A
-        // can never pass the canonical-split check — likewise for B.
-        if !L::covers_axis(&row0[..shared], ra) || !L::covers_axis(&col0[..shared], rb) {
-            return Ok(());
-        }
+            // Compact the spec onto `B ++ A ++ S` (row-major charts: cell
+            // (r, c) of shared assignment s is bit `c + r·cols + s·cells`).
+            // Every chart is then an aligned power-of-two bit slice of at
+            // most one lane.
+            let mut order = [0usize; 16];
+            order[..rb].copy_from_slice(b_vars);
+            order[rb..rb + ra].copy_from_slice(a_vars);
+            order[rb + ra..d].copy_from_slice(s_vars);
+            frame.compact.resize(words.len(), 0);
+            compact_into_words(n, words, &order[..d], &mut frame.compact);
 
-        // Operand layout: compact over `own ++ S`, one labelling mask
-        // per shared assignment at an aligned offset; expansion to the
-        // full arity is a tile plus the inverse of the front-swap plan.
-        let k1 = ra + rs;
-        let k2 = rb + rs;
-        let mut vars1 = [0usize; 16];
-        vars1[..ra].copy_from_slice(a_vars);
-        vars1[ra..k1].copy_from_slice(s_vars);
-        let mut vars2 = [0usize; 16];
-        vars2[..rb].copy_from_slice(b_vars);
-        vars2[rb..k2].copy_from_slice(s_vars);
-        let mut plan1 = [(0u8, 0u8); 16];
-        let plan1_len = kernel::front_swap_plan(n, &vars1[..k1], &mut plan1);
-        let mut plan2 = [(0u8, 0u8); 16];
-        let plan2_len = kernel::front_swap_plan(n, &vars2[..k2], &mut plan2);
-        let full1 = kernel::low_mask(k1);
-        let full2 = kernel::low_mask(k2);
-        let nw = kernel::words_len(n);
-
-        // For each candidate operator g, pick one row/column labelling
-        // per shared assignment, consistently.
-        'ops: for &g in &stp_tt::NONTRIVIAL_OPS {
-            // Valid (row label, col label) option pairs per shared
-            // assignment; option 0 is the stored mask, 1 its complement.
-            let mut pairs = [[(0u8, 0u8); 4]; SHARED];
-            let mut plen = [0usize; SHARED];
+            // Per shared assignment: the first row/column labelling option
+            // (bit i ⇔ axis element i carries the second distinct pattern;
+            // the other option is its complement) and the operators each
+            // labelling pair admits. An operator is viable when every
+            // assignment admits it under some pair.
+            frame.rows.clear();
+            frame.cols.clear();
+            frame.ops.clear();
+            let mut viable = u16::MAX;
             for s in 0..shared {
-                let rc = rcell0[s];
-                let cc = ccell0[s];
-                let mut np = 0usize;
-                for ri in 0..2u8 {
-                    let r = if ri == 0 { rc } else { !rc & cell_mask };
-                    for ci in 0..2u8 {
-                        let c = if ci == 0 { cc } else { !cc & cell_mask };
-                        let mut expected = L::ZERO;
-                        if g & 1 != 0 {
-                            expected = expected | (!r & !c & cell_mask);
-                        }
-                        if g & 2 != 0 {
-                            expected = expected | (r & !c);
-                        }
-                        if g & 4 != 0 {
-                            expected = expected | (!r & c);
-                        }
-                        if g & 8 != 0 {
-                            expected = expected | (r & c);
-                        }
-                        if expected == charts[s] {
-                            pairs[s][np] = (ri, ci);
-                            np += 1;
-                        }
-                    }
-                }
-                if np == 0 {
-                    continue 'ops;
-                }
-                plen[s] = np;
+                let chart = L::slice(&frame.compact, s * cells, cells);
+                self.charts_built += 1;
+                // Two unique quartering parts per axis (Examples 5–6).
+                let Some((r0, c0)) = chart_labels(chart, rows, cols) else {
+                    return Ok(());
+                };
+                let ops = pair_ops(chart, r0, c0, rows, cols);
+                viable &= ops[0] | ops[1] | ops[2] | ops[3];
+                frame.rows.push(r0);
+                frame.cols.push(c0);
+                frame.ops.push(ops);
             }
-            // Depth-first combination over shared assignments.
-            let mut choice = [0usize; SHARED];
-            'combos: loop {
-                self.check_deadline()?;
-                let mut cbuf1 = [0u64; WORDS];
-                let mut cbuf2 = [0u64; WORDS];
-                for s in 0..shared {
-                    let (ri, ci) = pairs[s][choice[s]];
-                    let rl = if ri == 0 { row0[s] } else { !row0[s] & rows_mask };
-                    let cl = if ci == 0 { col0[s] } else { !col0[s] & cols_mask };
-                    rl.or_into(&mut cbuf1, s * rows, rows);
-                    cl.or_into(&mut cbuf2, s * cols, cols);
+
+            // Split-level support filter: the A-part of the left operand's
+            // support is the union of the row-class supports across shared
+            // assignments (complementing a labelling never changes its
+            // support), so a split whose row classes do not jointly cover A
+            // can never pass the canonical-split check — likewise for B.
+            if !L::covers_axis(&frame.rows, ra) || !L::covers_axis(&frame.cols, rb) {
+                return Ok(());
+            }
+
+            // Operand layout: compact over `own ++ S`, one labelling mask
+            // per shared assignment at an aligned offset; expansion to the
+            // full arity is a tile plus the inverse of the front-swap plan.
+            let k1 = ra + rs;
+            let k2 = rb + rs;
+            let mut vars1 = [0usize; 16];
+            vars1[..ra].copy_from_slice(a_vars);
+            vars1[ra..k1].copy_from_slice(s_vars);
+            let mut vars2 = [0usize; 16];
+            vars2[..rb].copy_from_slice(b_vars);
+            vars2[rb..k2].copy_from_slice(s_vars);
+            let mut plan1 = [(0u8, 0u8); 16];
+            let plan1_len = kernel::front_swap_plan(n, &vars1[..k1], &mut plan1);
+            let mut plan2 = [(0u8, 0u8); 16];
+            let plan2_len = kernel::front_swap_plan(n, &vars2[..k2], &mut plan2);
+            let (w1, w2) = (kernel::words_len(k1), kernel::words_len(k2));
+            let (full1, full2) = (kernel::low_mask(k1), kernel::low_mask(k2));
+            let nw = words.len();
+            let [mut cbuf1, mut cbuf2, mut f1, mut f2] = [[0u64; WORDS]; 4];
+
+            // For each viable operator g, pick one row/column labelling pair
+            // per shared assignment, consistently: `admit[s]` holds the pairs
+            // `2·ri + ci` admitting g as a 4-bit mask, `choice[s]` the pair
+            // picked, lowest first, assignment 0 turning fastest.
+            for &g in &stp_tt::NONTRIVIAL_OPS {
+                if viable >> g & 1 == 0 {
+                    continue;
                 }
-                // Canonical split: the operands must depend on exactly
-                // their assigned variables (otherwise the same triple is
-                // found under a smaller split). On the compact tables
-                // that is simply "full support".
-                let canonical = kernel::support_mask(&cbuf1[..kernel::words_len(k1)], k1) == full1
-                    && kernel::support_mask(&cbuf2[..kernel::words_len(k2)], k2) == full2;
-                if canonical {
-                    let mut f1 = [0u64; WORDS];
-                    expand_with_plan_words(&cbuf1, k1, n, &plan1[..plan1_len], &mut f1);
-                    let mut f2 = [0u64; WORDS];
-                    expand_with_plan_words(&cbuf2, k2, n, &plan2[..plan2_len], &mut f2);
-                    // Mirror dedup for symmetric shapes.
-                    if !symmetric || f1[..nw] <= f2[..nw] {
-                        #[cfg(test)]
-                        self.triples.push((g, f1[..nw].to_vec(), f2[..nw].to_vec()));
-                        let r1 = self.realize(n, &f1[..nw], s1)?;
-                        if r1.len > 0 {
-                            let r2 = self.realize(n, &f2[..nw], s2)?;
-                            if self.emit_pairs(g, r1, r2, out_start) {
-                                return Ok(());
+                let admits =
+                    |ops: &[u16; 4]| (0..4).fold(0u8, |m, p| m | ((ops[p] >> g & 1) as u8) << p);
+                frame.admit.clear();
+                frame.admit.extend(frame.ops.iter().map(admits));
+                frame.choice.clear();
+                frame.choice.extend(frame.admit.iter().map(|&mask| mask.trailing_zeros() as u8));
+                'combos: loop {
+                    self.check_deadline()?;
+                    cbuf1[..w1].fill(0);
+                    cbuf2[..w2].fill(0);
+                    for s in 0..shared {
+                        let p = frame.choice[s];
+                        let (r0, c0) = (frame.rows[s], frame.cols[s]);
+                        let rl = if p & 2 == 0 { r0 } else { !r0 & rows_mask };
+                        let cl = if p & 1 == 0 { c0 } else { !c0 & cols_mask };
+                        rl.or_into(&mut cbuf1, s * rows, rows);
+                        cl.or_into(&mut cbuf2, s * cols, cols);
+                    }
+                    // Canonical split: the operands must depend on exactly
+                    // their assigned variables (otherwise the same triple is
+                    // found under a smaller split). On the compact tables
+                    // that is simply "full support".
+                    let canonical = kernel::support_mask(&cbuf1[..w1], k1) == full1
+                        && kernel::support_mask(&cbuf2[..w2], k2) == full2;
+                    if canonical {
+                        expand_with_plan_words(&cbuf1, k1, n, &plan1[..plan1_len], &mut f1);
+                        expand_with_plan_words(&cbuf2, k2, n, &plan2[..plan2_len], &mut f2);
+                        // Mirror dedup for symmetric shapes.
+                        if !symmetric || f1[..nw] <= f2[..nw] {
+                            #[cfg(test)]
+                            self.triples.push((g, f1[..nw].to_vec(), f2[..nw].to_vec()));
+                            let r1 = self.realize(n, &f1[..nw], s1)?;
+                            if r1.len > 0 {
+                                let r2 = self.realize(n, &f2[..nw], s2)?;
+                                if self.emit_pairs(g, r1, r2, out_start) {
+                                    return Ok(());
+                                }
                             }
                         }
                     }
-                }
-                // Advance.
-                let mut i = 0;
-                loop {
-                    if i == shared {
-                        break 'combos;
+                    // Advance: the lowest assignment with an admitted pair
+                    // above its choice takes it; the ones below restart.
+                    let mut i = 0;
+                    loop {
+                        if i == shared {
+                            break 'combos;
+                        }
+                        let above = frame.admit[i] & !((2u8 << frame.choice[i]) - 1);
+                        if above != 0 {
+                            frame.choice[i] = above.trailing_zeros() as u8;
+                            break;
+                        }
+                        frame.choice[i] = frame.admit[i].trailing_zeros() as u8;
+                        i += 1;
                     }
-                    choice[i] += 1;
-                    if choice[i] < plen[i] {
-                        break;
-                    }
-                    choice[i] = 0;
-                    i += 1;
                 }
             }
+            Ok(())
+        })();
+        L::free_frames(self).push(frame);
+        #[cfg(feature = "faultsim")]
+        {
+            self.frames_out -= 1;
         }
-        Ok(())
+        result
     }
 
     /// Scalar reference `factor_split`: the fallback for splits beyond
@@ -1240,45 +1271,27 @@ impl Factorizer {
     }
 }
 
-/// Compacts `h` onto `vars` into a caller-owned stack buffer: bit `m`
-/// of the result is `h` at the assignment where input `vars[k]` takes
-/// bit `k` of `m` and every other input is 0. Word-level (cofactor
-/// masks + a front-swap plan), no allocation; `buf` must hold at least
-/// `h`'s words ([`FAST_WORDS`] or [`WIDE_WORDS`]).
-fn compact_into_words(h: &TruthTable, vars: &[usize], buf: &mut [u64]) {
-    let n = h.num_vars();
-    let nw = h.words().len();
-    buf[..nw].copy_from_slice(h.words());
-    for w in &mut buf[nw..] {
-        *w = 0;
-    }
-    let words = &mut buf[..nw];
+/// Compacts the `n`-input table `words` onto `vars` into a
+/// caller-owned buffer of `words.len()` words: bit `m < 2^vars.len()`
+/// of the result is the table at the assignment where input `vars[k]`
+/// takes bit `k` of `m` and every other input is 0 (the bits above are
+/// replicated don't-cares). Word-level (cofactor masks + a front-swap
+/// plan), no allocation.
+fn compact_into_words(n: usize, words: &[u64], vars: &[usize], buf: &mut [u64]) {
+    buf.copy_from_slice(words);
     let mut listed = 0u64;
     for &v in vars {
         listed |= 1u64 << v;
     }
     for v in 0..n {
         if listed >> v & 1 == 0 {
-            kernel::cofactor0_in_place(words, n, v);
+            kernel::cofactor0_in_place(buf, n, v);
         }
     }
     let mut plan = [(0u8, 0u8); 16];
     let len = kernel::front_swap_plan(n, vars, &mut plan);
     for &(i, p) in &plan[..len] {
-        kernel::swap_in_place(words, n, i as usize, p as usize);
-    }
-    // Everything above the first `vars.len()` inputs is a replicated
-    // don't-care now; keep only the compact table.
-    let k = vars.len();
-    if k < 6 {
-        buf[0] &= kernel::low_mask(1 << k);
-        for w in &mut buf[1..] {
-            *w = 0;
-        }
-    } else {
-        for w in &mut buf[kernel::words_len(k)..] {
-            *w = 0;
-        }
+        kernel::swap_in_place(buf, n, i as usize, p as usize);
     }
 }
 
@@ -1302,7 +1315,7 @@ fn expand_with_plan_words(compact: &[u64], k: usize, n: usize, plan: &[(u8, u8)]
 /// multiples of their size, so a field of at most 64 bits never
 /// straddles a word and a larger one is word-aligned.
 trait Lane:
-    Copy + PartialEq + Not<Output = Self> + BitAnd<Output = Self> + BitOr<Output = Self>
+    Copy + Default + PartialEq + Not<Output = Self> + BitAnd<Output = Self> + BitOr<Output = Self>
 {
     const ZERO: Self;
 
@@ -1331,6 +1344,9 @@ trait Lane:
     /// `2^k` axis elements) jointly depend on every one of the `k` axis
     /// variables.
     fn covers_axis(labels: &[Self], k: usize) -> bool;
+
+    /// The engine's free list of split frames at this width.
+    fn free_frames(engine: &mut Factorizer) -> &mut Vec<SplitFrame<Self>>;
 }
 
 impl Lane for u64 {
@@ -1390,6 +1406,10 @@ impl Lane for u64 {
             }
         }
         covered == full
+    }
+
+    fn free_frames(engine: &mut Factorizer) -> &mut Vec<SplitFrame<u64>> {
+        &mut engine.frames64
     }
 }
 
@@ -1471,6 +1491,10 @@ impl Lane for W4 {
         }
         covered == full
     }
+
+    fn free_frames(engine: &mut Factorizer) -> &mut Vec<SplitFrame<W4>> {
+        &mut engine.frames_w4
+    }
 }
 
 /// Mask form of [`two_pattern_labels`] for the rows and the columns of
@@ -1505,6 +1529,75 @@ fn chart_labels<L: Lane>(chart: L, rows: usize, cols: usize) -> Option<(L, L)> {
     let (x, y) = (flip(p0), flip(p1));
     let classes = [x & !y, !x & y, x & y].into_iter().filter(|&c| c != L::ZERO).count();
     (classes <= 1).then_some((labels, x | y))
+}
+
+/// `WITH_BIT[q]`: the operators `g` (bit `g` of the set) whose truth
+/// table has bit `q` set, i.e. that output 1 on quadrant `q` (`¬r¬c`,
+/// `r¬c`, `¬rc`, `rc`).
+const WITH_BIT: [u16; 4] = [0xaaaa, 0xcccc, 0xf0f0, 0xff00];
+
+/// The operators `g` (bit `g`) with `chart = g(row label, column label)`
+/// per labelling pair `2·ri + ci` (option 1 complements `row` / `col`).
+/// Of the pair's four cell quadrants, one wholly inside the chart keeps
+/// the operators that are 1 on it, one wholly outside those that are 0
+/// on it; one that straddles the chart admits none, an empty one all.
+fn pair_ops<L: Lane>(chart: L, row: L, col: L, rows: usize, cols: usize) -> [u16; 4] {
+    let cell_mask = L::low_mask(rows * cols);
+    let (rc, cc) = L::label_cells(row, col, rows, cols);
+    let mut out = [0u16; 4];
+    for (p, ops) in out.iter_mut().enumerate() {
+        let r = if p & 2 == 0 { rc } else { !rc & cell_mask };
+        let c = if p & 1 == 0 { cc } else { !cc & cell_mask };
+        let quadrants = [!r & !c & cell_mask, r & !c, !r & c, r & c];
+        *ops = quadrants.into_iter().zip(WITH_BIT).fold(u16::MAX, |ops, (q, with)| {
+            if q == L::ZERO {
+                ops
+            } else if q & !chart == L::ZERO {
+                ops & with
+            } else if q & chart == L::ZERO {
+                ops & !with
+            } else {
+                0
+            }
+        });
+    }
+    out
+}
+
+/// [`pair_ops`] by the construction it replaces, kept as its oracle:
+/// for each labelling pair and each of the 16 operators, the expected
+/// chart (one AND/ANDN term of the labellings per 1 in the operator's
+/// truth table) compared against the chart.
+#[cfg(test)]
+fn expected_chart_ops<L: Lane>(chart: L, row: L, col: L, rows: usize, cols: usize) -> [u16; 4] {
+    let cell_mask = L::low_mask(rows * cols);
+    let (rc, cc) = L::label_cells(row, col, rows, cols);
+    let mut out = [0u16; 4];
+    for ri in 0..2 {
+        let r = if ri == 0 { rc } else { !rc & cell_mask };
+        for ci in 0..2 {
+            let c = if ci == 0 { cc } else { !cc & cell_mask };
+            for g in 0..16u16 {
+                let mut expected = L::ZERO;
+                if g & 1 != 0 {
+                    expected = expected | (!r & !c & cell_mask);
+                }
+                if g & 2 != 0 {
+                    expected = expected | (r & !c);
+                }
+                if g & 4 != 0 {
+                    expected = expected | (!r & c);
+                }
+                if g & 8 != 0 {
+                    expected = expected | (r & c);
+                }
+                if expected == chart {
+                    out[2 * ri + ci] |= 1 << g;
+                }
+            }
+        }
+    }
+    out
 }
 
 /// Mask form of [`two_pattern_labels`]: returns the first labelling
@@ -2034,7 +2127,15 @@ mod tests {
         let mut naive = Factorizer::new(FactorConfig::default());
         words
             .factor_split_words::<L, WORDS, SHARED>(
-                h, a, b, s, LEAF_SHAPE, LEAF_SHAPE, symmetric, 0,
+                h.num_vars(),
+                h.words(),
+                a,
+                b,
+                s,
+                LEAF_SHAPE,
+                LEAF_SHAPE,
+                symmetric,
+                0,
             )
             .unwrap();
         naive.factor_split_naive(h, a, b, s, LEAF_SHAPE, LEAF_SHAPE, symmetric, 0).unwrap();
@@ -2253,11 +2354,27 @@ mod tests {
             let mut wide = Factorizer::new(FactorConfig::default());
             let mut fast = Factorizer::new(FactorConfig::default());
             wide.factor_split_words::<W4, WIDE_WORDS, WIDE_SHARED>(
-                &h, &a, &b, &s, LEAF_SHAPE, LEAF_SHAPE, symmetric, 0,
+                n,
+                h.words(),
+                &a,
+                &b,
+                &s,
+                LEAF_SHAPE,
+                LEAF_SHAPE,
+                symmetric,
+                0,
             )
             .unwrap();
             fast.factor_split_words::<u64, FAST_WORDS, FAST_SHARED>(
-                &h, &a, &b, &s, LEAF_SHAPE, LEAF_SHAPE, symmetric, 0,
+                n,
+                h.words(),
+                &a,
+                &b,
+                &s,
+                LEAF_SHAPE,
+                LEAF_SHAPE,
+                symmetric,
+                0,
             )
             .unwrap();
             let ctx = format!("n={n} a={a:?} b={b:?} s={s:?} spec={}", h.to_hex());
@@ -2344,6 +2461,72 @@ mod tests {
             }
         }
         assert!(passed > 2000, "only {passed} seeded charts passed the two-pattern test");
+    }
+
+    /// Checks [`pair_ops`] against [`expected_chart_ops`] on `chart` at
+    /// lane `L` when it passes the two-pattern test; returns the
+    /// operator sets, or `None` for a chart that fails it.
+    fn checked_pair_ops<L: Lane + std::fmt::Debug>(
+        chart: L,
+        rows: usize,
+        cols: usize,
+    ) -> Option<[u16; 4]> {
+        let (row, col) = chart_labels(chart, rows, cols)?;
+        let got = pair_ops(chart, row, col, rows, cols);
+        let want = expected_chart_ops(chart, row, col, rows, cols);
+        assert_eq!(got, want, "{rows}×{cols} chart {chart:?}, labels {row:?} / {col:?}");
+        Some(got)
+    }
+
+    #[test]
+    fn pair_ops_match_the_expected_chart_construction() {
+        // Every operator of `NONTRIVIAL_OPS` must be admitted under every
+        // labelling pair by some chart, so that each comparison is live.
+        let nontrivial = stp_tt::NONTRIVIAL_OPS.iter().fold(0u16, |set, &g| set | 1 << g);
+        let mut admitted = [0u16; 4];
+        let mut admit = |ops: [u16; 4]| {
+            for (seen, set) in admitted.iter_mut().zip(ops) {
+                *seen |= set;
+            }
+        };
+        // Exhaustive: every chart of at most 16 cells, in every shape
+        // from 1×1 to 16×1 and 1×16, at both lane widths.
+        let mut passed = 0;
+        for cells_log in 0..=4 {
+            for rows_log in 0..=cells_log {
+                let (rows, cols) = (1usize << rows_log, 1usize << (cells_log - rows_log));
+                for bits in 0..1u64 << (rows * cols) {
+                    let Some(ops) = checked_pair_ops(bits, rows, cols) else {
+                        continue;
+                    };
+                    assert_eq!(checked_pair_ops(W4([bits, 0, 0, 0]), rows, cols), Some(ops));
+                    admit(ops);
+                    passed += 1;
+                }
+            }
+        }
+        assert!(passed > 10_000, "only {passed} small charts passed the two-pattern test");
+        // Seeded: 8×8 `u64` charts and `W4` charts of every shape up to
+        // 16×16, each with at most two row patterns.
+        let mut rng = Lcg(0x0a1d_0c0d_0000_0001);
+        let mut passed = 0;
+        for _ in 0..4000 {
+            let chart: u64 = two_row_chart(&mut rng, 8, 8);
+            passed += usize::from(checked_pair_ops(chart, 8, 8).map(&mut admit).is_some());
+        }
+        for rows_log in 0..=4 {
+            for cols_log in 0..=4 {
+                let (rows, cols) = (1usize << rows_log, 1usize << cols_log);
+                for _ in 0..200 {
+                    let chart: W4 = two_row_chart(&mut rng, rows, cols);
+                    passed += usize::from(checked_pair_ops(chart, rows, cols).is_some());
+                }
+            }
+        }
+        assert!(passed > 2000, "only {passed} seeded charts passed the two-pattern test");
+        for (p, seen) in admitted.into_iter().enumerate() {
+            assert_eq!(seen & nontrivial, nontrivial, "pair {p} never admitted some operator");
+        }
     }
 
     fn balanced_shape(leaves: usize) -> TreeShape {

@@ -14,8 +14,11 @@
 //! interfere with any other test.
 //!
 //! A second test pins the cold path: a cold sweep probes the memo by
-//! the candidate's words and builds a `TruthTable` only on a miss, so a
-//! whole sweep allocates fewer times than it hits the memo. A third
+//! the candidate's words, and a miss factors those words in place, with
+//! split tables taken from a free list that stops growing once it
+//! reaches the recursion depth. So a whole sweep allocates fewer times
+//! than it hits the memo, and fewer than one time in eight that it
+//! misses: a per-miss allocation would break the second bound. A third
 //! pins verification: on a warmed shape the root checks allocate
 //! nothing, so the only allocations left are the accepted chains'. Both
 //! count on a per-thread tally, which keeps their allocations out of
@@ -164,7 +167,8 @@ mod cold {
         // driver does. Most candidate operands are already memoized, and a
         // hit costs no allocation, so the whole sweep — misses, arena
         // growth and the chains it returns included — allocates fewer
-        // times than it hits.
+        // times than it hits. A miss allocates nothing of its own, so
+        // the sweep also allocates far fewer times than it misses.
         count_privately();
         let spec = TruthTable::from_hex(4, "07b6").unwrap();
         let shapes: Vec<_> = pruned_fences(6).iter().flat_map(shapes_for_fence).collect();
@@ -181,6 +185,10 @@ mod cold {
         assert!(
             allocations < hits,
             "cold sweep allocated {allocations} times for {hits} memo hits ({misses} misses)"
+        );
+        assert!(
+            allocations * 8 < misses,
+            "cold sweep allocated {allocations} times for {misses} memo misses"
         );
     }
 }
