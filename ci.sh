@@ -9,7 +9,8 @@
 #   their checks by `cfg!(debug_assertions)` and so are different
 #   binaries from the debug ones;
 # - the debug test suite, `cargo test --workspace`, at STP_JOBS=1 and
-#   STP_JOBS=$(nproc); it holds every pinned baseline (`pins`,
+#   STP_JOBS=$PAR_JOBS (one per CPU, at least 2, so a 1-CPU runner
+#   still exercises the parallel paths); it holds every pinned baseline (`pins`,
 #   `warm_farm`, the `serve_smoke` load test, ...) and every
 #   differential and determinism test;
 # - feature builds, also different binaries, at both jobs counts:
@@ -20,6 +21,11 @@
 # container must build and test cleanly.
 set -euo pipefail
 cd "$(dirname "$0")"
+
+PAR_JOBS="$(nproc)"
+if [ "$PAR_JOBS" -lt 2 ]; then
+    PAR_JOBS=2
+fi
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check
@@ -45,19 +51,19 @@ cargo test --release -q -p stp-synth --offline
 echo "==> cargo test (STP_JOBS=1, sequential default)"
 STP_JOBS=1 cargo test -q --workspace --offline
 
-echo "==> cargo test (STP_JOBS=$(nproc), parallel default)"
-STP_JOBS="$(nproc)" cargo test -q --workspace --offline
+echo "==> cargo test (STP_JOBS=$PAR_JOBS, parallel default)"
+STP_JOBS="$PAR_JOBS" cargo test -q --workspace --offline
 
 echo "==> profiler smoke with the counting allocator (--features alloc-profile, STP_JOBS=1)"
 STP_JOBS=1 cargo test -q -p stp-bench --offline --features alloc-profile --test profile_smoke
 
-echo "==> profiler smoke with the counting allocator (--features alloc-profile, STP_JOBS=$(nproc))"
-STP_JOBS="$(nproc)" cargo test -q -p stp-bench --offline --features alloc-profile --test profile_smoke
+echo "==> profiler smoke with the counting allocator (--features alloc-profile, STP_JOBS=$PAR_JOBS)"
+STP_JOBS="$PAR_JOBS" cargo test -q -p stp-bench --offline --features alloc-profile --test profile_smoke
 
 echo "==> fault-injection suite (--features faultsim, STP_JOBS=1)"
 STP_JOBS=1 cargo test -q -p stp-store -p stp-synth -p stp-bench -p stp-serve --offline --features faultsim
 
-echo "==> fault-injection suite (--features faultsim, STP_JOBS=$(nproc))"
-STP_JOBS="$(nproc)" cargo test -q -p stp-store -p stp-synth -p stp-bench -p stp-serve --offline --features faultsim
+echo "==> fault-injection suite (--features faultsim, STP_JOBS=$PAR_JOBS)"
+STP_JOBS="$PAR_JOBS" cargo test -q -p stp-store -p stp-synth -p stp-bench -p stp-serve --offline --features faultsim
 
 echo "CI OK"

@@ -30,9 +30,7 @@ use stp_baselines::{
 };
 use stp_chain::Chain;
 use stp_store::Store;
-use stp_synth::{
-    synthesize, synthesize_npn_with_store, JobBudget, SynthesisConfig, SynthesisError,
-};
+use stp_synth::{synthesize, synthesize_npn_with_store, SynthesisConfig, SynthesisError};
 use stp_tt::TruthTable;
 
 use crate::suites::Suite;
@@ -367,8 +365,7 @@ pub fn run_suite_outcomes(
     // its own subtree (and the synthesis phases nest beneath it) with
     // no per-run label allocation.
     let _suite = stp_telemetry::Span::enter(suite.name);
-    let budget = JobBudget::new(jobs);
-    let results = stp_synth::run_instances(&budget, suite.functions.len(), |idx, shape_jobs| {
+    let results = stp_synth::run_instances(jobs, suite.functions.len(), |idx, shape_jobs| {
         stp_faultsim::fail_point!("bench.instance", hit = idx as u64 + 1);
         run_instance_with_retry(algorithm, &suite.functions[idx], policy, shape_jobs, store)
     });

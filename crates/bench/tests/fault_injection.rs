@@ -124,7 +124,9 @@ fn optimum_round_chains(spec: &TruthTable, gates: usize) -> Vec<Vec<String>> {
 fn panicking_root_loses_only_its_shape_at_any_worker_count() {
     let _serial = stp_faultsim::test_guard();
     stp_faultsim::clear_all();
-    let nproc = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
+    // At least two workers, so a 1-CPU host still compares jobs = 1
+    // against a parallel run.
+    let nproc = std::thread::available_parallelism().map_or(1, usize::from).max(2);
     // Both specs solve at 3 gates on two shapes with roots: 0x1ee1 with
     // 4 and 8, 0x6996 with 12 and 48. The `verify.root` hit index is the
     // root's 1-based index within its shape, so a hit above the smaller

@@ -10,12 +10,14 @@
 //! totals) may differ.
 //!
 //! One caveat, and it is the engine's documented speculation: when the
-//! `max_solutions` cap binds mid-round, the sequential path stops at
-//! the first shape that fills the cap while the parallel path lets
-//! already-scheduled trailing shapes finish before truncating to the
-//! sequential prefix — the *output* is identical, but the *work* (and
-//! hence the profile) is a superset. The tree contract therefore holds
-//! whenever the cap does not bind, which is what this test runs.
+//! `max_solutions` cap binds mid-round, one worker stops at the first
+//! shape that fills the cap, while more workers let shapes they already
+//! claimed run on — each capped at the room the completed prefix left
+//! when it was claimed, which may exceed what the merge keeps — before
+//! truncating to the one-worker prefix. The *output* is identical, but
+//! the *work* (and hence the profile) is a superset. The tree contract
+//! therefore holds whenever the cap does not bind, which is what this
+//! test runs.
 //!
 //! The test lives in its own integration binary with a single `#[test]`
 //! fn: the profile tree is global process state, so no other test may

@@ -42,6 +42,12 @@ pub enum SynthesisError {
     /// A stored NPN answer failed its check against the requested spec
     /// and was refused (see `stp_store::NpnView::first`).
     MapBack(MapBackError),
+    /// A freshly merged multi-output chain does not realize its spec
+    /// vector, so it was withheld.
+    Unrealized {
+        /// The spec vector, as `+`-joined hex.
+        specs: String,
+    },
     /// A worker job panicked. The panic was caught at the job boundary
     /// (one tree shape, or one in-flight store solve), so sibling jobs
     /// and their solutions survive; this error surfaces only when the
@@ -69,6 +75,9 @@ impl fmt::Display for SynthesisError {
             SynthesisError::Chain(e) => write!(f, "chain error: {e}"),
             SynthesisError::Matrix(e) => write!(f, "matrix error: {e}"),
             SynthesisError::MapBack(e) => write!(f, "refused a stored answer: {e}"),
+            SynthesisError::Unrealized { specs } => {
+                write!(f, "synthesized chain does not realize {specs}")
+            }
             SynthesisError::JobPanicked { message } => {
                 write!(f, "synthesis job panicked: {message}")
             }

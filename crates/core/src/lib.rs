@@ -47,7 +47,7 @@ pub use circuit_solver::{solve_circuit, verify_chain, CircuitSolutions, PartialA
 pub use encode::{decode_canonical_form, encode_canonical_form};
 pub use error::SynthesisError;
 pub use factor::{FactorConfig, Factorizer};
-pub use parallel::{jobs_from_env, jobs_from_env_checked, resolve_jobs, run_instances, JobBudget};
+pub use parallel::{jobs_from_env, jobs_from_env_checked, resolve_jobs, run_instances};
 pub use synth::{
     objective_from_spec, synthesize, synthesize_default, synthesize_multi,
     synthesize_multi_npn_answer, synthesize_multi_npn_with_store, synthesize_npn,

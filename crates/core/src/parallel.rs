@@ -1,78 +1,74 @@
-//! Deterministic work-stealing execution of one synthesis round.
+//! Deterministic parallel execution of synthesis rounds and suites.
 //!
 //! The paper's one-pass search (§III steps ii–iv) is embarrassingly
 //! parallel across tree shapes: each `(shape → factorize → verify)`
 //! unit touches only the specification, one topology, and a
-//! per-worker [`Factorizer`]. This module distributes those units over
-//! a `std::thread::scope` worker pool with work stealing, while keeping
-//! the output **byte-identical** to the sequential search:
+//! per-worker [`Factorizer`]. Suites (Table I, `--warm-npn4`, the
+//! `warm` farm) are a loop over independent instances. Both loops run
+//! on one private scoped pool, `pool`:
 //!
-//! * every shape is an indexed task; workers deal themselves the tasks
-//!   round-robin and steal from the back of a victim's deque when their
-//!   own runs dry;
+//! * every task is an index; each worker claims the lowest unclaimed
+//!   index from one shared counter until no index is left or the stop
+//!   flag is set, so a lone worker claims `0, 1, 2, …` in order;
+//! * with one worker the pool runs inline on the calling thread — no
+//!   spawned thread, no inheritance glue, a plain `for` loop;
+//! * with more, the workers are `std::thread::scope` threads that
+//!   inherit the caller's open-span path and counter scopes, so spans
+//!   and per-instance counters land where the inline loop puts them.
+//!
+//! # The round driver
+//!
+//! `run_round` runs one gate-count round at every worker count, and
+//! its output is **byte-identical** at any of them:
+//!
 //! * each worker owns its own `Factorizer` (worker-local memo table —
 //!   see `DESIGN.md` for the trade-off against a shared memo), so the
 //!   factorization enumeration per shape is exactly the sequential one;
 //! * per-shape solution vectors land in index-addressed slots and are
-//!   merged **in shape order**, then truncated to `max_solutions` — the
-//!   same prefix the sequential loop materializes;
-//! * a shared *completed-prefix* tracker notices as soon as the tasks
-//!   `0..k` (all finished) already hold `max_solutions` verified chains
-//!   and trips the cooperative cancellation flag: later tasks would be
-//!   truncated away anyway, so aborting them cannot change the result.
+//!   merged **in shape order**, then truncated to `max_solutions`;
+//! * a *completed-prefix* tracker sums the solutions of the finished
+//!   tasks `0..k`. A claimed shape runs capped at `max_solutions` minus
+//!   that sum: on one worker this is exactly the room the shapes before
+//!   it left, on more an upper bound on what the merge will take. Once
+//!   the prefix holds `max_solutions` chains the tracker trips the
+//!   cooperative cancellation flag: later tasks would be truncated away
+//!   anyway, so aborting them cannot change the result.
 //!
 //! The same flag implements deadline propagation: a worker whose engine
 //! reports [`SynthesisError::Timeout`] (and no satisfied prefix exists)
-//! records the error and cancels every other worker.
+//! records the error and stops every other worker; the lowest-index
+//! error is the one returned.
 //!
-//! # Two scheduler levels, one budget
+//! # The instance level
 //!
-//! Shape-level parallelism only helps inside one instance. Suite
-//! workloads (Table I, `--warm-npn4`, batch rewriting) run many
-//! instances, so this module also provides the **instance level**:
-//! [`run_instances`] feeds whole work items to a pool of instance
-//! workers, with the shape-level pool nested inside each item. Both
-//! levels draw threads from a single [`JobBudget`] — `--jobs N` means
-//! *N running worker threads in total, never N×N*: each instance
-//! worker borrows its shape-slot allotment from the same budget it was
-//! spawned from.
-//!
-//! The split between the levels is **static and deterministic**, not
-//! demand-driven: `instance_workers = min(N, items)` and every
-//! instance runs with `shape_jobs = N / instance_workers`. A dynamic
-//! scheme (idle instance workers donating slots to running instances)
-//! would be faster in the tail of a suite, but the per-worker memo
-//! tables make counters like `factor.memo_hits` depend on the shape
-//! worker count — timing-dependent borrowing would make suite counter
-//! totals nondeterministic. With the static split, any suite at least
-//! as wide as the budget runs every instance shape-sequentially
-//! (`shape_jobs = 1`), so the suite transcript **and** its counter
-//! totals are byte-identical to the plain sequential loop at any
-//! `--jobs`; a single instance (`items = 1`) still gets the whole
-//! budget as shape workers, preserving the PR 3 behavior.
-//!
-//! Instance results land in index-addressed slots and are returned in
-//! instance-index order; a panicking instance is isolated into its
-//! slot as an error (`par.instances_panicked`), leaving the survivors
-//! untouched. Workers inherit the spawner's profile path and counter
-//! scopes, so `jobs=1` and `jobs=N` runs produce structurally
-//! identical span trees and identically attributed per-instance
-//! counters.
+//! [`run_instances`] feeds whole work items to the same pool, with the
+//! round driver nested inside each item. `--jobs N` means *N running
+//! worker threads in total, never N×N*, and the split between the
+//! levels is **static**: `workers = min(N, items)` and every item runs
+//! with `shape_jobs = N / workers`, so `workers × shape_jobs ≤ N` by
+//! arithmetic. A dynamic scheme (idle instance workers donating threads
+//! to running instances) would be faster in the tail of a suite, but
+//! the per-worker memo tables make counters like `factor.memo_hits`
+//! depend on the shape worker count — timing-dependent borrowing would
+//! make suite counter totals nondeterministic. With the static split,
+//! any suite at least as wide as `N` runs every instance on one shape
+//! worker, so the suite transcript **and** its counter totals are
+//! byte-identical to the plain sequential loop at any `--jobs`; a
+//! single item gets all `N` threads as shape workers.
 //!
 //! # Panic isolation
 //!
-//! Every shape task — sequential or parallel — runs inside
-//! `catch_unwind`. A panicking task is converted into a per-shape
-//! [`SynthesisError::JobPanicked`] (counted as `parallel.jobs_panicked`)
-//! and **does not** cancel the round: the remaining workers keep
-//! draining tasks, and the merge skips the failed slot, so the
-//! surviving solution sequence is exactly the no-fault sequence minus
-//! the panicked shape's contribution (in particular, the prefix before
-//! the failed shape is byte-identical). Only a round whose surviving
-//! shapes produced *no* solutions propagates the panic as an error —
-//! a silently skipped shape could otherwise mask a wrong optimum.
+//! Every task runs inside `catch_unwind`. A panicking shape task is
+//! converted into a per-shape [`SynthesisError::JobPanicked`] (counted
+//! as `parallel.jobs_panicked`) and **does not** cancel the round: the
+//! remaining workers keep claiming, the prefix tracker moves past the
+//! failed slot, and the merge skips it, so the surviving solution
+//! sequence is exactly the no-fault sequence minus the panicked shape's
+//! contribution. Only a round whose surviving shapes produced *no*
+//! solutions propagates the panic as an error — a silently skipped
+//! shape could otherwise mask a wrong optimum. A panicking instance is
+//! isolated into its slot as an error message (`par.instances_panicked`).
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -84,18 +80,18 @@ use crate::error::SynthesisError;
 use crate::factor::Factorizer;
 
 /// Result of one shape task: the verified chains of that shape, in
-/// candidate order, capped at `max_solutions`.
+/// candidate order, capped at the task's share of `max_solutions`.
 type TaskResult = Result<Vec<Chain>, SynthesisError>;
 
-/// Outcome of one gate-count round (sequential or parallel).
+/// Outcome of one gate-count round.
 #[derive(Debug)]
 pub(crate) struct RoundOutcome {
     /// Verified chains in shape-index order, at most `max_solutions`.
     pub solutions: Vec<Chain>,
-    /// Shapes whose factorization ran to completion. Under the solution
-    /// cap or a deadline this is a lower bound on the sequential count
-    /// (cancelled workers stop counting), so it is a statistic, not part
-    /// of the determinism guarantee.
+    /// Shapes whose factorization ran to completion. On more than one
+    /// worker under the solution cap or a deadline this is a lower bound
+    /// on the one-worker count (cancelled workers stop counting), so it
+    /// is a statistic, not part of the determinism guarantee.
     pub shapes_explored: usize,
 }
 
@@ -144,51 +140,43 @@ pub fn resolve_jobs(jobs: usize) -> usize {
     }
 }
 
-/// The global worker-thread budget shared by the two scheduler levels.
-///
-/// One budget is created per batch run from the `--jobs` knob; the
-/// instance pool ([`run_instances`]) acquires one slot per instance
-/// worker plus that worker's shape-slot allotment from the *same*
-/// account, so the number of running worker threads never exceeds
-/// [`JobBudget::total`]. The accounting is an enforced invariant of
-/// the static level split — see the module docs for why the split is
-/// not demand-driven.
-#[derive(Debug)]
-pub struct JobBudget {
-    total: usize,
-    available: AtomicUsize,
-}
-
-impl JobBudget {
-    /// A budget of `resolve_jobs(jobs)` worker threads.
-    pub fn new(jobs: usize) -> JobBudget {
-        let total = resolve_jobs(jobs).max(1);
-        JobBudget { total, available: AtomicUsize::new(total) }
+/// The one worker pool: runs `task(worker, idx)` once for every index
+/// in `0..count` claimed before `stop` is set, one thread per entry of
+/// `workers`. Each worker claims the lowest unclaimed index from one
+/// counter. A single worker runs inline on the calling thread; more run
+/// on scoped threads that inherit the caller's profile path and counter
+/// scopes.
+fn pool<W: Send>(
+    workers: &mut [W],
+    count: usize,
+    stop: &AtomicBool,
+    task: impl Fn(&mut W, usize) + Sync,
+) {
+    let next = AtomicUsize::new(0);
+    let drain = |worker: &mut W| {
+        while !stop.load(Ordering::Acquire) {
+            let idx = next.fetch_add(1, Ordering::SeqCst);
+            if idx >= count {
+                return;
+            }
+            task(worker, idx);
+        }
+    };
+    if let [worker] = workers {
+        return drain(worker);
     }
-
-    /// The total thread budget (`--jobs` after resolving `0`).
-    pub fn total(&self) -> usize {
-        self.total
-    }
-
-    /// Threads currently unclaimed.
-    pub fn available(&self) -> usize {
-        self.available.load(Ordering::SeqCst)
-    }
-
-    /// Claims `n` slots, failing (without partial effect) when fewer
-    /// are free.
-    fn acquire(&self, n: usize) -> bool {
-        self.available
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |free| free.checked_sub(n))
-            .is_ok()
-    }
-
-    /// Returns `n` previously acquired slots.
-    fn release(&self, n: usize) {
-        let prev = self.available.fetch_add(n, Ordering::SeqCst);
-        debug_assert!(prev + n <= self.total, "released more job slots than acquired");
-    }
+    let base_path = stp_telemetry::profile::current_path();
+    let scopes = stp_telemetry::scope::current();
+    std::thread::scope(|scope| {
+        for worker in workers {
+            let (drain, base_path, scopes) = (&drain, &base_path, &scopes);
+            scope.spawn(move || {
+                let _inherit_path = stp_telemetry::profile::inherit_path(base_path);
+                let _inherit_scopes = stp_telemetry::scope::inherit(scopes);
+                drain(worker)
+            });
+        }
+    });
 }
 
 /// Renders an instance-level panic payload as the error message parked
@@ -200,97 +188,45 @@ fn instance_panic(idx: usize, payload: Box<dyn std::any::Any + Send>) -> String 
     message
 }
 
-/// One instance behind the panic boundary: `run` receives the instance
-/// index and the shape-level `jobs` allotment its nested scheduler may
-/// use. `AssertUnwindSafe` is sound for the same reason as at the
-/// shape level: callers only observe an instance's state through its
-/// returned value, and a panicked instance's slot holds an error, not
-/// partial output.
-fn run_instance_task<T, F: Fn(usize, usize) -> T>(
-    run: &F,
-    idx: usize,
-    shape_jobs: usize,
-) -> Result<T, String> {
-    stp_telemetry::counter!("par.instances_run").inc();
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(idx, shape_jobs)))
-        .map_err(|payload| instance_panic(idx, payload))
-}
-
 /// Runs `count` work items over the instance-level pool, returning the
 /// results in **instance-index order** — `Err` carries the panic
 /// message of an isolated panicking item.
 ///
 /// `run(idx, shape_jobs)` executes item `idx` and must confine any
-/// nested parallelism to `shape_jobs` workers; both levels then stay
-/// inside `budget` (`--jobs N` = N running threads in total). The
-/// budget split is static (see the module docs): with
-/// `count >= budget.total()` every item gets `shape_jobs = 1`, making
-/// the pooled run — outputs *and* counter totals — byte-identical to
-/// the sequential loop at any budget; a single item gets the entire
-/// budget as its shape-level allotment.
+/// nested parallelism to `shape_jobs` workers. With `N =
+/// resolve_jobs(jobs)`, the pool runs `min(N, count)` workers and every
+/// item gets `shape_jobs = N / workers` (see the module docs): with
+/// `count >= N` every item is shape-sequential, making the pooled run —
+/// outputs *and* counter totals — byte-identical to the sequential loop;
+/// a single item gets all `N` threads. One worker runs the items inline
+/// on the calling thread.
 ///
-/// With an effective width of one worker the items run inline on the
-/// calling thread — no pool, no inheritance glue, byte-identical to a
-/// plain `for` loop by construction.
+/// `AssertUnwindSafe` is sound for the same reason as at the shape
+/// level: callers only observe an instance's state through its returned
+/// value, and a panicked instance's slot holds an error, not partial
+/// output.
 pub fn run_instances<T: Send, F: Fn(usize, usize) -> T + Sync>(
-    budget: &JobBudget,
+    jobs: usize,
     count: usize,
     run: F,
 ) -> Vec<Result<T, String>> {
-    let total = budget.total();
+    let total = resolve_jobs(jobs).max(1);
     let workers = total.min(count).max(1);
     // Uniform shape allotment: every instance must see the same nested
     // `jobs` no matter which worker picks it up (a per-worker remainder
-    // would make per-instance counters depend on the timing of the
-    // claim order).
-    let shape_jobs = (total / workers).max(1);
-    if workers <= 1 {
-        // The sequential loop: the single "instance worker" is the
-        // calling thread, and its nested scheduler may use the whole
-        // budget.
-        return (0..count).map(|idx| run_instance_task(&run, idx, total)).collect();
-    }
+    // would make per-instance counters depend on the claim order).
+    let shape_jobs = total / workers;
     // `Mutex<Option<_>>` rather than `OnceLock`: a slot is written once
-    // by exactly one worker (the claim counter hands out each index
-    // once), and `Mutex` only needs `T: Send` to cross the scope.
+    // by exactly one worker, and `Mutex` only needs `T: Send` to be
+    // shared across the scope.
     let results: Vec<Mutex<Option<Result<T, String>>>> =
         (0..count).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    // Workers inherit the spawner's open-span path and counter scopes,
-    // so profiling and per-instance counter attribution are identical
-    // to the inline loop.
-    let base_path = stp_telemetry::profile::current_path();
-    let scopes = stp_telemetry::scope::current();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let results = &results;
-            let next = &next;
-            let run = &run;
-            let base_path = base_path.clone();
-            let scopes = scopes.clone();
-            scope.spawn(move || {
-                // Each instance worker borrows its shape-slot allotment
-                // from the shared budget: itself plus the extra threads
-                // its nested shape pool may spawn. The static split
-                // guarantees the claim fits; the acquire enforces it.
-                let claimed = budget.acquire(shape_jobs);
-                debug_assert!(claimed, "static split exceeded the job budget");
-                let _inherit_path = stp_telemetry::profile::inherit_path(&base_path);
-                let _inherit_scopes = stp_telemetry::scope::inherit(&scopes);
-                loop {
-                    let idx = next.fetch_add(1, Ordering::SeqCst);
-                    if idx >= count {
-                        break;
-                    }
-                    let outcome = run_instance_task(run, idx, shape_jobs);
-                    let prev = results[idx].lock().expect("slot lock").replace(outcome);
-                    debug_assert!(prev.is_none(), "instance slot {idx} claimed twice");
-                }
-                if claimed {
-                    budget.release(shape_jobs);
-                }
-            });
-        }
+    pool(&mut vec![(); workers], count, &AtomicBool::new(false), |(), idx| {
+        stp_telemetry::counter!("par.instances_run").inc();
+        let outcome =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(idx, shape_jobs)))
+                .map_err(|payload| instance_panic(idx, payload));
+        *results[idx].lock().expect("slot lock") = Some(outcome);
     });
     results
         .into_iter()
@@ -302,47 +238,101 @@ pub fn run_instances<T: Send, F: Fn(usize, usize) -> T + Sync>(
         .collect()
 }
 
-/// The sequential round: shapes in order, verified chains accumulated
-/// until the cap binds. The parallel path reproduces this output
-/// exactly; both run each shape through [`run_shape_task`] so the
-/// cap/deadline/panic semantics stay in one place.
-pub(crate) fn run_round_sequential(
+/// Runs one round over `min(engines.len(), shapes.len())` workers, one
+/// engine each. `cancel` must be freshly cleared; it is left set when
+/// the round was cut off (solution cap or error).
+pub(crate) fn run_round(
     spec: &TruthTable,
     shapes: &[TreeShape],
-    engine: &mut Factorizer,
+    engines: &mut [Factorizer],
     max_solutions: usize,
     max_depth: Option<usize>,
     cancel: &AtomicBool,
 ) -> Result<RoundOutcome, SynthesisError> {
+    let workers = engines.len().min(shapes.len()).max(1);
+    let results: Vec<OnceLock<TaskResult>> = shapes.iter().map(|_| OnceLock::new()).collect();
+    let prefix = Mutex::new(Prefix { next: 0, cum: 0 });
+    let cap_reached = AtomicBool::new(false);
+    let first_error: Mutex<Option<(usize, SynthesisError)>> = Mutex::new(None);
+    let shapes_done = AtomicUsize::new(0);
+    pool(&mut engines[..workers], shapes.len(), cancel, |engine, idx| {
+        let held = prefix.lock().expect("prefix lock poisoned").cum;
+        let Some(room) = max_solutions.checked_sub(held).filter(|&room| room > 0) else {
+            // The cap is already met (a racing worker reached it after
+            // this claim, or it is 0): the merge stops before this slot.
+            return;
+        };
+        stp_telemetry::counter!("par.tasks_run").inc();
+        let outcome = {
+            // Untracked and only on pool threads, so the profile tree
+            // and the one-worker trace stay those of the inline loop.
+            let _busy =
+                (workers > 1).then(|| stp_telemetry::Span::enter_untracked("par.worker_busy"));
+            run_shape_task(spec, &shapes[idx], idx, engine, room, max_depth, cancel)
+        };
+        match outcome {
+            Ok(solutions) => {
+                shapes_done.fetch_add(1, Ordering::SeqCst);
+                let _ = results[idx].set(Ok(solutions));
+                advance_prefix(&prefix, &results, max_solutions, &cap_reached, cancel);
+            }
+            Err(e @ SynthesisError::JobPanicked { .. }) => {
+                // An isolated panic must NOT cancel the round: park the
+                // error in the slot and keep claiming, so sibling
+                // shapes' solutions survive.
+                let _ = results[idx].set(Err(e));
+                advance_prefix(&prefix, &results, max_solutions, &cap_reached, cancel);
+            }
+            Err(_) if cap_reached.load(Ordering::SeqCst) => {
+                // Induced abort: the satisfied prefix precedes this
+                // task, so its (discarded) result is immaterial.
+                stp_telemetry::counter!("par.tasks_cancelled").inc();
+                let _ = results[idx].set(Ok(Vec::new()));
+            }
+            Err(e) => {
+                let mut slot = first_error.lock().expect("error lock poisoned");
+                if slot.as_ref().is_none_or(|(i, _)| idx < *i) {
+                    *slot = Some((idx, e.clone()));
+                }
+                drop(slot);
+                let _ = results[idx].set(Err(e));
+                cancel.store(true, Ordering::SeqCst);
+            }
+        }
+    });
+    if !cap_reached.load(Ordering::SeqCst) {
+        if let Some((_, e)) = first_error.into_inner().expect("error lock poisoned") {
+            return Err(e);
+        }
+    }
+    // Merge in shape-index order and truncate. When the cap cut the
+    // round off, every slot up to the satisfying prefix is filled, so
+    // the loop reaches the cap before it can meet an unfilled slot.
+    // `Err` slots are isolated panics (genuine errors returned above),
+    // skipped here.
     let mut solutions: Vec<Chain> = Vec::new();
-    let mut shapes_explored = 0usize;
     let mut panicked = 0usize;
     let mut first_panic: Option<SynthesisError> = None;
-    for (idx, shape) in shapes.iter().enumerate() {
+    for slot in results {
         if solutions.len() >= max_solutions {
             break;
         }
-        // Capping the task at the *remaining* room reproduces the old
-        // accumulate-until-cap loop candidate for candidate.
-        let remaining = max_solutions - solutions.len();
-        match run_shape_task(spec, shape, idx, engine, remaining, max_depth, cancel) {
-            Ok(sols) => {
-                shapes_explored += 1;
-                solutions.extend(sols);
+        match slot.into_inner() {
+            Some(Ok(sols)) => {
+                let room = max_solutions - solutions.len();
+                solutions.extend(sols.into_iter().take(room));
             }
-            Err(e @ SynthesisError::JobPanicked { .. }) => {
+            Some(Err(e)) => {
                 panicked += 1;
-                if first_panic.is_none() {
-                    first_panic = Some(e);
-                }
+                first_panic.get_or_insert(e);
             }
-            Err(e) => return Err(e),
+            None => {}
         }
     }
-    finish_round(solutions, shapes_explored, panicked, first_panic)
+    finish_round(solutions, shapes_done.into_inner(), panicked, first_panic)
 }
 
-/// Shared round epilogue: panics surface as an error only when the
+/// Round epilogue: panics surface as an error only when the
 /// surviving shapes produced nothing (otherwise the merged solutions
 /// stand, minus the failed shape's contribution).
 fn finish_round(
@@ -443,10 +433,11 @@ struct Prefix {
     cum: usize,
 }
 
-/// Advances the completed prefix past `results` slots that are filled
-/// with `Ok`; once the prefix holds `max_solutions` chains, cancels the
-/// round (ordering matters: `cap_reached` is published before `cancel`
-/// so a worker that observes the cancellation also observes its cause).
+/// Advances the completed prefix past `results` slots that hold chains
+/// or an isolated panic (which the merge skips); once the prefix holds
+/// `max_solutions` chains, cancels the round (ordering matters:
+/// `cap_reached` is published before `cancel` so a worker that observes
+/// the cancellation also observes its cause).
 fn advance_prefix(
     prefix: &Mutex<Prefix>,
     results: &[OnceLock<TaskResult>],
@@ -455,7 +446,7 @@ fn advance_prefix(
     cancel: &AtomicBool,
 ) {
     let mut p = prefix.lock().expect("prefix lock poisoned");
-    while p.next < results.len() {
+    while p.next < results.len() && !cap_reached.load(Ordering::SeqCst) {
         match results[p.next].get() {
             Some(Ok(sols)) => {
                 p.cum += sols.len();
@@ -467,200 +458,10 @@ fn advance_prefix(
                     return;
                 }
             }
+            Some(Err(SynthesisError::JobPanicked { .. })) => p.next += 1,
             _ => return,
         }
     }
-}
-
-/// Pops the next task: own deque from the front (lowest indices first,
-/// which feeds the completed-prefix tracker), then victims from the
-/// back.
-fn next_task(w: usize, queues: &[Mutex<VecDeque<usize>>]) -> Option<usize> {
-    if let Some(idx) = queues[w].lock().expect("queue lock poisoned").pop_front() {
-        return Some(idx);
-    }
-    let n = queues.len();
-    for off in 1..n {
-        let victim = (w + off) % n;
-        let stolen = queues[victim].lock().expect("queue lock poisoned").pop_back();
-        if let Some(idx) = stolen {
-            stp_telemetry::counter!("par.tasks_stolen").inc();
-            return Some(idx);
-        }
-    }
-    None
-}
-
-/// Shared state of one parallel round (everything the workers touch).
-struct RoundState<'a> {
-    spec: &'a TruthTable,
-    shapes: &'a [TreeShape],
-    queues: Vec<Mutex<VecDeque<usize>>>,
-    results: Vec<OnceLock<TaskResult>>,
-    prefix: Mutex<Prefix>,
-    cancel: &'a AtomicBool,
-    cap_reached: AtomicBool,
-    first_error: Mutex<Option<(usize, SynthesisError)>>,
-    shapes_done: AtomicUsize,
-    max_solutions: usize,
-    max_depth: Option<usize>,
-}
-
-fn worker_loop(w: usize, engine: &mut Factorizer, state: &RoundState<'_>) {
-    loop {
-        if state.cancel.load(Ordering::Acquire) {
-            return;
-        }
-        let Some(idx) = next_task(w, &state.queues) else {
-            return;
-        };
-        stp_telemetry::counter!("par.tasks_run").inc();
-        let outcome = {
-            // Untracked: this span only exists at jobs > 1, so keeping
-            // it out of the profile tree is what makes jobs=1 and
-            // jobs=N trees structurally identical.
-            let _busy = stp_telemetry::Span::enter_untracked("par.worker_busy");
-            run_shape_task(
-                state.spec,
-                &state.shapes[idx],
-                idx,
-                engine,
-                state.max_solutions,
-                state.max_depth,
-                state.cancel,
-            )
-        };
-        match outcome {
-            Ok(solutions) => {
-                state.shapes_done.fetch_add(1, Ordering::SeqCst);
-                let _ = state.results[idx].set(Ok(solutions));
-                advance_prefix(
-                    &state.prefix,
-                    &state.results,
-                    state.max_solutions,
-                    &state.cap_reached,
-                    state.cancel,
-                );
-            }
-            Err(e @ SynthesisError::JobPanicked { .. }) => {
-                // An isolated panic must NOT cancel the round: park the
-                // error in the slot and keep draining tasks so sibling
-                // shapes' solutions survive. The completed-prefix
-                // tracker stalls at this slot — a later cap cutoff is
-                // forfeited (an optimization, not a correctness
-                // property; the merge still truncates exactly).
-                let _ = state.results[idx].set(Err(e));
-            }
-            Err(e) => {
-                if state.cap_reached.load(Ordering::SeqCst) {
-                    // Induced abort: the satisfied prefix precedes this
-                    // task, so its (discarded) result is immaterial.
-                    stp_telemetry::counter!("par.tasks_cancelled").inc();
-                    let _ = state.results[idx].set(Ok(Vec::new()));
-                } else {
-                    let mut slot = state.first_error.lock().expect("error lock poisoned");
-                    match &*slot {
-                        Some((i, _)) if *i <= idx => {}
-                        _ => *slot = Some((idx, e.clone())),
-                    }
-                    drop(slot);
-                    let _ = state.results[idx].set(Err(e));
-                    state.cancel.store(true, Ordering::SeqCst);
-                }
-            }
-        }
-    }
-}
-
-/// Runs one round across `engines.len()` workers (falling back to the
-/// sequential path when one worker — or one task — makes stealing
-/// pointless). `cancel` must be freshly cleared; it is left set when the
-/// round was cut off (solution cap or error).
-pub(crate) fn run_round_parallel(
-    spec: &TruthTable,
-    shapes: &[TreeShape],
-    engines: &mut [Factorizer],
-    max_solutions: usize,
-    max_depth: Option<usize>,
-    cancel: &AtomicBool,
-) -> Result<RoundOutcome, SynthesisError> {
-    let n_tasks = shapes.len();
-    let workers = engines.len().min(n_tasks);
-    if workers <= 1 {
-        let engine = engines.first_mut().expect("at least one engine");
-        return run_round_sequential(spec, shapes, engine, max_solutions, max_depth, cancel);
-    }
-    let state = RoundState {
-        spec,
-        shapes,
-        // Round-robin deal: worker w owns tasks w, w+workers, … so the
-        // lowest indices complete early and the prefix tracker can cut
-        // the round off as soon as the cap is provably reached.
-        queues: (0..workers).map(|w| Mutex::new((w..n_tasks).step_by(workers).collect())).collect(),
-        results: (0..n_tasks).map(|_| OnceLock::new()).collect(),
-        prefix: Mutex::new(Prefix { next: 0, cum: 0 }),
-        cancel,
-        cap_reached: AtomicBool::new(false),
-        first_error: Mutex::new(None),
-        shapes_done: AtomicUsize::new(0),
-        max_solutions,
-        max_depth,
-    };
-    // Workers inherit the spawner's open-span path (e.g. the
-    // synth.round.rN frame), so profiled spans on worker threads land
-    // at the same tree position the sequential path records them — and
-    // the spawner's counter scopes, so per-instance counter
-    // attribution (the bench harness) survives shape-level fan-out.
-    let base_path = stp_telemetry::profile::current_path();
-    let scopes = stp_telemetry::scope::current();
-    std::thread::scope(|scope| {
-        for (w, engine) in engines[..workers].iter_mut().enumerate() {
-            let state = &state;
-            let base_path = base_path.clone();
-            let scopes = scopes.clone();
-            scope.spawn(move || {
-                let _inherit_path = stp_telemetry::profile::inherit_path(&base_path);
-                let _inherit_scopes = stp_telemetry::scope::inherit(&scopes);
-                worker_loop(w, engine, state)
-            });
-        }
-    });
-    let cap_reached = state.cap_reached.load(Ordering::SeqCst);
-    if !cap_reached {
-        if let Some((_, e)) = state.first_error.into_inner().expect("error lock poisoned") {
-            return Err(e);
-        }
-    }
-    // Merge in shape-index order and truncate: byte-identical to the
-    // sequential accumulation. When the cap cut the round off, every
-    // slot up to the satisfying prefix is filled, so the loop below
-    // reaches the cap before it can meet an unfilled slot. `Err` slots
-    // are isolated panics (genuine errors returned above): they are
-    // skipped, exactly as the sequential loop skips a panicked shape.
-    let mut solutions: Vec<Chain> = Vec::new();
-    let mut panicked = 0usize;
-    let mut first_panic: Option<SynthesisError> = None;
-    for slot in state.results {
-        if solutions.len() >= max_solutions {
-            break;
-        }
-        match slot.into_inner() {
-            Some(Ok(sols)) => {
-                let room = max_solutions - solutions.len();
-                solutions.extend(sols.into_iter().take(room));
-            }
-            Some(Err(e)) => {
-                panicked += 1;
-                if first_panic.is_none() {
-                    first_panic = Some(e);
-                }
-            }
-            None => {}
-        }
-    }
-    debug_assert!(solutions.len() <= max_solutions);
-    let shapes_explored = state.shapes_done.load(Ordering::SeqCst);
-    finish_round(solutions, shapes_explored, panicked, first_panic)
 }
 
 #[cfg(test)]
@@ -691,58 +492,85 @@ mod tests {
         assert_eq!(resolve_jobs(7), 7);
     }
 
+    /// Every index the pool ran, in the order each worker claimed it.
+    fn pool_claims(workers: usize, count: usize, stop: &AtomicBool) -> Vec<Vec<usize>> {
+        let mut claims = vec![Vec::new(); workers];
+        pool(&mut claims, count, stop, |claimed, idx| claimed.push(idx));
+        claims
+    }
+
     #[test]
-    fn job_budget_accounts_acquires_and_releases() {
-        let budget = JobBudget::new(4);
-        assert_eq!(budget.total(), 4);
-        assert_eq!(budget.available(), 4);
-        assert!(budget.acquire(3));
-        assert_eq!(budget.available(), 1);
-        assert!(!budget.acquire(2), "over-claim must fail without partial effect");
-        assert_eq!(budget.available(), 1);
-        assert!(budget.acquire(1));
-        budget.release(4);
-        assert_eq!(budget.available(), 4);
+    fn pool_runs_every_index_exactly_once() {
+        for workers in [1usize, 2, 4] {
+            let claims = pool_claims(workers, 37, &AtomicBool::new(false));
+            let mut ran: Vec<usize> = claims.concat();
+            ran.sort_unstable();
+            assert_eq!(ran, (0..37).collect::<Vec<_>>(), "workers={workers}");
+            // Each worker claims from one counter, so its own indices
+            // ascend even when its claims interleave with others'.
+            for claimed in &claims {
+                assert!(claimed.windows(2).all(|w| w[0] < w[1]), "workers={workers}");
+            }
+        }
+    }
+
+    #[test]
+    fn pool_claims_in_ascending_order_on_one_worker() {
+        let claims = pool_claims(1, 9, &AtomicBool::new(false));
+        assert_eq!(claims, vec![(0..9).collect::<Vec<_>>()]);
+    }
+
+    #[test]
+    fn pool_claims_nothing_once_stopped() {
+        for workers in [1usize, 2, 4] {
+            let claims = pool_claims(workers, 9, &AtomicBool::new(true));
+            assert!(claims.iter().all(Vec::is_empty), "workers={workers}");
+        }
+        // A task that sets the stop flag ends claiming after it.
+        let stop = AtomicBool::new(false);
+        let mut claims = vec![Vec::new()];
+        pool(&mut claims, 9, &stop, |claimed, idx| {
+            claimed.push(idx);
+            if idx == 3 {
+                stop.store(true, Ordering::SeqCst);
+            }
+        });
+        assert_eq!(claims, vec![vec![0, 1, 2, 3]]);
     }
 
     #[test]
     fn run_instances_returns_results_in_index_order() {
         for jobs in [1usize, 2, 4, 8] {
-            let budget = JobBudget::new(jobs);
-            let results = run_instances(&budget, 10, |idx, shape_jobs| {
+            let results = run_instances(jobs, 10, |idx, shape_jobs| {
                 assert!(shape_jobs >= 1);
                 idx * idx
             });
             let values: Vec<usize> = results.into_iter().map(|r| r.expect("no panic")).collect();
             assert_eq!(values, (0..10).map(|i| i * i).collect::<Vec<_>>(), "jobs={jobs}");
-            assert_eq!(budget.available(), budget.total(), "jobs={jobs}: budget leaked");
         }
     }
 
     #[test]
-    fn run_instances_splits_the_budget_statically() {
-        // Suite at least as wide as the budget: every instance is
+    fn run_instances_splits_the_jobs_statically() {
+        // Suite at least as wide as the jobs: every instance is
         // shape-sequential, so counters match the sequential loop.
-        let budget = JobBudget::new(4);
-        let results = run_instances(&budget, 8, |_, shape_jobs| shape_jobs);
+        let results = run_instances(4, 8, |_, shape_jobs| shape_jobs);
         assert!(results.into_iter().all(|r| r == Ok(1)));
-        // A single instance gets the entire budget as shape slots.
-        let results = run_instances(&budget, 1, |_, shape_jobs| shape_jobs);
+        // A single instance gets every thread as a shape worker.
+        let results = run_instances(4, 1, |_, shape_jobs| shape_jobs);
         assert_eq!(results, vec![Ok(4)]);
-        // Fewer instances than budget: the surplus goes to shape level,
+        // Fewer instances than jobs: the surplus goes to shape level,
         // uniformly.
-        let budget = JobBudget::new(8);
-        let results = run_instances(&budget, 3, |_, shape_jobs| shape_jobs);
+        let results = run_instances(8, 3, |_, shape_jobs| shape_jobs);
         assert_eq!(results, vec![Ok(2), Ok(2), Ok(2)]);
         // Zero items is a no-op, not a panic.
-        assert!(run_instances(&budget, 0, |_, _| 0).is_empty());
+        assert!(run_instances(8, 0, |_, _| 0).is_empty());
     }
 
     #[test]
     fn run_instances_isolates_a_panicking_item() {
         for jobs in [1usize, 4] {
-            let budget = JobBudget::new(jobs);
-            let results = run_instances(&budget, 5, |idx, _| {
+            let results = run_instances(jobs, 5, |idx, _| {
                 if idx == 2 {
                     panic!("instance boom");
                 }
@@ -758,7 +586,6 @@ mod tests {
                     assert_eq!(r.as_ref().copied(), Ok(idx), "jobs={jobs}: survivor lost");
                 }
             }
-            assert_eq!(budget.available(), budget.total(), "jobs={jobs}: budget leaked");
         }
     }
 
@@ -768,8 +595,7 @@ mod tests {
         // open on the submitting thread, at any pool width.
         for jobs in [1usize, 4] {
             let scope = stp_telemetry::CounterScope::enter();
-            let budget = JobBudget::new(jobs);
-            let results = run_instances(&budget, 6, |_, _| {
+            let results = run_instances(jobs, 6, |_, _| {
                 stp_telemetry::counter!("par.test.scoped_work").inc();
             });
             assert!(results.into_iter().all(|r| r.is_ok()));
@@ -813,11 +639,11 @@ mod tests {
     }
 
     /// End-to-end isolation: with the `parallel.shape` failpoint armed
-    /// for the second shape, the sequential round still returns the
-    /// survivors from every other shape and tallies the panic.
+    /// for one shape, a one-engine round still returns the survivors
+    /// from every other shape and tallies the panic.
     #[cfg(feature = "faultsim")]
     #[test]
-    fn sequential_round_survives_a_panicking_shape() {
+    fn one_worker_round_survives_a_panicking_shape() {
         use crate::factor::{FactorConfig, Factorizer};
         use stp_fence::shapes_with_gates;
 
@@ -827,11 +653,11 @@ mod tests {
         let spec = TruthTable::from_hex(4, "8ff8").expect("valid spec");
         let shapes = shapes_with_gates(3);
         assert!(shapes.len() >= 2, "need several shapes for the round");
-        let mut engine = Factorizer::new(FactorConfig::default());
+        let mut engine = [Factorizer::new(FactorConfig::default())];
         let cancel = AtomicBool::new(false);
 
-        let clean = run_round_sequential(&spec, &shapes, &mut engine, usize::MAX, None, &cancel)
-            .expect("clean round");
+        let clean =
+            run_round(&spec, &shapes, &mut engine, usize::MAX, None, &cancel).expect("clean round");
         assert!(!clean.solutions.is_empty(), "0x8ff8 must solve at 3 gates");
         let clean_keys: Vec<String> = clean.solutions.iter().map(|c| format!("{c:?}")).collect();
 
@@ -841,8 +667,8 @@ mod tests {
         let mut rounds_with_survivors = 0;
         for k in 0..shapes.len() {
             stp_faultsim::set("parallel.shape", &format!("{}:panic", k + 1)).expect("valid spec");
-            let mut engine = Factorizer::new(FactorConfig::default());
-            match run_round_sequential(&spec, &shapes, &mut engine, usize::MAX, None, &cancel) {
+            let mut engine = [Factorizer::new(FactorConfig::default())];
+            match run_round(&spec, &shapes, &mut engine, usize::MAX, None, &cancel) {
                 Ok(faulted) => {
                     assert_eq!(faulted.shapes_explored + 1, clean.shapes_explored);
                     // The faulted stream is a subsequence of the clean one.
@@ -867,5 +693,37 @@ mod tests {
         }
         stp_faultsim::clear_all();
         assert!(rounds_with_survivors > 0, "some shape must be non-load-bearing");
+    }
+
+    /// A panicked shape does not stall the completed prefix: with the
+    /// first shape panicking and a cap that the next shape fills, one
+    /// and two workers cut the round off and return the same chains.
+    #[cfg(feature = "faultsim")]
+    #[test]
+    fn a_panicked_shape_keeps_the_cap_cutoff() {
+        use crate::factor::{FactorConfig, Factorizer};
+        use stp_fence::shapes_with_gates;
+
+        let _guard = stp_faultsim::test_guard();
+        stp_faultsim::clear_all();
+        let spec = TruthTable::from_hex(4, "6996").expect("valid spec");
+        let shapes = shapes_with_gates(3);
+        let run = |workers: usize| {
+            // An exact-hit trigger disarms after firing: arm it per run.
+            stp_faultsim::set("parallel.shape", "1:panic").expect("valid spec");
+            let mut engines: Vec<Factorizer> =
+                (0..workers).map(|_| Factorizer::new(FactorConfig::default())).collect();
+            let scope = stp_telemetry::CounterScope::enter();
+            let round = run_round(&spec, &shapes, &mut engines, 2, None, &AtomicBool::new(false))
+                .expect("the surviving shapes hold chains");
+            let counters = scope.finish();
+            assert_eq!(counters.get("parallel.jobs_panicked"), Some(&1), "workers={workers}");
+            assert_eq!(counters.get("par.cap_cutoffs"), Some(&1), "workers={workers}: cutoff");
+            round.solutions.iter().map(|c| c.to_string()).collect::<Vec<_>>()
+        };
+        let one = run(1);
+        assert_eq!(one.len(), 2, "the cap binds");
+        assert_eq!(one, run(2));
+        stp_faultsim::clear_all();
     }
 }

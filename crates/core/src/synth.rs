@@ -260,7 +260,7 @@ fn sweep(
         // Re-arm the per-round cancel flag: a previous round may have
         // tripped it when its solution cap was reached.
         cancel.store(false, Ordering::SeqCst);
-        let outcome = parallel::run_round_parallel(
+        let outcome = parallel::run_round(
             spec,
             &shapes,
             &mut engines,
@@ -789,11 +789,7 @@ pub fn synthesize_multi(
     let gates_saved = per_output_gates.iter().sum::<usize>() - shared_gates;
     stp_telemetry::counter!("synth.mo.shared_gates").add(shared_gates as u64);
     stp_telemetry::counter!("synth.mo.gates_saved").add(gates_saved as u64);
-    debug_assert_eq!(
-        chain.simulate_outputs().map_err(SynthesisError::from)?,
-        multi.specs().to_vec(),
-        "shared chain must realize every output"
-    );
+    check_realizes(&chain, multi.specs())?;
     Ok(MultiSynthesisResult {
         chain,
         objective_cost,
@@ -804,6 +800,17 @@ pub fn synthesize_multi(
         fences_explored,
         factor_nodes,
     })
+}
+
+/// The release check of a merged chain: every output must realize its
+/// spec, or the chain is withheld as [`SynthesisError::Unrealized`].
+fn check_realizes(chain: &Chain, specs: &[TruthTable]) -> Result<(), SynthesisError> {
+    if chain.simulate_outputs()? == specs {
+        return Ok(());
+    }
+    let specs = specs.iter().map(TruthTable::to_hex).collect::<Vec<_>>().join("+");
+    stp_telemetry::error!("withheld a merged chain that does not realize {specs}");
+    Err(SynthesisError::Unrealized { specs })
 }
 
 /// [`synthesize_multi`] through the multi-output NPN class
@@ -875,6 +882,15 @@ impl NpnAnswer {
     /// Always `false`: every answer holds at least one chain.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// The gate count of the chain [`NpnAnswer::first`] returns, read
+    /// without mapping or checking it (see [`NpnView::gates`]).
+    pub fn gates(&self) -> usize {
+        match self {
+            NpnAnswer::Trivial(chain) => chain.num_gates(),
+            NpnAnswer::Class(view) => view.gates(),
+        }
     }
 
     /// The first chain, mapped back and checked against the spec in
@@ -1115,8 +1131,7 @@ pub fn warm_classes(
         Cached,
         Exhausted,
     }
-    let budget = crate::parallel::JobBudget::new(config.jobs);
-    let results = crate::parallel::run_instances(&budget, reps.len(), |idx, shape_jobs| {
+    let results = crate::parallel::run_instances(config.jobs, reps.len(), |idx, shape_jobs| {
         let scope = stp_telemetry::CounterScope::enter();
         let mut per_class = config.clone();
         per_class.jobs = shape_jobs;
@@ -1653,6 +1668,20 @@ mod tests {
         assert_eq!(result.chain.num_gates(), 5);
         assert_eq!(result.objective_cost, result.chain.num_gates() as u64);
         assert!(result.combinations_tried >= 1);
+    }
+
+    #[test]
+    fn merged_chains_are_checked_in_release_builds() {
+        let sum = TruthTable::from_fn(3, |a| a[0] ^ a[1] ^ a[2]).unwrap();
+        let carry = TruthTable::from_hex(3, "e8").unwrap();
+        let multi = MultiSpec::new(vec![sum.clone(), carry.clone()]).unwrap();
+        let config = SynthesisConfig { jobs: 1, ..SynthesisConfig::default() };
+        let chain = synthesize_multi(&multi, &GateCountObjective, &config).unwrap().chain;
+        assert_eq!(check_realizes(&chain, &[sum.clone(), carry.clone()]), Ok(()));
+        // The same chain against its outputs swapped is withheld.
+        let err = check_realizes(&chain, &[carry, sum]).unwrap_err();
+        assert_eq!(err, SynthesisError::Unrealized { specs: "e8+96".into() });
+        assert_eq!(err.to_string(), "synthesized chain does not realize e8+96");
     }
 
     #[test]

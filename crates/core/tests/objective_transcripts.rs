@@ -8,7 +8,7 @@
 //! the paper's running examples; the objectives are the three the CLI
 //! accepts. A change to the sweep's round order, stopping rule, or
 //! result assembly moves a row. The same sweep at one worker per CPU
-//! must return the same chains in the same order.
+//! (at least two) must return the same chains in the same order.
 //!
 //! A mismatch prints the whole table as computed, in the source syntax
 //! of [`PINNED`], so an intended change is re-pinned by pasting it.
@@ -147,7 +147,9 @@ fn every_objective_reproduces_its_pinned_transcript() {
 
 #[test]
 fn parallel_sweep_returns_the_sequential_chains() {
-    let nproc = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
+    // At least two workers, so a 1-CPU host still compares jobs = 1
+    // against a parallel run.
+    let nproc = std::thread::available_parallelism().map_or(1, usize::from).max(2);
     for (name, spec) in specs() {
         for objective_spec in OBJECTIVES {
             let objective = objective_from_spec(objective_spec).unwrap();

@@ -14,7 +14,8 @@
 //! * **Deterministic triggers.** A spec can fire on every hit
 //!   (`panic`) or exactly on the *n*-th hit (`3:panic`), and call sites
 //!   may supply an explicit hit index (e.g. a shape index) so the
-//!   trigger is deterministic even under work-stealing parallelism.
+//!   trigger is deterministic at any worker count, whichever worker
+//!   claims the task.
 //! * **Two control surfaces.** Programmatic ([`set`] / [`remove`] /
 //!   [`clear_all`]) for tests, and the `STP_FAILPOINTS` environment
 //!   variable (`name=spec;name2=spec2`) for whole-binary runs.

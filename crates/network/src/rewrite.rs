@@ -13,9 +13,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use stp_chain::Chain;
-use stp_store::{NpnOutcome, NpnView, RepOutcome, Store};
+use stp_store::{NpnOutcome, RepOutcome, Store};
 use stp_synth::{
-    synthesize, synthesize_multi, GateCountObjective, MultiSpec, SynthesisConfig, SynthesisError,
+    synthesize, synthesize_multi, GateCountObjective, MultiSpec, NpnAnswer, SynthesisConfig,
+    SynthesisError,
 };
 use stp_tt::TruthTable;
 
@@ -128,7 +129,9 @@ impl SynthesisCache {
         budget: Duration,
         jobs: usize,
     ) -> Result<Option<Chain>, NetworkError> {
-        Ok(self.lookup(std::slice::from_ref(spec), budget, jobs)?.and_then(Answer::chain))
+        Ok(self
+            .lookup(std::slice::from_ref(spec), budget, jobs)?
+            .and_then(|answer| answer.first().ok()))
     }
 
     /// Returns one shared chain realizing every spec (through the
@@ -154,7 +157,7 @@ impl SynthesisCache {
         budget: Duration,
         jobs: usize,
     ) -> Result<Option<Chain>, NetworkError> {
-        Ok(self.lookup(specs, budget, jobs)?.and_then(Answer::chain))
+        Ok(self.lookup(specs, budget, jobs)?.and_then(|answer| answer.first().ok()))
     }
 
     /// The one lookup path: resolves `specs` (one spec, or an output
@@ -167,7 +170,7 @@ impl SynthesisCache {
         specs: &[TruthTable],
         budget: Duration,
         jobs: usize,
-    ) -> Result<Option<Answer>, NetworkError> {
+    ) -> Result<Option<NpnAnswer>, NetworkError> {
         let mut synthesized = false;
         let outcome = self.store.solve_npn_multi(specs, budget, |reps| {
             synthesized = true;
@@ -198,41 +201,12 @@ impl SynthesisCache {
             stp_telemetry::counter!("network.synth_cache_hits").inc();
         }
         match outcome {
-            NpnOutcome::Trivial(chain) => Ok(Some(Answer::Trivial(chain))),
-            NpnOutcome::Solved(view) => Ok(Some(Answer::Stored(view))),
+            NpnOutcome::Trivial(chain) => Ok(Some(NpnAnswer::Trivial(chain))),
+            NpnOutcome::Solved(view) => Ok(Some(NpnAnswer::Class(view))),
             NpnOutcome::Exhausted { .. } | NpnOutcome::WaitTimeout => Ok(None),
             NpnOutcome::Poisoned { message } => {
                 Err(NetworkError::from(SynthesisError::JobPanicked { message }))
             }
-        }
-    }
-}
-
-/// A cache answer before map-back: its gate count is known, and only a
-/// caller that splices it pays for mapping and checking the chain.
-enum Answer {
-    /// A constant or (complemented) projection: zero gates, no store.
-    Trivial(Chain),
-    /// A solved class, seen from the caller's spec(s).
-    Stored(NpnView),
-}
-
-impl Answer {
-    /// The gate count of the chain [`Answer::chain`] returns.
-    fn gates(&self) -> usize {
-        match self {
-            Answer::Trivial(chain) => chain.num_gates(),
-            Answer::Stored(view) => view.gates(),
-        }
-    }
-
-    /// The chain for the caller's spec(s): a stored chain is mapped back
-    /// and checked, and `None` when the check refuses it (the store then
-    /// re-solves the class at its next lookup).
-    fn chain(self) -> Option<Chain> {
-        match self {
-            Answer::Trivial(chain) => Some(chain),
-            Answer::Stored(view) => view.first().ok(),
         }
     }
 }
@@ -575,7 +549,7 @@ fn rewrite_pass(
         if new_cost >= old_cost {
             continue;
         }
-        let Some(chain) = answer.chain() else { continue };
+        let Ok(chain) = answer.first() else { continue };
         candidates.push(Candidate { roots: vec![*s], cut, chain, gain: old_cost - new_cost });
     }
     if !groups.is_empty() {
@@ -601,7 +575,7 @@ fn rewrite_pass(
             if gain <= displaced {
                 continue;
             }
-            let Some(chain) = answer.chain() else { continue };
+            let Ok(chain) = answer.first() else { continue };
             stp_telemetry::counter!("network.mo_rewrites").inc();
             candidates.push(Candidate { roots, cut, chain, gain });
         }
